@@ -7,8 +7,8 @@ generators  : deterministic test-graph generators and the ``kind:args`` grammar
 oracle      : the four metered query types with per-type counters
 estimate    : pluggable directed-edge-count estimators with median boosting
 sampler     : the light/heavy mixture sampler, fallback, and derived samplers
-analytic    : exact per-edge attempt distributions and closeness diagnostics
-experiments : query-cost scaling runs and hidden-clique budget experiments
+analytic    : exact attempt distributions held per vertex at any size, closeness
+experiments : Monte Carlo scoring, query-cost scaling, hidden-clique budgets
 cli         : ``edgesample`` command-line front end
 """
 
@@ -17,12 +17,12 @@ from .analytic import (
     ClosenessReport,
     attempt_distribution,
     conditional_closeness,
-    empirical_distribution,
     enumerate_attempt_distribution,
     verify_attempt_bounds,
     vertex_return_distribution,
 )
 from .estimate import EdgeEstimate, estimate_edges, estimate_edges_amplified
+from .experiments import empirical_distribution
 from .graph import (
     DegreePartition,
     DirectedEdge,

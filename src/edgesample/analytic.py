@@ -10,9 +10,12 @@ Two independent routes to the same distribution keep each other honest:
   space (coin x start vertex x slot index x neighbor pick) step by step
   and tallies outcome weights.
 
-Probabilities are exact rationals while the graph is small enough to
-enumerate its directed edges cheaply; beyond that, doubles with
-compensated summation.
+The closed form depends only on an edge's origin, so it is held per
+vertex, not per edge. The directed edges fall into a few classes keyed
+by the ratio d_L(v)/d(v) of their origin (1 for a light origin), each
+weighted by its directed-edge count. Success probability, closeness to
+uniform and the bound margins are exact rational sums over those classes
+at every graph size.
 """
 
 from __future__ import annotations
@@ -20,13 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from scipy import stats
-
-from .graph import DirectedEdge, Graph, light_degree, partition
-
-# Largest directed-edge count for which exact rationals stay cheap.
-EXACT_EDGE_LIMIT = 10**6
+from .graph import DegreePartition, DirectedEdge, Graph, light_degree, partition
 
 
 @dataclass
@@ -34,47 +33,60 @@ class AttemptDistribution:
     """Per-directed-edge return probability of one mixture attempt."""
 
     theta: int
-    per_edge: dict[DirectedEdge, Fraction | float]
-    success_prob: Fraction | float
-    exact: bool
+    per_edge: dict[DirectedEdge, Fraction]
+    success_prob: Fraction
 
-    def probability(self, e: DirectedEdge) -> Fraction | float:
-        return self.per_edge.get(e, Fraction(0) if self.exact else 0.0)
+    def probability(self, e: DirectedEdge) -> Fraction:
+        return self.per_edge.get(e, Fraction(0))
 
-    def conditional(self) -> dict[DirectedEdge, Fraction | float]:
+    def conditional(self) -> dict[DirectedEdge, Fraction]:
         """Distribution of the returned edge given that the attempt succeeded."""
         if self.success_prob == 0:
             raise ValueError("success probability is zero; conditional undefined")
         return {e: p / self.success_prob for e, p in self.per_edge.items()}
 
 
-def attempt_distribution(g: Graph, theta: int, exact: bool | None = None) -> AttemptDistribution:
+class ClosedFormDistribution(AttemptDistribution):
+    """The closed form, held per origin vertex.
+
+    An edge out of v has probability ``unit * ratio``: unit = 1/(2 n theta),
+    ratio 1 for a light v and d_L(v)/d(v) for a heavy v (``light_degrees``
+    maps heavy v to d_L). ``classes`` maps each ratio to its directed-edge
+    count; the integer ``weight`` is success_prob / unit. ``per_edge`` is
+    expanded from these only when read.
+    """
+
+    def __init__(self, g: Graph, part: DegreePartition, light_degrees: dict[int, int]):
+        self.graph = g
+        self.theta = part.theta
+        self.partition = part
+        self.light_degrees = light_degrees
+        self.unit = Fraction(1, 2 * g.n * part.theta)
+        self.weight = part.e_light + sum(light_degrees.values())
+        self.success_prob = self.weight * self.unit
+        classes = {Fraction(1): part.e_light}
+        for v, dl in light_degrees.items():
+            ratio = Fraction(dl, g.degree(v))
+            classes[ratio] = classes.get(ratio, 0) + g.degree(v)
+        self.classes = classes
+
+    @cached_property
+    def per_edge(self) -> dict[DirectedEdge, Fraction]:
+        g = self.graph
+        out: dict[DirectedEdge, Fraction] = {}
+        for v in range(g.n):
+            dl = self.light_degrees.get(v)
+            p = self.unit if dl is None else self.unit * Fraction(dl, g.degree(v))
+            for w in g.neighbors(v):
+                out[DirectedEdge(v, w)] = p
+        return out
+
+
+def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     """Closed-form distribution of one fair light/heavy mixture attempt."""
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    if exact is None:
-        exact = g.m_dir <= EXACT_EDGE_LIMIT
     part = partition(g, theta)
-    n = g.n
-    per_edge: dict[DirectedEdge, Fraction | float] = {}
-    light_p = Fraction(1, 2 * n * theta) if exact else 1.0 / (2.0 * n * theta)
-    for v in range(n):
-        d = g.degree(v)
-        if d <= theta:
-            for w in g.neighbors(v):
-                per_edge[DirectedEdge(v, w)] = light_p
-        else:
-            dl = light_degree(g, part, v)
-            heavy_p = (
-                Fraction(dl, 2 * n * theta * d) if exact else dl / (2.0 * n * theta * d)
-            )
-            for w in g.neighbors(v):
-                per_edge[DirectedEdge(v, w)] = heavy_p
-    if exact:
-        success = sum(per_edge.values(), Fraction(0))
-    else:
-        success = math.fsum(per_edge.values())
-    return AttemptDistribution(theta=theta, per_edge=per_edge, success_prob=success, exact=exact)
+    light_degrees = {v: light_degree(g, part, v) for v in sorted(part.heavy_vertices)}
+    return ClosedFormDistribution(g, part, light_degrees)
 
 
 def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
@@ -96,7 +108,7 @@ def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
     for e, p in _enumerate_heavy(g, theta).items():
         per_edge[e] += half * p
     success = sum(per_edge.values(), Fraction(0))
-    return AttemptDistribution(theta=theta, per_edge=per_edge, success_prob=success, exact=True)
+    return AttemptDistribution(theta=theta, per_edge=per_edge, success_prob=success)
 
 
 def _enumerate_light(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
@@ -161,52 +173,56 @@ def enumerate_fallback_distribution(g: Graph) -> dict[DirectedEdge, Fraction]:
 class ClosenessReport:
     """How far the conditional returned-edge distribution is from uniform."""
 
-    max_ratio_dev: Fraction | float
-    tv_distance: Fraction | float
-    success_prob: Fraction | float
+    max_ratio_dev: Fraction
+    tv_distance: Fraction
+    success_prob: Fraction
     edge_count: int
 
     def pointwise_ok(self, epsilon: float) -> bool:
-        if isinstance(self.max_ratio_dev, Fraction):
-            return self.max_ratio_dev <= Fraction(epsilon)
-        return self.max_ratio_dev <= epsilon
+        return self.max_ratio_dev <= Fraction(epsilon)
 
 
-def conditional_closeness(dist: AttemptDistribution) -> ClosenessReport:
+def conditional_closeness(dist: ClosedFormDistribution) -> ClosenessReport:
     """Max relative deviation and TV distance of the conditional vs uniform.
 
     The uniform reference puts 1/m_dir on every directed edge, so an edge
-    the attempt can never return contributes a deviation of 1.
+    the attempt can never return (ratio 0) contributes a deviation of 1.
+    An edge of ratio r has conditional probability r / weight, so its
+    deviation is |r m - weight| / weight.
     """
     if dist.success_prob == 0:
         raise ValueError("success probability is zero; conditional undefined")
-    m = len(dist.per_edge)
-    one = Fraction(1) if dist.exact else 1.0
-    max_dev = Fraction(0) if dist.exact else 0.0
-    tv_acc = []
-    for p in dist.per_edge.values():
-        ratio = p * m / dist.success_prob
-        dev = abs(ratio - one)
-        if dev > max_dev:
-            max_dev = dev
-        tv_acc.append(abs(p / dist.success_prob - one / m))
-    tv = sum(tv_acc, Fraction(0)) / 2 if dist.exact else math.fsum(tv_acc) / 2.0
+    m, w = dist.graph.m_dir, dist.weight
+    max_dev = spread = Fraction(0)
+    for ratio, count in dist.classes.items():
+        dev = abs(ratio * m - w)
+        max_dev = max(max_dev, dev)
+        spread += count * dev
     return ClosenessReport(
-        max_ratio_dev=max_dev, tv_distance=tv, success_prob=dist.success_prob, edge_count=m
+        max_ratio_dev=max_dev / w,
+        tv_distance=spread / (2 * w * m),
+        success_prob=dist.success_prob,
+        edge_count=m,
     )
 
 
-def vertex_return_distribution(dist: AttemptDistribution) -> dict[int, Fraction | float]:
+def vertex_return_distribution(dist: ClosedFormDistribution) -> dict[int, Fraction]:
     """Distribution of the vertex obtained by returning either endpoint of
     the conditionally-sampled edge with probability 1/2 each."""
-    cond = dist.conditional()
-    half = Fraction(1, 2) if dist.exact else 0.5
-    out: dict[int, Fraction | float] = {}
-    zero = Fraction(0) if dist.exact else 0.0
-    for e, p in cond.items():
-        out[e.origin] = out.get(e.origin, zero) + half * p
-        out[e.target] = out.get(e.target, zero) + half * p
-    return out
+    if dist.success_prob == 0:
+        raise ValueError("success probability is zero; conditional undefined")
+    g = dist.graph
+    # Integer weight of each edge out of v, proportional to its probability.
+    scale = math.lcm(*(g.degree(v) for v in dist.light_degrees))
+    weight = [scale] * g.n
+    for v, dl in dist.light_degrees.items():
+        weight[v] = dl * scale // g.degree(v)
+    total = 2 * scale * dist.weight
+    return {
+        v: Fraction(g.degree(v) * weight[v] + sum(weight[w] for w in g.neighbors(v)), total)
+        for v in range(g.n)
+        if g.degree(v)
+    }
 
 
 @dataclass
@@ -216,17 +232,11 @@ class BoundCheck:
     name: str
     applicable: bool
     passed: bool
-    margin: Fraction | float | None
+    margin: Fraction | None
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "margin": None if self.margin is None else float(self.margin),
-            "note": self.note,
-        }
+        return {**vars(self), "margin": None if self.margin is None else float(self.margin)}
 
 
 @dataclass
@@ -240,12 +250,8 @@ class AttemptBoundsReport:
         return all(c.passed for c in self.checks if c.applicable)
 
     def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "epsilon": self.epsilon,
-            "all_passed": self.all_passed,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        checks = [c.as_dict() for c in self.checks]
+        return {**vars(self), "all_passed": self.all_passed, "checks": checks}
 
 
 def verify_attempt_bounds(g: Graph, theta: int, epsilon: float) -> AttemptBoundsReport:
@@ -262,15 +268,13 @@ def verify_attempt_bounds(g: Graph, theta: int, epsilon: float) -> AttemptBounds
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    part = partition(g, theta)
+    dist = attempt_distribution(g, theta)
+    part = dist.partition
     n, m = g.n, g.m_dir
     eps = Fraction(epsilon)
-    dist = attempt_distribution(g, theta, exact=True)
     report = AttemptBoundsReport(theta=theta, epsilon=epsilon)
 
-    light_sum = 2 * sum(
-        (p for e, p in dist.per_edge.items() if g.degree(e.origin) <= theta), Fraction(0)
-    )
+    light_sum = 2 * dist.unit * part.e_light
     light_formula = Fraction(part.e_light, n * theta)
     report.checks.append(
         BoundCheck(
@@ -282,11 +286,10 @@ def verify_attempt_bounds(g: Graph, theta: int, epsilon: float) -> AttemptBounds
         )
     )
 
-    heavy_sum = 2 * sum(
-        (p for e, p in dist.per_edge.items() if g.degree(e.origin) > theta), Fraction(0)
-    )
+    heavy_sum = 2 * dist.unit * sum(dist.light_degrees.values())
+    factor = 1 - Fraction(m, theta * theta)
     upper = Fraction(part.e_heavy, n * theta)
-    lower = upper * (1 - Fraction(m, theta * theta))
+    lower = upper * factor
     report.checks.append(
         BoundCheck(
             name="heavy_success_within_interval",
@@ -297,54 +300,33 @@ def verify_attempt_bounds(g: Graph, theta: int, epsilon: float) -> AttemptBounds
         )
     )
 
-    heavy = sorted(part.heavy_vertices)
-    if heavy:
-        factor = 1 - Fraction(m, theta * theta)
-        margin = min(
-            Fraction(light_degree(g, part, v)) - factor * g.degree(v) for v in heavy
+    heavy = dist.light_degrees
+    margin = min((dl - factor * g.degree(v) for v, dl in heavy.items()), default=None)
+    report.checks.append(
+        BoundCheck(
+            name="heavy_light_degree_dominates",
+            applicable=bool(heavy),
+            passed=margin is None or margin > 0,
+            margin=margin,
+            note=f"{len(heavy)} heavy vertices" if heavy else "no heavy vertices",
         )
-        report.checks.append(
-            BoundCheck(
-                name="heavy_light_degree_dominates",
-                applicable=True,
-                passed=margin > 0,
-                margin=margin,
-                note=f"{len(heavy)} heavy vertices",
-            )
-        )
-    else:
-        report.checks.append(
-            BoundCheck(
-                name="heavy_light_degree_dominates",
-                applicable=False,
-                passed=True,
-                margin=None,
-                note="no heavy vertices",
-            )
-        )
+    )
 
     applicable = eps * theta * theta >= 2 * m
+    bound = (1 - eps) * Fraction(m, 2 * n * theta)
     if applicable:
-        bound = (1 - eps) * Fraction(m, 2 * n * theta)
-        report.checks.append(
-            BoundCheck(
-                name="mixture_success_lower_bound",
-                applicable=True,
-                passed=dist.success_prob >= bound,
-                margin=dist.success_prob - bound,
-                note=f"success={float(dist.success_prob):.6g} >= {float(bound):.6g}",
-            )
-        )
+        note = f"success={float(dist.success_prob):.6g} >= {float(bound):.6g}"
     else:
-        report.checks.append(
-            BoundCheck(
-                name="mixture_success_lower_bound",
-                applicable=False,
-                passed=True,
-                margin=None,
-                note="theta below sqrt(2 m / eps); bound not claimed",
-            )
+        note = "theta below sqrt(2 m / eps); bound not claimed"
+    report.checks.append(
+        BoundCheck(
+            name="mixture_success_lower_bound",
+            applicable=applicable,
+            passed=not applicable or dist.success_prob >= bound,
+            margin=dist.success_prob - bound if applicable else None,
+            note=note,
         )
+    )
     return report
 
 
@@ -358,107 +340,8 @@ def run_failure_probability(g: Graph, config) -> float:
         per_attempt = g.m_dir / (g.n * g.n)
         budget = g.n
     else:
-        per_attempt = float(attempt_distribution(g, config.theta, exact=True).success_prob)
+        per_attempt = float(attempt_distribution(g, config.theta).success_prob)
         budget = config.q
     if per_attempt >= 1.0:
         return 0.0
     return math.exp(budget * math.log1p(-per_attempt))
-
-
-@dataclass
-class EmpiricalReport:
-    """Monte Carlo frequencies checked against a reference distribution."""
-
-    trials: int
-    counts: dict[DirectedEdge, int]
-    chi_square: float
-    p_value: float
-    max_std_dev: float
-    off_support: int
-    attempts_total: int
-    failures: int
-    seed: int | None
-
-    def frequency(self, e: DirectedEdge) -> float:
-        return self.counts.get(e, 0) / self.trials
-
-
-def empirical_distribution(
-    g: Graph,
-    trials: int,
-    seed: int | None = None,
-    theta: int | None = None,
-    config=None,
-    reference: dict[DirectedEdge, Fraction | float] | None = None,
-) -> EmpiricalReport:
-    """Drive the real sampler ``trials`` times and score the frequencies.
-
-    With ``theta`` given, each trial repeats single mixture attempts until
-    one succeeds (the conditional distribution). With ``config`` given,
-    each trial is a full budgeted sampling run and failed runs are counted
-    separately. The chi-square statistic and the max standardized count
-    deviation are computed against ``reference`` (default: the analytic
-    conditional distribution for the mode in use).
-    """
-    from . import sampler as _sampler
-    from .oracle import QueryOracle
-
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if (theta is None) == (config is None):
-        raise ValueError("give exactly one of theta or config")
-
-    oracle = QueryOracle(g, seed=seed)
-    counts: dict[DirectedEdge, int] = {}
-    attempts_total = 0
-    failures = 0
-    collected = 0
-    while collected < trials:
-        if theta is not None:
-            edge = None
-            while edge is None:
-                edge = _sampler.mixture_attempt(oracle, theta)
-                attempts_total += 1
-        else:
-            report = _sampler.sample_edge_almost_uniformly(oracle, config)
-            attempts_total += report.attempts_used
-            if report.outcome is None:
-                failures += 1
-                collected += 1
-                continue
-            edge = report.outcome
-        counts[edge] = counts.get(edge, 0) + 1
-        collected += 1
-
-    if reference is None:
-        if theta is not None:
-            reference = attempt_distribution(g, theta).conditional()
-        elif config.q <= g.n:
-            reference = attempt_distribution(g, config.theta).conditional()
-        else:
-            reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
-
-    returned = trials - failures
-    support = [(e, float(p)) for e, p in reference.items() if p > 0]
-    off_support = sum(c for e, c in counts.items() if float(reference.get(e, 0)) == 0.0)
-    f_obs = [counts.get(e, 0) for e, _ in support]
-    f_exp = [returned * p for _, p in support]
-    if returned > 0 and off_support == 0:
-        chi2, p_value = stats.chisquare(f_obs, f_exp)
-        max_std = max(
-            abs(o - ex) / math.sqrt(ex * (1.0 - ex / returned)) if 0 < ex < returned else 0.0
-            for o, ex in zip(f_obs, f_exp)
-        )
-    else:
-        chi2, p_value, max_std = math.inf, 0.0, math.inf
-    return EmpiricalReport(
-        trials=trials,
-        counts=counts,
-        chi_square=float(chi2),
-        p_value=float(p_value),
-        max_std_dev=float(max_std),
-        off_support=off_support,
-        attempts_total=attempts_total,
-        failures=failures,
-        seed=seed,
-    )

@@ -8,7 +8,7 @@ significant digits, and identical configuration plus seed reproduces
 byte-identical output.
 
 Exit status: 0 success, 1 a sampling run ended in Failure, 2 usage error,
-3 I/O error.
+3 I/O error or a ``--graph`` file whose contents are not a valid edge list.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .experiments import (
     run_scaling,
 )
 from .generators import generate
-from .graph import read_edge_list, write_edge_list
+from .graph import GraphConstructionError, read_edge_list, write_edge_list
 from .oracle import QueryOracle
 from .sampler import SamplerConfig, sample_edge_almost_uniformly, threshold_for
 
@@ -416,15 +416,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    # Only read_edge_list lets GraphConstructionError out; generate() re-raises ValueError.
+    except (OSError, GraphConstructionError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:  # UsageError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

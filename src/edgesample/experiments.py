@@ -1,4 +1,7 @@
-"""Desk-scale experiments: query-cost scaling and the hidden-clique budget.
+"""Desk-scale experiments: Monte Carlo scoring, query-cost scaling, hidden cliques.
+
+``empirical_distribution`` scores the real sampler's edge frequencies
+against the analytic distribution with a chi-square test.
 
 ``run_scaling`` measures mean metered queries of full estimate+sample runs
 across a family of graphs and fits the log-log slope against
@@ -19,14 +22,119 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from scipy import stats
 
+from .analytic import attempt_distribution
 from .estimate import estimate_edges
 from .generators import generate
-from .graph import Graph, RelabeledView, build_graph
+from .graph import DirectedEdge, Graph, RelabeledView, build_graph
 from .oracle import BudgetExceeded, QueryOracle
-from .sampler import SamplerConfig, sample_edge_almost_uniformly
+from .sampler import SamplerConfig, mixture_attempt, sample_edge_almost_uniformly
+
+# ---------------------------------------------------------------------------
+# Monte Carlo frequencies vs the analytic distribution
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EmpiricalReport:
+    """Monte Carlo frequencies checked against a reference distribution."""
+
+    trials: int
+    counts: dict[DirectedEdge, int]
+    chi_square: float
+    p_value: float
+    max_std_dev: float
+    off_support: int
+    attempts_total: int
+    failures: int
+    seed: int | None
+
+    def frequency(self, e: DirectedEdge) -> float:
+        return self.counts.get(e, 0) / self.trials
+
+
+def empirical_distribution(
+    g: Graph,
+    trials: int,
+    seed: int | None = None,
+    theta: int | None = None,
+    config=None,
+    reference: dict[DirectedEdge, Fraction | float] | None = None,
+) -> EmpiricalReport:
+    """Drive the real sampler ``trials`` times and score the frequencies.
+
+    With ``theta`` given, each trial repeats single mixture attempts until
+    one succeeds (the conditional distribution). With ``config`` given,
+    each trial is a full budgeted sampling run and failed runs are counted
+    separately. The chi-square statistic and the max standardized count
+    deviation are computed against ``reference`` (default: the analytic
+    conditional distribution for the mode in use).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if (theta is None) == (config is None):
+        raise ValueError("give exactly one of theta or config")
+
+    oracle = QueryOracle(g, seed=seed)
+    counts: dict[DirectedEdge, int] = {}
+    attempts_total = 0
+    failures = 0
+    collected = 0
+    while collected < trials:
+        if theta is not None:
+            edge = None
+            while edge is None:
+                edge = mixture_attempt(oracle, theta)
+                attempts_total += 1
+        else:
+            report = sample_edge_almost_uniformly(oracle, config)
+            attempts_total += report.attempts_used
+            if report.outcome is None:
+                failures += 1
+                collected += 1
+                continue
+            edge = report.outcome
+        counts[edge] = counts.get(edge, 0) + 1
+        collected += 1
+
+    if reference is None:
+        if theta is not None:
+            reference = attempt_distribution(g, theta).conditional()
+        elif config.q <= g.n:
+            reference = attempt_distribution(g, config.theta).conditional()
+        else:
+            reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
+
+    returned = trials - failures
+    support = [(e, float(p)) for e, p in reference.items() if p > 0]
+    off_support = sum(c for e, c in counts.items() if float(reference.get(e, 0)) == 0.0)
+    f_obs = [counts.get(e, 0) for e, _ in support]
+    f_exp = [returned * p for _, p in support]
+    if returned > 0 and off_support == 0:
+        chi2, p_value = stats.chisquare(f_obs, f_exp)
+        max_std = max(
+            abs(o - ex) / math.sqrt(ex * (1.0 - ex / returned)) if 0 < ex < returned else 0.0
+            for o, ex in zip(f_obs, f_exp)
+        )
+    else:
+        chi2, p_value, max_std = math.inf, 0.0, math.inf
+    return EmpiricalReport(
+        trials=trials,
+        counts=counts,
+        chi_square=float(chi2),
+        p_value=float(p_value),
+        max_std_dev=float(max_std),
+        off_support=off_support,
+        attempts_total=attempts_total,
+        failures=failures,
+        seed=seed,
+    )
+
+
 
 # ---------------------------------------------------------------------------
 # Query-cost scaling

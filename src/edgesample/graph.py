@@ -215,24 +215,31 @@ def read_edge_list(path: str) -> Graph:
 
     One ``u v`` pair per line (whitespace-separated decimal ids); lines
     starting with ``#`` are ignored; an optional ``n <count>`` header fixes
-    the vertex count (default: max id + 1).
+    the vertex count (default: max id + 1). Malformed text raises
+    GraphConstructionError naming the file and line.
     """
     edges: list[tuple[int, int]] = []
     n: int | None = None
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "n":
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if parts[0] == "n":
+                    if len(parts) != 2:
+                        raise GraphConstructionError(f"{path}:{lineno}: malformed header {line!r}")
+                    n = int(parts[1])
+                    continue
                 if len(parts) != 2:
-                    raise GraphConstructionError(f"{path}:{lineno}: malformed header {line!r}")
-                n = int(parts[1])
-                continue
-            if len(parts) != 2:
-                raise GraphConstructionError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+                    raise GraphConstructionError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+                edges.append((int(parts[0]), int(parts[1])))
+        except GraphConstructionError:
+            raise
+        except ValueError as exc:  # a non-integer token, or text that is not UTF-8
+            raise GraphConstructionError(f"{path}:{lineno}: {exc}") from exc
     if n is None:
         n = max((max(u, v) for u, v in edges), default=-1) + 1
     return build_graph(edges, n)

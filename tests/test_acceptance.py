@@ -90,7 +90,7 @@ def test_criterion_02_heavy_edge_closed_form(catalog_graphs):
             lower = upper * (1 - Fraction(g.m_dir, theta * theta))
             assert lower <= success <= upper, f"{label} theta={theta}: interval violated"
             # ground-truth anchor: full sample-space walk equals the closed form
-            a = attempt_distribution(g, theta, exact=True)
+            a = attempt_distribution(g, theta)
             b = enumerate_attempt_distribution(g, theta)
             assert a.per_edge == b.per_edge and a.success_prob == b.success_prob
             checked += 1
@@ -107,7 +107,7 @@ def test_criterion_03_pointwise_closeness(suite_graphs):
     for label, g in suite_graphs:
         for eps in EPSILONS:
             theta = threshold_for(float(g.m_dir), eps)
-            rep = conditional_closeness(attempt_distribution(g, theta, exact=True))
+            rep = conditional_closeness(attempt_distribution(g, theta))
             assert rep.max_ratio_dev <= Fraction(eps), (
                 f"{label} eps={eps}: dev {float(rep.max_ratio_dev):.3g}"
             )
@@ -219,7 +219,7 @@ def test_criterion_08_degree_proportional_vertices(suite_graphs):
     for label, g in suite_graphs:
         for eps in EPSILONS:
             theta = threshold_for(float(g.m_dir), eps)
-            vd = vertex_return_distribution(attempt_distribution(g, theta, exact=True))
+            vd = vertex_return_distribution(attempt_distribution(g, theta))
             for v in range(g.n):
                 target = Fraction(g.degree(v), g.m_dir)
                 got = vd.get(v, Fraction(0))

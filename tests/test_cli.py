@@ -69,6 +69,21 @@ def test_missing_file_is_io_error(capsys):
     assert code == 3
 
 
+def test_malformed_graph_file_is_data_error(capsys, tmp_path):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("n 3\n0 1\n1 x\n")
+    code, _, err = run_cli(capsys, "verify", "--graph", str(bad), "--seed", "1")
+    assert code == 3
+    assert f"{bad}:3:" in err
+    bad.write_text("0 1\n1 0\n")  # well-formed text, but a duplicate edge
+    code, _, err = run_cli(capsys, "sample", "--graph", str(bad), "--seed", "1")
+    assert code == 3
+    assert "duplicate" in err
+    # a bad generator spec is still a usage error
+    code, _, _ = run_cli(capsys, "verify", "--generate", "er:-5,0.1", "--seed", "1")
+    assert code == 2
+
+
 def test_verify_star_theta3(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--generate", "star:5", "--theta", "3", "--seed", "1"
