@@ -39,9 +39,10 @@ def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
     s = _auto_samples(oracle) if samples is None else samples
     if s < 1:
         raise ValueError(f"sample count must be >= 1, got {s}")
+    degree, random_vertex = oracle.degree, oracle.random_vertex
     total = 0
     for _ in range(s):
-        total += oracle.degree(oracle.random_vertex())
+        total += degree(random_vertex())
     # 1.5x centers the scaled average inside [m, 2m]; never report zero.
     return max(1.0, 1.5 * oracle.n * total / s)
 

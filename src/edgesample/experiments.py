@@ -32,7 +32,7 @@ from .estimate import estimate_edges
 from .generators import generate
 from .graph import DirectedEdge, Graph, RelabeledView, build_graph
 from .oracle import BudgetExceeded, QueryOracle
-from .sampler import SamplerConfig, mixture_attempt, sample_edge_almost_uniformly
+from .sampler import SamplerConfig, _attempts, sample_edge_almost_uniformly
 
 # ---------------------------------------------------------------------------
 # Monte Carlo frequencies vs the analytic distribution
@@ -87,9 +87,9 @@ def empirical_distribution(
     while collected < trials:
         if theta is not None:
             edge = None
-            while edge is None:
-                edge = mixture_attempt(oracle, theta)
-                attempts_total += 1
+            while edge is None:  # the chunk size does not change the stream
+                edge, used = _attempts(oracle, theta, 1 << 16, oracle.rng)
+                attempts_total += used
         else:
             report = sample_edge_almost_uniformly(oracle, config)
             attempts_total += report.attempts_used
@@ -371,6 +371,7 @@ def run_lower_bound(
     union, clique_ids = planted_union(base, k)
     if budgets is None:
         budgets = default_budgets(union.n, union.m_dir)
+    clique_old = np.fromiter(clique_ids, dtype=np.int64)
     master = random.Random(seed)
     results = []
     for strategy in strategies:
@@ -380,7 +381,7 @@ def run_lower_bound(
             for _ in range(trials):
                 perm = perm_rng.permutation(union.n)
                 view = RelabeledView(union, perm)
-                clique_new = frozenset(int(perm[v]) for v in clique_ids)
+                clique_new = frozenset(perm[clique_old].tolist())
                 oracle = WitnessOracle(
                     view, clique_new, seed=master.getrandbits(63), budget=budget
                 )

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 
 class GraphConstructionError(ValueError):
     """Raised when an edge list violates the simple-undirected contract."""
@@ -183,10 +185,9 @@ class RelabeledView:
             raise ValueError(f"permutation length {len(perm)} != n={base.n}")
         self._base = base
         self._perm = perm
-        inv = [0] * base.n
-        for old, new in enumerate(perm):
-            inv[new] = old
-        self._inv = inv
+        inv = np.empty(base.n, dtype=np.int64)
+        inv[np.asarray(perm)] = np.arange(base.n)
+        self._inv = inv.tolist()
 
     @property
     def n(self) -> int:

@@ -23,7 +23,7 @@ class BudgetExceeded(RuntimeError):
     """A query was attempted past the oracle's hard query budget."""
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryCounts:
     """Per-type query counters; merged across workers by addition."""
 
@@ -73,6 +73,12 @@ class QueryOracle:
     replays bit-for-bit under the same seed. ``budget``, when set, is a
     hard cap on the total query count: the call that would exceed it
     raises BudgetExceeded before touching the graph.
+
+    Each query checks the budget and bumps its counter inline: the four
+    methods are the samplers' hot path. ``random_vertex`` draws by the
+    same ``getrandbits`` rejection as ``Random.randrange(n)``, with ``n``
+    and its bit length cached, so it returns the same vertex from the same
+    generator state.
     """
 
     def __init__(self, graph, seed: int | None = None, budget: int | None = None):
@@ -80,40 +86,55 @@ class QueryOracle:
         self.rng = random.Random(seed)
         self.counts = QueryCounts()
         self.budget = budget
+        self._n = graph.n
+        self._n_bits = graph.n.bit_length()
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return self._n
 
-    def _charge(self) -> None:
-        if self.budget is not None and self.counts.total >= self.budget:
-            raise BudgetExceeded(f"query budget {self.budget} exhausted")
+    def _exhausted(self) -> BudgetExceeded:
+        return BudgetExceeded(f"query budget {self.budget} exhausted")
 
     def random_vertex(self) -> int:
-        self._charge()
-        self.counts.vertex += 1
-        return self.rng.randrange(self.graph.n)
+        c = self.counts
+        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
+            raise self._exhausted()
+        c.vertex += 1
+        n = self._n
+        if not n:
+            raise ValueError("empty range for randrange()")
+        r = self.rng.getrandbits(self._n_bits)
+        while r >= n:
+            r = self.rng.getrandbits(self._n_bits)
+        return r
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.graph.n:
-            raise IndexError(f"vertex {v} out of range for n={self.graph.n}")
-        self._charge()
-        self.counts.degree += 1
+        if not 0 <= v < self._n:
+            raise IndexError(f"vertex {v} out of range for n={self._n}")
+        c = self.counts
+        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
+            raise self._exhausted()
+        c.degree += 1
         return self.graph.degree(v)
 
     def neighbor(self, v: int, i: int) -> int | None:
-        if not 0 <= v < self.graph.n:
-            raise IndexError(f"vertex {v} out of range for n={self.graph.n}")
+        if not 0 <= v < self._n:
+            raise IndexError(f"vertex {v} out of range for n={self._n}")
         if i < 1:
             raise ValueError(f"neighbor index must be >= 1, got {i}")
-        self._charge()
-        self.counts.neighbor += 1
+        c = self.counts
+        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
+            raise self._exhausted()
+        c.neighbor += 1
         return self.graph.neighbor(v, i)
 
     def pair(self, v: int, w: int) -> bool:
         for x in (v, w):
-            if not 0 <= x < self.graph.n:
-                raise IndexError(f"vertex {x} out of range for n={self.graph.n}")
-        self._charge()
-        self.counts.pair += 1
+            if not 0 <= x < self._n:
+                raise IndexError(f"vertex {x} out of range for n={self._n}")
+        c = self.counts
+        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
+            raise self._exhausted()
+        c.pair += 1
         return self.graph.has_edge(v, w)

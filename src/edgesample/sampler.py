@@ -17,15 +17,21 @@ q = ceil(10 n / ((1 - eps) sqrt(eps m_hat))) attempts; when that exceeds
 n it reverts to the exactly-uniform (but slower per success) uniform-slot
 fallback.
 
-All randomness of a run (oracle vertex queries, coins, slot indices) is
-drawn from one seeded generator in a fixed order: coin, vertex query,
-slot j, then on the heavy track the neighbor index of v. Runs replay
-bit-for-bit under the same seed.
+Every attempt draws its random numbers in a fixed order: the coin
+(``rng.random()``), the vertex query (from ``oracle.rng``), the slot j,
+then on the heavy track the neighbor index of v. Slots and indices are
+drawn inline by ``getrandbits`` rejection, which is exactly what
+``rng.randint(1, k)`` does, and the vertex query matches
+``oracle.rng.randrange(n)``; a run consumes the same numbers as one
+written with those calls, and replays bit-for-bit under the same seed.
+All mixture attempts run in one loop, ``_attempts``; every query in it
+goes through the oracle's methods, so a subclass sees each one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +58,13 @@ def attempt_budget(n: int, m_hat: float, epsilon: float) -> int:
     return max(1, math.ceil(10.0 * n / ((1.0 - epsilon) * math.sqrt(epsilon * m_hat))))
 
 
+def _check_epsilon_m_hat(epsilon: float, m_hat: float) -> None:
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie strictly inside (0, 0.5), got {epsilon}")
+    if m_hat <= 0:
+        raise ValueError(f"edge estimate must be positive, got {m_hat}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Resolved parameters of one sampling run."""
@@ -62,21 +75,13 @@ class SamplerConfig:
     q: int
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(
-                f"epsilon must lie strictly inside (0, 0.5), got {self.epsilon}"
-            )
-        if self.m_hat <= 0:
-            raise ValueError(f"edge estimate must be positive, got {self.m_hat}")
+        _check_epsilon_m_hat(self.epsilon, self.m_hat)
         if self.theta < 1 or self.q < 1:
             raise ValueError("theta and q must be >= 1")
 
     @classmethod
     def for_graph(cls, n: int, m_hat: float, epsilon: float) -> "SamplerConfig":
-        if not 0.0 < epsilon < 0.5:
-            raise ValueError(f"epsilon must lie strictly inside (0, 0.5), got {epsilon}")
-        if m_hat <= 0:
-            raise ValueError(f"edge estimate must be positive, got {m_hat}")
+        _check_epsilon_m_hat(epsilon, m_hat)
         return cls(
             epsilon=epsilon,
             m_hat=m_hat,
@@ -100,17 +105,23 @@ class SampleReport:
         return self.outcome is None
 
 
-def sample_light_edge(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
-    """One light-track attempt; None is the fail outcome."""
-    rng = oracle.rng if rng is None else rng
+def _light_hit(oracle: QueryOracle, theta: int, rng: random.Random) -> tuple[int, int] | None:
+    """The start both tracks share: (u, v) or None.
+
+    u is a uniform vertex, which fails if heavy; v is the occupant of a
+    uniform slot j in [theta] of u, which fails if the slot is empty.
+    """
     u = oracle.random_vertex()
     if oracle.degree(u) > theta:
         return None
-    j = rng.randint(1, theta)
-    v = oracle.neighbor(u, j)
-    if v is None:
-        return None
-    return DirectedEdge(u, v)
+    v = oracle.neighbor(u, rng.randint(1, theta))
+    return None if v is None else (u, v)
+
+
+def sample_light_edge(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
+    """One light-track attempt; None is the fail outcome."""
+    hit = _light_hit(oracle, theta, oracle.rng if rng is None else rng)
+    return None if hit is None else DirectedEdge(*hit)
 
 
 def sample_heavy_edge(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
@@ -121,26 +132,63 @@ def sample_heavy_edge(oracle: QueryOracle, theta: int, rng: random.Random | None
     degree queries.
     """
     rng = oracle.rng if rng is None else rng
-    u = oracle.random_vertex()
-    if oracle.degree(u) > theta:
+    hit = _light_hit(oracle, theta, rng)
+    if hit is None:
         return None
-    j = rng.randint(1, theta)
-    v = oracle.neighbor(u, j)
-    if v is None:
-        return None
+    v = hit[1]
     dv = oracle.degree(v)
     if dv <= theta:
         return None
-    w = oracle.neighbor(v, rng.randint(1, dv))
-    return DirectedEdge(v, w)
+    return DirectedEdge(v, oracle.neighbor(v, rng.randint(1, dv)))
+
+
+def _attempts(
+    oracle: QueryOracle, theta: int, limit: int, rng: random.Random
+) -> tuple[DirectedEdge | None, int]:
+    """Run up to ``limit`` mixture attempts; return (edge, attempts used).
+
+    The hot loop of every mixture sampler. Each attempt is a fair coin
+    between ``sample_light_edge`` and ``sample_heavy_edge``, written out
+    inline: the same queries and the same random numbers in the same
+    order, without a Python call per step. ``1 + r`` with ``r`` drawn by
+    ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
+    """
+    theta = operator.index(theta)
+    if theta < 1:
+        raise ValueError(f"theta must be >= 1, got {theta}")
+    k = theta.bit_length()
+    coin = rng.random
+    getrandbits = rng.getrandbits
+    random_vertex = oracle.random_vertex
+    degree = oracle.degree
+    neighbor = oracle.neighbor
+    for attempt in range(1, limit + 1):
+        light = coin() < 0.5
+        u = random_vertex()
+        if degree(u) > theta:
+            continue
+        j = getrandbits(k)
+        while j >= theta:
+            j = getrandbits(k)
+        v = neighbor(u, j + 1)
+        if v is None:
+            continue
+        if light:
+            return DirectedEdge(u, v), attempt
+        dv = degree(v)
+        if dv <= theta:
+            continue
+        kv = dv.bit_length()
+        i = getrandbits(kv)
+        while i >= dv:
+            i = getrandbits(kv)
+        return DirectedEdge(v, neighbor(v, i + 1)), attempt
+    return None, limit
 
 
 def mixture_attempt(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
     """Fair coin between the light and heavy tracks."""
-    rng = oracle.rng if rng is None else rng
-    if rng.random() < 0.5:
-        return sample_light_edge(oracle, theta, rng)
-    return sample_heavy_edge(oracle, theta, rng)
+    return _attempts(oracle, theta, 1, oracle.rng if rng is None else rng)[0]
 
 
 def sample_edge_almost_uniformly(
@@ -151,18 +199,10 @@ def sample_edge_almost_uniformly(
     if config.q > oracle.n:
         return fallback_uniform_edge(oracle, rng=rng, config=config)
     before = oracle.counts.copy()
-    for attempt in range(1, config.q + 1):
-        edge = mixture_attempt(oracle, config.theta, rng)
-        if edge is not None:
-            return SampleReport(
-                outcome=edge,
-                attempts_used=attempt,
-                queries=oracle.counts - before,
-                config=config,
-            )
+    edge, used = _attempts(oracle, config.theta, config.q, rng)
     return SampleReport(
-        outcome=None,
-        attempts_used=config.q,
+        outcome=edge,
+        attempts_used=used,
         queries=oracle.counts - before,
         config=config,
     )
@@ -178,7 +218,7 @@ def fallback_uniform_edge(
 
     Each attempt returns any specific directed edge with probability
     1/n^2, so the conditional distribution is exactly uniform. Budget
-    defaults to n attempts.
+    defaults to n attempts. The slot is drawn inline, as in ``_attempts``.
     """
     rng = oracle.rng if rng is None else rng
     n = oracle.n
@@ -186,10 +226,14 @@ def fallback_uniform_edge(
         raise ValueError("graph has no vertices")
     budget = n if budget is None else budget
     before = oracle.counts.copy()
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
     for attempt in range(1, budget + 1):
         u = oracle.random_vertex()
-        i = rng.randint(1, n)
-        v = oracle.neighbor(u, i)
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        v = oracle.neighbor(u, i + 1)
         if v is not None:
             return SampleReport(
                 outcome=DirectedEdge(u, v),

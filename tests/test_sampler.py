@@ -238,3 +238,11 @@ def test_randomness_comes_from_given_rng():
     r1 = mixture_attempt(o1, 5)
     r2 = mixture_attempt(o2, 5, rng=o2.rng)
     assert r1 == r2
+
+
+def test_theta_below_one_is_rejected():
+    o = QueryOracle(path(3), seed=22)
+    for theta in (0, -1):
+        with pytest.raises(ValueError, match="theta"):
+            mixture_attempt(o, theta)
+    assert o.counts.total == 0
