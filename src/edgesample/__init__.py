@@ -2,7 +2,7 @@
 
 Modules
 -------
-graph       : immutable adjacency-list graphs, degree partition, edge-list I/O
+graph       : immutable CSR graphs, degree partition, edge-list I/O
 generators  : deterministic test-graph generators and the ``kind:args`` grammar
 oracle      : the four metered query types with per-type counters
 estimate    : pluggable directed-edge-count estimators with median boosting

@@ -23,13 +23,7 @@ from fractions import Fraction
 
 from .analytic import attempt_distribution, conditional_closeness, verify_attempt_bounds
 from .estimate import ESTIMATORS, estimate_edges_amplified
-from .experiments import (
-    BlindGuessStrategy,
-    GreedyPairStrategy,
-    TruncatedSamplerStrategy,
-    run_lower_bound,
-    run_scaling,
-)
+from .experiments import DEFAULT_STRATEGIES, TruncatedSamplerStrategy, run_lower_bound, run_scaling
 from .generators import generate
 from .graph import GraphConstructionError, read_edge_list, write_edge_list
 from .oracle import QueryOracle
@@ -308,11 +302,7 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_LB_STRATEGIES = {
-    "truncated-sampler": TruncatedSamplerStrategy,
-    "greedy-pairs": GreedyPairStrategy,
-    "blind-guess": BlindGuessStrategy,
-}
+_LB_STRATEGIES = {s.name: type(s) for s in DEFAULT_STRATEGIES}
 
 _LB_COLUMNS = (
     "base_spec,n,m_dir,k,e_k_dir,budget,strategy,trials,"
@@ -329,23 +319,14 @@ def _cmd_lb(args) -> int:
             budgets = [int(b) for b in args.budgets.split(",")]
         except ValueError:
             raise UsageError(f"--budgets must be comma-separated integers, got {args.budgets!r}")
-    if args.strategies:
-        names = args.strategies.split(",")
-        unknown = [s for s in names if s not in _LB_STRATEGIES]
-        if unknown:
-            raise UsageError(
-                f"unknown strategies {unknown}; choose from {sorted(_LB_STRATEGIES)}"
-            )
-        strategies = [
-            _LB_STRATEGIES[s](epsilon) if s == "truncated-sampler" else _LB_STRATEGIES[s]()
-            for s in names
-        ]
-    else:
-        strategies = [
-            TruncatedSamplerStrategy(epsilon),
-            GreedyPairStrategy(),
-            BlindGuessStrategy(),
-        ]
+    names = args.strategies.split(",") if args.strategies else list(_LB_STRATEGIES)
+    unknown = [s for s in names if s not in _LB_STRATEGIES]
+    if unknown:
+        raise UsageError(f"unknown strategies {unknown}; choose from {sorted(_LB_STRATEGIES)}")
+    strategies = [
+        cls(epsilon) if cls is TruncatedSamplerStrategy else cls()
+        for cls in map(_LB_STRATEGIES.get, names)
+    ]
     runs = run_lower_bound(
         args.generate, strategies, budgets, args.trials, seed=seed, base_seed=seed
     )

@@ -29,7 +29,7 @@ from scipy import stats
 
 from .analytic import attempt_distribution
 from .estimate import estimate_edges
-from .generators import generate
+from .generators import generate, with_clique
 from .graph import DirectedEdge, Graph, RelabeledView, build_graph
 from .oracle import BudgetExceeded, QueryOracle
 from .sampler import SamplerConfig, _attempts, sample_edge_almost_uniformly
@@ -229,11 +229,7 @@ def clique_size_for(base: Graph) -> int:
 
 def planted_union(base: Graph, k: int) -> tuple[Graph, frozenset[int]]:
     """Disjoint union of base and a k-clique, clique ids last; unshuffled."""
-    edges = list(base.undirected_edges())
-    edges += [
-        (base.n + i, base.n + j) for i in range(k) for j in range(i + 1, k)
-    ]
-    g = build_graph(edges, base.n + k)
+    g = build_graph(with_clique(base, k), base.n + k)
     return g, frozenset(range(base.n, base.n + k))
 
 

@@ -38,7 +38,7 @@ def clique(k: int) -> Graph:
     """Complete graph on k vertices."""
     if k < 1:
         raise ValueError(f"clique needs k >= 1, got {k}")
-    return build_graph([(i, j) for i in range(k) for j in range(i + 1, k)], k)
+    return build_graph(np.column_stack(np.triu_indices(k, 1)), k)
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -62,8 +62,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         starts[1:] = np.cumsum(np.arange(n - 1, 0, -1))
     i = np.searchsorted(starts, chosen, side="right") - 1
     j = chosen - starts[i] + i + 1
-    edges = sorted(zip(i.tolist(), j.tolist()))
-    return build_graph(edges, n)
+    return build_graph(np.column_stack([i, j]), n)
 
 
 def _sample_distinct(rng: np.random.Generator, n_total: int, m: int) -> np.ndarray:
@@ -74,14 +73,22 @@ def _sample_distinct(rng: np.random.Generator, n_total: int, m: int) -> np.ndarr
         raise ValueError(f"cannot draw {m} distinct values from {n_total}")
     if 3 * m >= n_total:
         return np.sort(rng.permutation(n_total)[:m])
-    picked: set[int] = set()
+    picked = np.empty(0, dtype=np.int64)  # sorted, distinct
     while len(picked) < m:
         batch = rng.integers(0, n_total, size=int(1.2 * (m - len(picked))) + 8)
-        picked.update(batch.tolist())
+        # sort and mask rather than np.union1d: its unique() hashes, many times slower here
+        merged = np.sort(np.concatenate([picked, batch]))
+        picked = merged[np.insert(merged[1:] != merged[:-1], 0, True)]
         if len(picked) > m:
-            drop = rng.permutation(sorted(picked))[: len(picked) - m]
-            picked.difference_update(drop.tolist())
-    return np.sort(np.fromiter(picked, dtype=np.int64, count=m))
+            drop = rng.permutation(picked)[: len(picked) - m]
+            picked = np.setdiff1d(picked, drop, assume_unique=True)
+    return picked
+
+
+def with_clique(base: Graph, k: int) -> np.ndarray:
+    """Edge array of the disjoint union of ``base`` and a k-clique: base's
+    undirected edges in their order, then the clique on ids base.n..base.n+k-1."""
+    return np.concatenate([base.edge_array(), np.column_stack(np.triu_indices(k, 1)) + base.n])
 
 
 def clique_union(base: Graph, k: int, seed: int) -> Graph:
@@ -90,10 +97,8 @@ def clique_union(base: Graph, k: int, seed: int) -> Graph:
     if k < 1:
         raise ValueError(f"clique size must be >= 1, got {k}")
     n = base.n + k
-    edges = list(base.undirected_edges())
-    edges += [(base.n + i, base.n + j) for i in range(k) for j in range(i + 1, k)]
     perm = np.random.default_rng(seed).permutation(n)
-    return build_graph([(int(perm[u]), int(perm[v])) for u, v in edges], n)
+    return build_graph(perm[with_clique(base, k)], n)
 
 
 def generate(spec: str, seed: int = 0) -> Graph:

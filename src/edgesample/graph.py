@@ -1,14 +1,31 @@
-"""Immutable adjacency-list graphs with a light/heavy degree partition.
+"""Immutable CSR graphs with a light/heavy degree partition.
 
 Vertices are dense integer ids 0..n-1. Every undirected edge {u, v} is
 accounted for as the two directed edges (u, v) and (v, u), so the directed
 edge count ``m_dir`` equals the degree sum. Each vertex keeps its neighbors
 in a fixed order (first appearance in the input edge list), which is what
 makes "the i-th neighbor of v" a well-defined query.
+
+Layout (compressed sparse row): ``offsets`` has n + 1 entries and
+``targets`` has m_dir; the neighbors of v, in their fixed order, are
+``targets[offsets[v]:offsets[v + 1]]``. Both are read-only int64 arrays,
+and every bulk operation (construction, validation, edge listing,
+partitioning, relabeling) works on them with numpy.
+
+The scalar queries ``degree`` and ``neighbor`` are the samplers' hot path
+and read Python-list copies of the same two arrays (not a second
+representation: the same numbers, built by ``tolist``). Indexing a list
+returns an int it already holds; indexing a numpy array makes a numpy
+scalar, and an ``array.array`` or ``memoryview`` makes a new int per read.
+The copies cost memory: about 40 bytes per directed edge.
+
+``has_edge`` is answered from a sorted array of ``u * n + v`` keys, built
+on the first call: only ``pair`` queries (the experiments) need it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -17,6 +34,9 @@ import numpy as np
 
 class GraphConstructionError(ValueError):
     """Raised when an edge list violates the simple-undirected contract."""
+
+
+MAX_VERTICES = math.isqrt(2**63 - 1)  # the edge keys u * n + v must fit in int64
 
 
 class DirectedEdge(NamedTuple):
@@ -33,97 +53,167 @@ class DirectedEdge(NamedTuple):
         return (self.origin, self.target) if self.origin <= self.target else (self.target, self.origin)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; immutable after construction.
+    """Simple undirected graph in CSR form; immutable after construction.
+
+    Build one with ``build_graph``, which validates the edge list; this
+    constructor trusts its arrays.
 
     Attributes
     ----------
     n : int
         Vertex count; ids are 0..n-1.
-    adjacency : tuple[tuple[int, ...], ...]
-        Per-vertex neighbor tuple in fixed order.
+    offsets : numpy.ndarray
+        int64, length n + 1; v's neighbors occupy ``offsets[v]:offsets[v+1]``.
+    targets : numpy.ndarray
+        int64, length m_dir; neighbor ids, each vertex's in its fixed order.
     """
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "offsets", "targets", "_o", "_t", "_keys")
+
+    def __init__(self, offsets: np.ndarray, targets: np.ndarray):
+        offsets.flags.writeable = targets.flags.writeable = False
+        self.n = len(offsets) - 1
+        self.offsets = offsets
+        self.targets = targets
+        self._o = offsets.tolist()
+        self._t = targets.tolist()
+        self._keys = None
 
     @property
     def m_dir(self) -> int:
         """Directed edge count: the degree sum (twice the undirected count)."""
-        return self._m_dir
+        return len(self._t)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_m_dir", sum(len(a) for a in self.adjacency))
-        object.__setattr__(self, "_neighbor_sets", tuple(frozenset(a) for a in self.adjacency))
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex neighbor tuples in fixed order (derived, built per call)."""
+        o, t = self._o, self._t
+        return tuple(tuple(t[o[v]:o[v + 1]]) for v in range(self.n))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        o = self._o
+        return o[v + 1] - o[v]
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adjacency]
+        return np.diff(self.offsets).tolist()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        o = self._o
+        return tuple(self._t[o[v]:o[v + 1]])
 
     def neighbor(self, v: int, i: int) -> int | None:
         """The i-th neighbor of v (1-based); None when i exceeds d(v)."""
+        o = self._o
+        start = o[v]
+        if i > o[v + 1] - start:
+            return None
         if i < 1:
             raise ValueError(f"neighbor index must be >= 1, got {i}")
-        if i > len(self.adjacency[v]):
-            return None
-        return self.adjacency[v][i - 1]
+        return self._t[start + i - 1]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbor_sets[u]
+        """Whether {u, v} is an edge; False for ids outside 0..n-1."""
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        keys = self._keys
+        if keys is None:
+            # sorted directed-edge keys plus a sentinel above every key
+            keys = np.append(np.sort(self._origins() * n + self.targets), n * n)
+            self._keys = keys
+        key = u * n + v
+        return keys.item(keys.searchsorted(key)) == key
+
+    def _origins(self) -> np.ndarray:
+        """The origin of every directed edge, aligned with ``targets``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
 
     def directed_edges(self) -> Iterable[DirectedEdge]:
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                yield DirectedEdge(u, v)
+        return map(DirectedEdge, self._origins().tolist(), self._t)
+
+    def edge_array(self) -> np.ndarray:
+        """The undirected edges (u, v), u < v, as a (m, 2) int64 array in
+        ``undirected_edges`` order."""
+        origins = self._origins()
+        keep = origins < self.targets
+        return np.column_stack([origins[keep], self.targets[keep]])
 
     def undirected_edges(self) -> Iterable[tuple[int, int]]:
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        return map(tuple, self.edge_array().tolist())
 
     def validate(self) -> None:
-        """Check the simple-undirected invariants; raises on violation."""
-        for u, nbrs in enumerate(self.adjacency):
-            if u in self._neighbor_sets[u]:
-                raise GraphConstructionError(f"self-loop at vertex {u}")
-            if len(nbrs) != len(self._neighbor_sets[u]):
-                raise GraphConstructionError(f"duplicate neighbor in adjacency of {u}")
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise GraphConstructionError(f"neighbor {v} of {u} out of range")
-                if u not in self._neighbor_sets[v]:
-                    raise GraphConstructionError(f"asymmetric edge ({u}, {v})")
+        """Check the CSR and simple-undirected invariants; raises on violation."""
+        o, t, n = self.offsets, self.targets, self.n
+        if n < 0 or o[0] != 0 or o[-1] != len(t) or np.any(np.diff(o) < 0):
+            raise GraphConstructionError("offsets are not a CSR offset array")
+        origins = self._origins()
+        bad = np.flatnonzero((t < 0) | (t >= n))
+        if bad.size:
+            raise GraphConstructionError(f"neighbor {t[bad[0]]} of {origins[bad[0]]} out of range")
+        loops = np.flatnonzero(origins == t)
+        if loops.size:
+            raise GraphConstructionError(f"self-loop at vertex {origins[loops[0]]}")
+        keys = np.sort(origins * n + t)
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            raise GraphConstructionError(f"duplicate neighbor in adjacency of {keys[repeated[0]] // n}")
+        reverse = np.sort(t * n + origins)
+        asym = np.flatnonzero(keys != reverse)
+        if asym.size:
+            u, v = divmod(int(reverse[asym[0]]), n)
+            raise GraphConstructionError(f"asymmetric edge ({v}, {u})")
 
 
-def build_graph(edge_list: Sequence[tuple[int, int]], n: int) -> Graph:
-    """Build a Graph from undirected edge pairs.
+def build_graph(edge_list: Sequence[tuple[int, int]] | np.ndarray, n: int) -> Graph:
+    """Build a Graph from undirected edge pairs (a list of pairs or a (k, 2) int array).
 
     Neighbor order is first-appearance order in ``edge_list``. Self-loops,
-    duplicate edges (either orientation), and out-of-range ids are rejected.
+    duplicate edges (either orientation), and out-of-range ids are rejected;
+    the error names the first offending edge in input order. ``n`` may not
+    exceed ``MAX_VERTICES``.
     """
     if n < 0:
         raise GraphConstructionError(f"vertex count must be nonnegative, got {n}")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for u, v in edge_list:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphConstructionError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphConstructionError(f"self-loop ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphConstructionError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return Graph(n=n, adjacency=tuple(tuple(a) for a in adjacency))
+    if n > MAX_VERTICES:
+        raise GraphConstructionError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
+    try:
+        shown = e = np.asarray(edge_list, dtype=np.int64)
+    except OverflowError:  # an id beyond int64 is out of range: clamp it, report the original
+        shown = np.array(edge_list, dtype=object)
+        e = np.where((shown < 0) | (shown >= n), -1, shown).astype(np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    elif e.ndim != 2 or e.shape[1] != 2:
+        raise GraphConstructionError(f"edges must be (u, v) pairs, got an array of shape {e.shape}")
+    u, v = e[:, 0], e[:, 1]
+    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    loop = u == v
+    keys = np.minimum(u, v) * n + np.maximum(u, v)  # the edge's sorted pair, as one int
+    ranked = np.sort(keys)
+    if out_of_range.any() or loop.any() or np.any(ranked[1:] == ranked[:-1]):
+        # Name the first bad edge in input order. A key made from an
+        # out-of-range id is garbage, but can only mislabel later edges.
+        order = np.argsort(keys, kind="stable")
+        repeat = np.zeros(len(e), dtype=bool)
+        repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True  # all but the first occurrence
+        i = np.flatnonzero(out_of_range | loop | repeat)[0]
+        a, b = shown[i].tolist()
+        if out_of_range[i]:
+            raise GraphConstructionError(f"edge ({a}, {b}) out of range for n={n}")
+        if loop[i]:
+            raise GraphConstructionError(f"self-loop ({a}, {b})")
+        raise GraphConstructionError(f"duplicate edge ({a}, {b})")
+    # Directed edge 2i is u -> v of input edge i and 2i + 1 is v -> u. Sorting
+    # origin * 2k + position groups them by origin and keeps input order
+    # within a group (a stable sort, but several times faster than a stable
+    # argsort); n * 2k < MAX_VERTICES**2 for any edge list that fits in memory.
+    origins = e.ravel()
+    width = len(origins)
+    order = np.sort(origins * width + np.arange(width)) % width
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(origins, minlength=n), out=offsets[1:])
+    return Graph(offsets, e[:, ::-1].ravel()[order])
 
 
 @dataclass(frozen=True)
@@ -148,20 +238,13 @@ def partition(g: Graph, theta: int) -> DegreePartition:
     """Split vertices into light (d <= theta) and heavy (d > theta)."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    light: set[int] = set()
-    heavy: set[int] = set()
-    e_light = 0
-    for v in range(g.n):
-        d = g.degree(v)
-        if d <= theta:
-            light.add(v)
-            e_light += d
-        else:
-            heavy.add(v)
+    deg = np.diff(g.offsets)
+    heavy = deg > theta
+    e_light = int(deg[~heavy].sum())
     return DegreePartition(
         theta=theta,
-        light_vertices=frozenset(light),
-        heavy_vertices=frozenset(heavy),
+        light_vertices=frozenset(np.flatnonzero(~heavy).tolist()),
+        heavy_vertices=frozenset(np.flatnonzero(heavy).tolist()),
         e_light=e_light,
         e_heavy=g.m_dir - e_light,
     )
@@ -175,19 +258,19 @@ def light_degree(g: Graph, p: DegreePartition, v: int) -> int:
 class RelabeledView:
     """Graph view under a vertex-id permutation, without copying.
 
-    ``perm[old] = new``. Answers the same queries as Graph; the fixed
-    neighbor order of a relabeled vertex is the relabeling of the base
-    vertex's order, which is a legitimate fixed order.
+    ``perm[old] = new``. Answers the same queries as Graph, with Python
+    ints; the fixed neighbor order of a relabeled vertex is the relabeling
+    of the base vertex's order, which is a legitimate fixed order.
     """
 
-    def __init__(self, base: Graph, perm: Sequence[int]):
+    def __init__(self, base: Graph, perm: Sequence[int] | np.ndarray):
+        perm = np.asarray(perm, dtype=np.int64)
         if len(perm) != base.n:
             raise ValueError(f"permutation length {len(perm)} != n={base.n}")
         self._base = base
         self._perm = perm
-        inv = np.empty(base.n, dtype=np.int64)
-        inv[np.asarray(perm)] = np.arange(base.n)
-        self._inv = inv.tolist()
+        self._inv = np.empty(base.n, dtype=np.int64)
+        self._inv[perm] = np.arange(base.n)
 
     @property
     def n(self) -> int:
@@ -198,17 +281,17 @@ class RelabeledView:
         return self._base.m_dir
 
     def degree(self, v: int) -> int:
-        return self._base.degree(self._inv[v])
+        return self._base.degree(self._inv.item(v))
 
     def neighbor(self, v: int, i: int) -> int | None:
-        w = self._base.neighbor(self._inv[v], i)
-        return None if w is None else self._perm[w]
+        w = self._base.neighbor(self._inv.item(v), i)
+        return None if w is None else self._perm.item(w)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self._perm[w] for w in self._base.neighbors(self._inv[v]))
+        return tuple(map(self._perm.item, self._base.neighbors(self._inv.item(v))))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._base.has_edge(self._inv[u], self._inv[v])
+        return self._base.has_edge(self._inv.item(u), self._inv.item(v))
 
 
 def read_edge_list(path: str) -> Graph:
