@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .oracle import QueryCounts, QueryOracle
+from .oracle import QueryCounts, QueryOracle, bulk_graph
 
 
 @dataclass
@@ -39,10 +39,22 @@ def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
     s = _auto_samples(oracle) if samples is None else samples
     if s < 1:
         raise ValueError(f"sample count must be >= 1, got {s}")
-    degree, random_vertex = oracle.degree, oracle.random_vertex
+    graph = bulk_graph(oracle)
     total = 0
-    for _ in range(s):
-        total += degree(random_vertex())
+    if graph is None:
+        degree, random_vertex = oracle.degree, oracle.random_vertex
+        for _ in range(s):
+            total += degree(random_vertex())
+    else:  # random_vertex and degree inline, charged once
+        o, n, n_bits = graph._o, oracle._n, oracle._n_bits
+        getrandbits = oracle.rng.getrandbits
+        for _ in range(s):
+            u = getrandbits(n_bits)
+            while u >= n:
+                u = getrandbits(n_bits)
+            total += o[u + 1] - o[u]
+        oracle.counts.vertex += s
+        oracle.counts.degree += s
     # 1.5x centers the scaled average inside [m, 2m]; never report zero.
     return max(1.0, 1.5 * oracle.n * total / s)
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .analytic import attempt_distribution
 from .estimate import estimate_edges
@@ -115,6 +114,8 @@ def empirical_distribution(
     f_obs = [counts.get(e, 0) for e, _ in support]
     f_exp = [returned * p for _, p in support]
     if returned > 0 and off_support == 0:
+        from scipy import stats  # imported here: it is most of the package's import time
+
         chi2, p_value = stats.chisquare(f_obs, f_exp)
         max_std = max(
             abs(o - ex) / math.sqrt(ex * (1.0 - ex / returned)) if 0 < ex < returned else 0.0

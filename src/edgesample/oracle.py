@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .graph import Graph
+
 
 class BudgetExceeded(RuntimeError):
     """A query was attempted past the oracle's hard query budget."""
@@ -74,11 +76,16 @@ class QueryOracle:
     hard cap on the total query count: the call that would exceed it
     raises BudgetExceeded before touching the graph.
 
-    Each query checks the budget and bumps its counter inline: the four
-    methods are the samplers' hot path. ``random_vertex`` draws by the
-    same ``getrandbits`` rejection as ``Random.randrange(n)``, with ``n``
-    and its bit length cached, so it returns the same vertex from the same
-    generator state.
+    Each query checks the budget and bumps its counter inline.
+    ``random_vertex`` draws by the same ``getrandbits`` rejection as
+    ``Random.randrange(n)``, with ``n`` and its bit length cached, so it
+    returns the same vertex from the same generator state.
+
+    The two hot loops, ``sampler._attempts`` and the degree-sum estimate,
+    bypass the four methods when ``bulk_graph`` returns a graph: then they
+    read its CSR lists, draw vertices by the same rejection on ``rng`` and
+    add their query counts to ``counts`` once per call. Everything else,
+    and those loops on any other oracle, goes through the methods.
     """
 
     def __init__(self, graph, seed: int | None = None, budget: int | None = None):
@@ -138,3 +145,17 @@ class QueryOracle:
             raise self._exhausted()
         c.pair += 1
         return self.graph.has_edge(v, w)
+
+
+def bulk_graph(oracle: QueryOracle) -> Graph | None:
+    """The CSR graph a hot loop may read directly, charging queries in bulk.
+
+    Only a plain ``QueryOracle`` (no subclass, whose methods may observe
+    each query) without a budget (so ``BudgetExceeded`` fires at the same
+    query) over a nonempty ``Graph`` (not a view) qualifies; otherwise
+    None, and the caller makes every query through the oracle's methods.
+    The random stream and the final counts are the same either way.
+    """
+    if type(oracle) is QueryOracle and oracle.budget is None and type(oracle.graph) is Graph and oracle._n:
+        return oracle.graph
+    return None

@@ -24,8 +24,12 @@ drawn inline by ``getrandbits`` rejection, which is exactly what
 ``rng.randint(1, k)`` does, and the vertex query matches
 ``oracle.rng.randrange(n)``; a run consumes the same numbers as one
 written with those calls, and replays bit-for-bit under the same seed.
-All mixture attempts run in one loop, ``_attempts``; every query in it
-goes through the oracle's methods, so a subclass sees each one.
+All mixture attempts run in one loop, ``_attempts``. On a plain,
+unbudgeted ``QueryOracle`` over a ``Graph`` (see ``oracle.bulk_graph``) it
+reads the CSR lists directly and charges its queries once per call; on
+any other oracle (a subclass, a budget, a relabeled view) every query
+goes through the oracle's methods, so a subclass sees each one and a
+budget runs out at the same query.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .graph import DirectedEdge
-from .oracle import QueryCounts, QueryOracle
+from .graph import DirectedEdge, Graph
+from .oracle import QueryCounts, QueryOracle, bulk_graph
 
 
 def threshold_for(m_hat: float, epsilon: float) -> int:
@@ -152,10 +156,15 @@ def _attempts(
     inline: the same queries and the same random numbers in the same
     order, without a Python call per step. ``1 + r`` with ``r`` drawn by
     ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
+    When ``bulk_graph(oracle)`` gives a graph, ``_bulk_attempts`` runs
+    instead; otherwise every query goes through the oracle's methods.
     """
     theta = operator.index(theta)
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
+    graph = bulk_graph(oracle)
+    if graph is not None:
+        return _bulk_attempts(oracle, graph, theta, limit, rng)
     k = theta.bit_length()
     coin = rng.random
     getrandbits = rng.getrandbits
@@ -184,6 +193,64 @@ def _attempts(
             i = getrandbits(kv)
         return DirectedEdge(v, neighbor(v, i + 1)), attempt
     return None, limit
+
+
+def _bulk_attempts(
+    oracle: QueryOracle, graph: Graph, theta: int, limit: int, rng: random.Random
+) -> tuple[DirectedEdge | None, int]:
+    """``_attempts`` on the CSR lists of ``graph``, charged in bulk.
+
+    The same random numbers in the same order: the vertex by
+    ``random_vertex``'s rejection on ``oracle.rng``, then the slot and
+    index on ``rng``. Every attempt queries a vertex and its degree, and
+    its slot unless the start is heavy, so only heavy starts, degree
+    queries of hit vertices and the final heavy-track pick are tallied;
+    the counts go to ``oracle.counts`` when the loop ends.
+    """
+    o, t = graph._o, graph._t
+    n, n_bits = oracle._n, oracle._n_bits
+    vertex_bits = oracle.rng.getrandbits
+    coin = rng.random
+    getrandbits = rng.getrandbits
+    k = theta.bit_length()
+    edge = None
+    attempt = heavy_starts = hits = picks = 0
+    for attempt in range(1, limit + 1):
+        light = coin() < 0.5
+        u = vertex_bits(n_bits)
+        while u >= n:
+            u = vertex_bits(n_bits)
+        start = o[u]
+        du = o[u + 1] - start
+        if du > theta:
+            heavy_starts += 1
+            continue
+        j = getrandbits(k)
+        while j >= theta:
+            j = getrandbits(k)
+        if j >= du:
+            continue
+        v = t[start + j]
+        if light:
+            edge = DirectedEdge(u, v)
+            break
+        hits += 1
+        start = o[v]
+        dv = o[v + 1] - start
+        if dv <= theta:
+            continue
+        kv = dv.bit_length()
+        i = getrandbits(kv)
+        while i >= dv:
+            i = getrandbits(kv)
+        picks = 1
+        edge = DirectedEdge(v, t[start + i])
+        break
+    c = oracle.counts
+    c.vertex += attempt
+    c.degree += attempt + hits
+    c.neighbor += attempt - heavy_starts + picks
+    return edge, attempt
 
 
 def mixture_attempt(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import edgesample
 from edgesample.cli import main
 
 
@@ -220,3 +224,13 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--bogus-flag"])
     assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats is most of the import time, and only the chi-square of
+    # empirical_distribution needs it.
+    src = str(Path(edgesample.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import edgesample, edgesample.cli; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

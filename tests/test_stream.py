@@ -1,7 +1,9 @@
 """The samplers consume exactly the random stream of the plain procedures.
 
 The library draws vertices, slots and neighbour indices by inline
-``getrandbits`` rejection, and runs all mixture attempts in one loop. The
+``getrandbits`` rejection, and runs all mixture attempts in one loop; on a
+plain unbudgeted oracle that loop and the degree-sum estimate read the
+graph directly and charge their queries in bulk. The
 reference below is the procedure as written in the paper: one call of
 ``rng.random()``, ``oracle.rng.randrange(n)`` or ``rng.randint(...)`` per
 draw, and one metered oracle call per query. Both are run from the same
@@ -15,6 +17,7 @@ import random
 from dataclasses import asdict
 from itertools import combinations, count
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +34,7 @@ from edgesample import (
 )
 from edgesample.experiments import WitnessOracle
 from edgesample.generators import star
-from edgesample.graph import build_graph
+from edgesample.graph import RelabeledView, build_graph
 
 # ---------------------------------------------------------------------------
 # The reference: one plain call per random draw, one oracle call per query
@@ -139,9 +142,19 @@ def both(graph, seed, budget, separate_rng, library_call, reference_call):
             result = call(oracle, rng)
         except BudgetExceeded:
             result = "budget"
-        counts = oracle.counts if isinstance(oracle.counts, dict) else asdict(oracle.counts)
-        sides.append((result, counts, oracle.rng.getstate(), rng.getstate()))
+        sides.append((result, counts_of(oracle), oracle.rng.getstate(), rng.getstate()))
     return sides
+
+
+def counts_of(oracle):
+    return dict(oracle.counts) if isinstance(oracle.counts, dict) else asdict(oracle.counts)
+
+
+def hub_graph(hubs, leaves):
+    """A clique on ``hubs`` vertices, each hub with ``leaves`` private leaves."""
+    edges = list(combinations(range(hubs), 2))
+    edges += [(i, hubs + i * leaves + k) for i in range(hubs) for k in range(leaves)]
+    return build_graph(edges, hubs + hubs * leaves)
 
 
 @st.composite
@@ -152,12 +165,7 @@ def graphs(draw):
         pairs = list(combinations(range(n), 2))
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         return build_graph(edges, n)
-    hubs = draw(st.integers(2, 5))
-    leaves = draw(st.integers(1, 6))
-    n = hubs + hubs * leaves
-    edges = list(combinations(range(hubs), 2))
-    edges += [(i, hubs + i * leaves + k) for i in range(hubs) for k in range(leaves)]
-    return build_graph(edges, n)
+    return hub_graph(draw(st.integers(2, 5)), draw(st.integers(1, 6)))
 
 
 budgets = st.one_of(st.none(), st.integers(0, 80))
@@ -216,6 +224,116 @@ def test_degree_sum_estimate_matches_reference(g, samples, seed, budget):
         lambda o, rng: ref_degree_sum(o, samples),
     )
     assert got == want
+
+
+@pytest.mark.parametrize("separate_rng", [False, True])
+def test_estimate_and_run_match_reference_at_size(separate_rng):
+    # n > 2**16: vertex draws wider than any hypothesis graph above reaches.
+    g = hub_graph(20, 3300)
+
+    def draws(estimate, run):
+        def call(o, rng):
+            out = []
+            for _ in range(20):
+                m_hat = estimate(o)
+                cfg = SamplerConfig.for_graph(g.n, m_hat, 0.25)
+                out.append((m_hat, run(o, cfg, rng), counts_of(o)))
+            return out
+        return call
+
+    got, want = both(
+        g, 2024, None, separate_rng,
+        draws(lambda o: estimate_edges(o, "degree-sum-mc").m_hat,
+              lambda o, cfg, rng: report_tuple(sample_edge_almost_uniformly(o, cfg, rng))),
+        draws(lambda o: ref_degree_sum(o, None),
+              lambda o, cfg, rng: ref_run(o, cfg.theta, cfg.q, rng)),
+    )
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Which oracles the bulk-charged loops read around
+# ---------------------------------------------------------------------------
+
+HUBS = hub_graph(5, 200)  # theta 128 at m_hat = m_dir: the five hubs are heavy
+HUBS_CONFIG = SamplerConfig(epsilon=0.25, m_hat=float(HUBS.m_dir), theta=128, q=200)
+
+
+def test_plain_unbudgeted_oracle_never_calls_its_methods():
+    def no_methods(oracle):
+        def refuse(*args):
+            raise AssertionError("a bulk-charged loop called an oracle method")
+
+        oracle.random_vertex = oracle.degree = oracle.neighbor = refuse
+        return oracle
+
+    for seed in range(5):
+        for separate_rng in (False, True):
+            got, want = both(
+                HUBS, seed, None, separate_rng,
+                lambda o, rng: (
+                    estimate_edges(no_methods(o), "degree-sum-mc").m_hat,
+                    [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng)) for _ in range(5)],
+                    [mixture_attempt(o, HUBS_CONFIG.theta, rng) for _ in range(20)],
+                ),
+                lambda o, rng: (
+                    ref_degree_sum(o, None),
+                    [ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, rng) for _ in range(5)],
+                    [ref_mixture(o, HUBS_CONFIG.theta, rng) for _ in range(20)],
+                ),
+            )
+            assert got == want
+
+
+class CountingOracle(QueryOracle):
+    """A subclass that sees every query: the bulk-charged loops must not skip it."""
+
+    def __init__(self, graph, seed=None, budget=None):
+        super().__init__(graph, seed=seed, budget=budget)
+        self.calls = 0
+
+    def random_vertex(self):
+        self.calls += 1
+        return super().random_vertex()
+
+    def degree(self, v):
+        self.calls += 1
+        return super().degree(v)
+
+    def neighbor(self, v, i):
+        self.calls += 1
+        return super().neighbor(v, i)
+
+    def pair(self, v, w):
+        self.calls += 1
+        return super().pair(v, w)
+
+
+@pytest.mark.parametrize("call", [
+    lambda o: [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG)) for _ in range(5)],
+    lambda o: [mixture_attempt(o, HUBS_CONFIG.theta) for _ in range(50)],
+    lambda o: estimate_edges(o, "degree-sum-mc").m_hat,
+], ids=["run", "mixture_attempt", "degree_sum"])
+def test_subclassed_oracle_sees_every_query(call):
+    for seed in range(5):
+        counting, plain = CountingOracle(HUBS, seed=seed), QueryOracle(HUBS, seed=seed)
+        assert call(counting) == call(plain)
+        assert counting.counts == plain.counts
+        assert counting.rng.getstate() == plain.rng.getstate()
+        assert counting.calls == counting.counts.total > 0
+
+
+def test_relabeled_view_matches_reference():
+    # A view has no CSR lists: a plain unbudgeted oracle over it keeps the method loop.
+    view = RelabeledView(HUBS, random.Random(5).sample(range(HUBS.n), HUBS.n))
+    for seed in range(3):
+        got, want = both(
+            view, seed, None, False,
+            lambda o, rng: (estimate_edges(o, "degree-sum-mc").m_hat,
+                            report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng))),
+            lambda o, rng: (ref_degree_sum(o, None), ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, rng)),
+        )
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
