@@ -2,12 +2,12 @@
 
 Modules
 -------
-graph       : immutable CSR graphs, degree partition, edge-list I/O
+graph       : immutable CSR graphs, edge-list I/O
 generators  : deterministic test-graph generators and the ``kind:args`` grammar
 oracle      : the four metered query types with per-type counters
 estimate    : pluggable directed-edge-count estimators with median boosting
 sampler     : the light/heavy mixture sampler, fallback, and derived samplers
-analytic    : exact attempt distributions held per vertex at any size, closeness
+analytic    : degree partition, exact attempt distributions held per vertex, closeness
 experiments : Monte Carlo scoring, query-cost scaling, hidden-clique budgets
 cli         : ``edgesample`` command-line front end
 """
@@ -15,23 +15,22 @@ cli         : ``edgesample`` command-line front end
 from .analytic import (
     AttemptDistribution,
     ClosenessReport,
+    DegreePartition,
     attempt_distribution,
     conditional_closeness,
     enumerate_attempt_distribution,
+    partition,
     verify_attempt_bounds,
     vertex_return_distribution,
 )
 from .estimate import EdgeEstimate, estimate_edges, estimate_edges_amplified
 from .experiments import empirical_distribution
 from .graph import (
-    DegreePartition,
     DirectedEdge,
     Graph,
     GraphConstructionError,
     RelabeledView,
     build_graph,
-    light_degree,
-    partition,
     read_edge_list,
     write_edge_list,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "estimate_edges",
     "estimate_edges_amplified",
     "fallback_uniform_edge",
-    "light_degree",
     "mixture_attempt",
     "partition",
     "read_edge_list",

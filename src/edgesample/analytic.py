@@ -10,8 +10,10 @@ Two independent routes to the same distribution keep each other honest:
   space (coin x start vertex x slot index x neighbor pick) step by step
   and tallies outcome weights.
 
-The closed form depends only on an edge's origin, so it is held per
-vertex, not per edge. The directed edges fall into a few classes keyed
+Both rest on the light/heavy ``partition`` of the vertices at theta, a
+boolean mask over the degree array; every heavy vertex's d_L comes from
+one ``bincount`` over the CSR arrays. The closed form depends only on an
+edge's origin, so it is held per vertex, not per edge. The directed edges fall into a few classes keyed
 by the ratio d_L(v)/d(v) of their origin (1 for a light origin), each
 weighted by its directed-edge count. Success probability, closeness to
 uniform and the bound margins are exact rational sums over those classes
@@ -25,7 +27,42 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .graph import DegreePartition, DirectedEdge, Graph, light_degree, partition
+import numpy as np
+
+from .graph import DirectedEdge, Graph
+
+
+@dataclass(frozen=True, eq=False)
+class DegreePartition:
+    """Vertices split by the degree threshold theta.
+
+    A vertex is light when d(v) <= theta, heavy otherwise; a directed edge
+    inherits the label of its origin. ``heavy`` is the boolean mask over
+    vertex ids. e_light + e_heavy = m_dir.
+    """
+
+    theta: int
+    heavy: np.ndarray
+    e_light: int
+    e_heavy: int
+
+    @property
+    def light_vertices(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(~self.heavy).tolist())
+
+    @property
+    def heavy_vertices(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.heavy).tolist())
+
+
+def partition(g: Graph, theta: int) -> DegreePartition:
+    """Split vertices into light (d <= theta) and heavy (d > theta)."""
+    if theta < 1:
+        raise ValueError(f"theta must be >= 1, got {theta}")
+    deg = np.diff(g.offsets)
+    heavy = deg > theta
+    e_light = int(deg[~heavy].sum())
+    return DegreePartition(theta, heavy, e_light, g.m_dir - e_light)
 
 
 @dataclass
@@ -85,7 +122,12 @@ class ClosedFormDistribution(AttemptDistribution):
 def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     """Closed-form distribution of one fair light/heavy mixture attempt."""
     part = partition(g, theta)
-    light_degrees = {v: light_degree(g, part, v) for v in sorted(part.heavy_vertices)}
+    heavy = part.heavy
+    origins = g._origins()
+    # d_L of every vertex: its directed edges from a heavy origin to a light target
+    d_light = np.bincount(origins[heavy[origins] & ~heavy[g.targets]], minlength=g.n)
+    heavy_ids = np.flatnonzero(heavy)
+    light_degrees = dict(zip(heavy_ids.tolist(), d_light[heavy_ids].tolist()))
     return ClosedFormDistribution(g, part, light_degrees)
 
 
@@ -103,15 +145,16 @@ def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
     per_edge: dict[DirectedEdge, Fraction] = {
         e: Fraction(0) for e in g.directed_edges()
     }
-    for e, p in _enumerate_light(g, theta).items():
+    for e, p in enumerate_light_distribution(g, theta).items():
         per_edge[e] += half * p
-    for e, p in _enumerate_heavy(g, theta).items():
+    for e, p in enumerate_heavy_distribution(g, theta).items():
         per_edge[e] += half * p
     success = sum(per_edge.values(), Fraction(0))
     return AttemptDistribution(theta=theta, per_edge=per_edge, success_prob=success)
 
 
-def _enumerate_light(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
+def enumerate_light_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
+    """Exhaustive per-edge return probabilities of the light track alone."""
     out: dict[DirectedEdge, Fraction] = {}
     w_uj = Fraction(1, g.n * theta)
     for u in range(g.n):
@@ -124,7 +167,8 @@ def _enumerate_light(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
     return out
 
 
-def _enumerate_heavy(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
+def enumerate_heavy_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
+    """Exhaustive per-edge return probabilities of the heavy track alone."""
     out: dict[DirectedEdge, Fraction] = {}
     w_uj = Fraction(1, g.n * theta)
     for u in range(g.n):
@@ -139,16 +183,6 @@ def _enumerate_heavy(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
                 e = DirectedEdge(v, w)
                 out[e] = out.get(e, Fraction(0)) + w_pick
     return out
-
-
-def enumerate_light_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
-    """Exhaustive per-edge return probabilities of the light track alone."""
-    return _enumerate_light(g, theta)
-
-
-def enumerate_heavy_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
-    """Exhaustive per-edge return probabilities of the heavy track alone."""
-    return _enumerate_heavy(g, theta)
 
 
 def enumerate_fallback_distribution(g: Graph) -> dict[DirectedEdge, Fraction]:
@@ -255,6 +289,11 @@ class AttemptBoundsReport:
 
 
 def verify_attempt_bounds(g: Graph, theta: int, epsilon: float) -> AttemptBoundsReport:
+    """``check_attempt_bounds`` of the attempt distribution of g at theta."""
+    return check_attempt_bounds(attempt_distribution(g, theta), epsilon)
+
+
+def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> AttemptBoundsReport:
     """Exact-arithmetic check of every bound the attempt analysis promises.
 
     * light-track success equals e_light / (n theta);
@@ -268,8 +307,7 @@ def verify_attempt_bounds(g: Graph, theta: int, epsilon: float) -> AttemptBounds
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    dist = attempt_distribution(g, theta)
-    part = dist.partition
+    g, theta, part = dist.graph, dist.theta, dist.partition
     n, m = g.n, g.m_dir
     eps = Fraction(epsilon)
     report = AttemptBoundsReport(theta=theta, epsilon=epsilon)

@@ -21,7 +21,7 @@ import secrets
 import sys
 from fractions import Fraction
 
-from .analytic import attempt_distribution, conditional_closeness, verify_attempt_bounds
+from .analytic import attempt_distribution, check_attempt_bounds, conditional_closeness
 from .estimate import ESTIMATORS, estimate_edges_amplified
 from .experiments import DEFAULT_STRATEGIES, TruncatedSamplerStrategy, run_lower_bound, run_scaling
 from .generators import generate
@@ -236,7 +236,7 @@ def _cmd_verify(args) -> int:
     report = {
         "theta": theta,
         "success_prob": dist.success_prob,
-        "bounds": verify_attempt_bounds(g, theta, epsilon).as_dict(),
+        "bounds": check_attempt_bounds(dist, epsilon).as_dict(),
         "config": {
             "command": "verify",
             "source": source,

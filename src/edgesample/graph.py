@@ -1,4 +1,4 @@
-"""Immutable CSR graphs with a light/heavy degree partition.
+"""Immutable CSR graphs and edge-list I/O.
 
 Vertices are dense integer ids 0..n-1. Every undirected edge {u, v} is
 accounted for as the two directed edges (u, v) and (v, u), so the directed
@@ -10,14 +10,12 @@ Layout (compressed sparse row): ``offsets`` has n + 1 entries and
 ``targets`` has m_dir; the neighbors of v, in their fixed order, are
 ``targets[offsets[v]:offsets[v + 1]]``. Both are read-only int64 arrays,
 and every bulk operation (construction, validation, edge listing,
-partitioning, relabeling) works on them with numpy.
+relabeling) works on them with numpy.
 
-The scalar queries ``degree`` and ``neighbor`` are the samplers' hot path
-and read Python-list copies of the same two arrays (not a second
-representation: the same numbers, built by ``tolist``). Indexing a list
-returns an int it already holds; indexing a numpy array makes a numpy
-scalar, and an ``array.array`` or ``memoryview`` makes a new int per read.
-The copies cost memory: about 40 bytes per directed edge.
+The scalar queries ``degree`` and ``neighbor`` are the samplers' hot path.
+They index ``memoryview``s of the same two buffers, not copies: a
+memoryview read returns a Python ``int`` (a numpy index would return a
+numpy scalar), and the graph holds no memory beyond the two arrays.
 
 ``has_edge`` is answered from a sorted array of ``u * n + v`` keys, built
 on the first call: only ``pair`` queries (the experiments) need it.
@@ -26,7 +24,6 @@ on the first call: only ``pair`` queries (the experiments) need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -76,9 +73,12 @@ class Graph:
         self.n = len(offsets) - 1
         self.offsets = offsets
         self.targets = targets
-        self._o = offsets.tolist()
-        self._t = targets.tolist()
+        self._o = memoryview(offsets)
+        self._t = memoryview(targets)
         self._keys = None
+
+    def __reduce__(self):
+        return Graph, (self.offsets, self.targets)
 
     @property
     def m_dir(self) -> int:
@@ -214,45 +214,6 @@ def build_graph(edge_list: Sequence[tuple[int, int]] | np.ndarray, n: int) -> Gr
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(origins, minlength=n), out=offsets[1:])
     return Graph(offsets, e[:, ::-1].ravel()[order])
-
-
-@dataclass(frozen=True)
-class DegreePartition:
-    """Vertices split by the degree threshold theta.
-
-    A vertex is light when d(v) <= theta, heavy otherwise; a directed edge
-    inherits the label of its origin. e_light + e_heavy = m_dir.
-    """
-
-    theta: int
-    light_vertices: frozenset[int]
-    heavy_vertices: frozenset[int]
-    e_light: int
-    e_heavy: int
-
-    def is_light(self, v: int) -> bool:
-        return v in self.light_vertices
-
-
-def partition(g: Graph, theta: int) -> DegreePartition:
-    """Split vertices into light (d <= theta) and heavy (d > theta)."""
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    deg = np.diff(g.offsets)
-    heavy = deg > theta
-    e_light = int(deg[~heavy].sum())
-    return DegreePartition(
-        theta=theta,
-        light_vertices=frozenset(np.flatnonzero(~heavy).tolist()),
-        heavy_vertices=frozenset(np.flatnonzero(heavy).tolist()),
-        e_light=e_light,
-        e_heavy=g.m_dir - e_light,
-    )
-
-
-def light_degree(g: Graph, p: DegreePartition, v: int) -> int:
-    """Number of light neighbors of v under partition p."""
-    return sum(1 for w in g.neighbors(v) if g.degree(w) <= p.theta)
 
 
 class RelabeledView:

@@ -15,8 +15,9 @@ ids are programmer errors (IndexError), not query failures.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graph import Graph
 
@@ -27,7 +28,11 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(slots=True)
 class QueryCounts:
-    """Per-type query counters; merged across workers by addition."""
+    """Per-type query counters; merged across workers by addition.
+
+    The field list drives ``total``, ``+``, ``-``, ``copy`` and ``as_dict``,
+    so a new counter is declared only here.
+    """
 
     vertex: int = 0
     degree: int = 0
@@ -36,35 +41,24 @@ class QueryCounts:
 
     @property
     def total(self) -> int:
-        return self.vertex + self.degree + self.neighbor + self.pair
+        return sum(_values(self))
 
     def __add__(self, other: "QueryCounts") -> "QueryCounts":
-        return QueryCounts(
-            vertex=self.vertex + other.vertex,
-            degree=self.degree + other.degree,
-            neighbor=self.neighbor + other.neighbor,
-            pair=self.pair + other.pair,
-        )
+        return QueryCounts(*map(operator.add, _values(self), _values(other)))
 
     def __sub__(self, other: "QueryCounts") -> "QueryCounts":
-        return QueryCounts(
-            vertex=self.vertex - other.vertex,
-            degree=self.degree - other.degree,
-            neighbor=self.neighbor - other.neighbor,
-            pair=self.pair - other.pair,
-        )
+        return QueryCounts(*map(operator.sub, _values(self), _values(other)))
 
     def copy(self) -> "QueryCounts":
-        return QueryCounts(self.vertex, self.degree, self.neighbor, self.pair)
+        return QueryCounts(*_values(self))
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "vertex": self.vertex,
-            "degree": self.degree,
-            "neighbor": self.neighbor,
-            "pair": self.pair,
-            "total": self.total,
-        }
+        counts = dict(zip(_FIELDS, _values(self)))
+        return {**counts, "total": sum(counts.values())}
+
+
+_FIELDS = tuple(f.name for f in fields(QueryCounts))
+_values = operator.attrgetter(*_FIELDS)  # the counters as a tuple, in field order
 
 
 class QueryOracle:

@@ -15,11 +15,11 @@ from edgesample import (
     QueryOracle,
     SamplerConfig,
     attempt_distribution,
+    build_graph,
     conditional_closeness,
     empirical_distribution,
     enumerate_attempt_distribution,
     estimate_edges,
-    light_degree,
     partition,
     sample_edge_almost_uniformly,
     vertex_return_distribution,
@@ -77,7 +77,7 @@ def test_criterion_02_heavy_edge_closed_form(catalog_graphs):
             part = partition(g, theta)
             expected: dict = {}
             for v in sorted(part.heavy_vertices):
-                dl = light_degree(g, part, v)
+                dl = sum(1 for w in g.neighbors(v) if g.degree(w) <= theta)
                 if dl == 0:
                     continue
                 p = Fraction(dl, g.n * theta * g.degree(v))
@@ -102,21 +102,35 @@ def test_criterion_02_heavy_edge_closed_form(catalog_graphs):
     )
 
 
+def core_leaves(core: int, leaves: int):
+    """A K_core whose vertices each own ``leaves`` pendant leaves."""
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    edges += [(u, core + u * leaves + k) for u in range(core) for k in range(leaves)]
+    return build_graph(edges, core + core * leaves)
+
+
 def test_criterion_03_pointwise_closeness(suite_graphs):
+    # The adjacent hubs of the core-plus-leaves graph are heavy at every
+    # eps, so their edges carry the heavy-edge factor d_L/d < 1 and the
+    # deviation is strictly positive; on the suite graphs it is 0.
+    hubs = core_leaves(3, 300)
+    assert hubs.n == 903 and hubs.m_dir == 1806
     worst = Fraction(0)
-    for label, g in suite_graphs:
+    for label, g in [*suite_graphs, ("core_leaves:3,300", hubs)]:
         for eps in EPSILONS:
             theta = threshold_for(float(g.m_dir), eps)
             rep = conditional_closeness(attempt_distribution(g, theta))
             assert rep.max_ratio_dev <= Fraction(eps), (
                 f"{label} eps={eps}: dev {float(rep.max_ratio_dev):.3g}"
             )
+            if g is hubs:
+                assert rep.max_ratio_dev > 0, f"{label} eps={eps}: heavy-edge factor not exercised"
             if eps == 0.45 and rep.max_ratio_dev > worst:
                 worst = rep.max_ratio_dev
     _criterion(
         3,
         "max_ratio_dev <= eps at theta = ceil(sqrt(2m/eps)) for eps in "
-        f"{EPSILONS} over {len(suite_graphs)} graphs",
+        f"{EPSILONS} over {len(suite_graphs) + 1} graphs, > 0 on core_leaves:3,300",
         True,
         f"worst dev at eps=0.45: {float(worst):.4g}",
     )

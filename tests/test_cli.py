@@ -100,6 +100,23 @@ def test_verify_star_theta3(capsys):
     assert report["theta"] == 3
 
 
+def test_verify_builds_one_distribution(capsys, monkeypatch):
+    from edgesample import analytic
+
+    calls = []
+    real = analytic.partition
+
+    def counting_partition(g, theta):
+        calls.append(theta)
+        return real(g, theta)
+
+    monkeypatch.setattr(analytic, "partition", counting_partition)
+    code, out, _ = run_cli(capsys, "verify", "--generate", "star:12", "--theta", "4", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["bounds"]["all_passed"] is True
+    assert calls == [4]
+
+
 def test_byte_identical_reruns(capsys):
     args = ("sample", "--generate", "er:200,0.05", "--seed", "99", "--count", "3")
     _, out1, _ = run_cli(capsys, *args)

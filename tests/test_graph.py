@@ -1,10 +1,12 @@
+import pickle
+
 import pytest
 
 from edgesample import (
     DirectedEdge,
     GraphConstructionError,
+    attempt_distribution,
     build_graph,
-    light_degree,
     partition,
     read_edge_list,
     write_edge_list,
@@ -63,13 +65,18 @@ def test_partition_clique4_all_heavy():
 
 
 def test_light_degree_examples():
-    s = star(5)
-    assert light_degree(s, partition(s, 3), 0) == 5
-    k = clique(4)
-    pk = partition(k, 2)
-    assert all(light_degree(k, pk, v) == 0 for v in range(4))
-    p3 = build_graph([(0, 1), (1, 2)], 3)
-    assert light_degree(p3, partition(p3, 2), 1) == 2
+    assert attempt_distribution(star(5), 3).light_degrees == {0: 5}
+    assert attempt_distribution(clique(4), 2).light_degrees == {v: 0 for v in range(4)}
+
+
+def test_graph_pickles_and_reads_python_ints():
+    g = erdos_renyi(30, 0.2, seed=3)
+    h = pickle.loads(pickle.dumps(g))
+    assert h.n == g.n and h.adjacency == g.adjacency
+    assert h.offsets.tolist() == g.offsets.tolist() and h.targets.tolist() == g.targets.tolist()
+    v = next(v for v in range(g.n) if g.degree(v))
+    assert type(g.degree(v)) is int and type(h.degree(v)) is int
+    assert type(g.neighbor(v, 1)) is int and type(h.neighbor(v, 1)) is int
 
 
 def test_generator_counts():
