@@ -42,8 +42,6 @@ from .sampler import (
     mixture_attempt,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
-    sample_heavy_edge,
-    sample_light_edge,
     sample_undirected_edge,
     weighted_expectation,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "read_edge_list",
     "sample_degree_proportional_vertex",
     "sample_edge_almost_uniformly",
-    "sample_heavy_edge",
-    "sample_light_edge",
     "sample_undirected_edge",
     "verify_attempt_bounds",
     "vertex_return_distribution",

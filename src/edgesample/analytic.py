@@ -46,14 +46,6 @@ class DegreePartition:
     e_light: int
     e_heavy: int
 
-    @property
-    def light_vertices(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(~self.heavy).tolist())
-
-    @property
-    def heavy_vertices(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.heavy).tolist())
-
 
 def partition(g: Graph, theta: int) -> DegreePartition:
     """Split vertices into light (d <= theta) and heavy (d > theta)."""
@@ -72,9 +64,6 @@ class AttemptDistribution:
     theta: int
     per_edge: dict[DirectedEdge, Fraction]
     success_prob: Fraction
-
-    def probability(self, e: DirectedEdge) -> Fraction:
-        return self.per_edge.get(e, Fraction(0))
 
     def conditional(self) -> dict[DirectedEdge, Fraction]:
         """Distribution of the returned edge given that the attempt succeeded."""

@@ -52,9 +52,6 @@ class EmpiricalReport:
     failures: int
     seed: int | None
 
-    def frequency(self, e: DirectedEdge) -> float:
-        return self.counts.get(e, 0) / self.trials
-
 
 def empirical_distribution(
     g: Graph,
@@ -71,12 +68,17 @@ def empirical_distribution(
     each trial is a full budgeted sampling run and failed runs are counted
     separately. The chi-square statistic and the max standardized count
     deviation are computed against ``reference`` (default: the analytic
-    conditional distribution for the mode in use).
+    conditional distribution for the mode in use). Raises ValueError when
+    ``theta`` is given and no attempt can succeed at it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (theta is None) == (config is None):
         raise ValueError("give exactly one of theta or config")
+    if theta is not None:
+        dist = attempt_distribution(g, theta)
+        if dist.success_prob == 0:  # the draw loop below would never end
+            raise ValueError(f"no attempt can succeed at theta={theta}")
 
     oracle = QueryOracle(g, seed=seed)
     counts: dict[DirectedEdge, int] = {}
@@ -102,7 +104,7 @@ def empirical_distribution(
 
     if reference is None:
         if theta is not None:
-            reference = attempt_distribution(g, theta).conditional()
+            reference = dist.conditional()
         elif config.q <= g.n:
             reference = attempt_distribution(g, config.theta).conditional()
         else:

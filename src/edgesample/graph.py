@@ -16,9 +16,6 @@ The scalar queries ``degree`` and ``neighbor`` are the samplers' hot path.
 They index ``memoryview``s of the same two buffers, not copies: a
 memoryview read returns a Python ``int`` (a numpy index would return a
 numpy scalar), and the graph holds no memory beyond the two arrays.
-
-``has_edge`` is answered from a sorted array of ``u * n + v`` keys, built
-on the first call: only ``pair`` queries (the experiments) need it.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ class Graph:
         int64, length m_dir; neighbor ids, each vertex's in its fixed order.
     """
 
-    __slots__ = ("n", "offsets", "targets", "_o", "_t", "_keys")
+    __slots__ = ("n", "offsets", "targets", "_o", "_t")
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray):
         offsets.flags.writeable = targets.flags.writeable = False
@@ -75,7 +72,6 @@ class Graph:
         self.targets = targets
         self._o = memoryview(offsets)
         self._t = memoryview(targets)
-        self._keys = None
 
     def __reduce__(self):
         return Graph, (self.offsets, self.targets)
@@ -113,17 +109,17 @@ class Graph:
         return self._t[start + i - 1]
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether {u, v} is an edge; False for ids outside 0..n-1."""
+        """Whether {u, v} is an edge; False for ids outside 0..n-1.
+
+        Scans the shorter of the two neighbor rows.
+        """
         n = self.n
         if not (0 <= u < n and 0 <= v < n):
             return False
-        keys = self._keys
-        if keys is None:
-            # sorted directed-edge keys plus a sentinel above every key
-            keys = np.append(np.sort(self._origins() * n + self.targets), n * n)
-            self._keys = keys
-        key = u * n + v
-        return keys.item(keys.searchsorted(key)) == key
+        o = self._o
+        if o[u + 1] - o[u] > o[v + 1] - o[v]:
+            u, v = v, u
+        return bool((self.targets[o[u]:o[u + 1]] == v).any())
 
     def _origins(self) -> np.ndarray:
         """The origin of every directed edge, aligned with ``targets``."""

@@ -75,11 +75,8 @@ class QueryOracle:
     ``Random.randrange(n)``, with ``n`` and its bit length cached, so it
     returns the same vertex from the same generator state.
 
-    The two hot loops, ``sampler._attempts`` and the degree-sum estimate,
-    bypass the four methods when ``bulk_graph`` returns a graph: then they
-    read its CSR lists, draw vertices by the same rejection on ``rng`` and
-    add their query counts to ``counts`` once per call. Everything else,
-    and those loops on any other oracle, goes through the methods.
+    The two hot loops may bypass the four methods; ``bulk_graph`` says
+    when. Everything else goes through the methods.
     """
 
     def __init__(self, graph, seed: int | None = None, budget: int | None = None):
@@ -144,11 +141,15 @@ class QueryOracle:
 def bulk_graph(oracle: QueryOracle) -> Graph | None:
     """The CSR graph a hot loop may read directly, charging queries in bulk.
 
-    Only a plain ``QueryOracle`` (no subclass, whose methods may observe
-    each query) without a budget (so ``BudgetExceeded`` fires at the same
-    query) over a nonempty ``Graph`` (not a view) qualifies; otherwise
-    None, and the caller makes every query through the oracle's methods.
-    The random stream and the final counts are the same either way.
+    The two hot loops, ``sampler._attempts`` and the degree-sum estimate,
+    then read the graph's CSR lists, draw vertices by ``random_vertex``'s
+    rejection on ``oracle.rng`` and add their query counts to
+    ``oracle.counts`` once per call. Only a plain ``QueryOracle`` (no
+    subclass, whose methods may observe each query) without a budget (so
+    ``BudgetExceeded`` fires at the same query) over a nonempty ``Graph``
+    (not a view) qualifies; otherwise None, and the caller makes every
+    query through the oracle's methods. The random stream and the final
+    counts are the same either way.
     """
     if type(oracle) is QueryOracle and oracle.budget is None and type(oracle.graph) is Graph and oracle._n:
         return oracle.graph

@@ -24,12 +24,8 @@ drawn inline by ``getrandbits`` rejection, which is exactly what
 ``rng.randint(1, k)`` does, and the vertex query matches
 ``oracle.rng.randrange(n)``; a run consumes the same numbers as one
 written with those calls, and replays bit-for-bit under the same seed.
-All mixture attempts run in one loop, ``_attempts``. On a plain,
-unbudgeted ``QueryOracle`` over a ``Graph`` (see ``oracle.bulk_graph``) it
-reads the CSR lists directly and charges its queries once per call; on
-any other oracle (a subclass, a budget, a relabeled view) every query
-goes through the oracle's methods, so a subclass sees each one and a
-budget runs out at the same query.
+All mixture attempts run in one loop, ``_attempts``, which reads the
+graph directly only where ``oracle.bulk_graph`` allows it.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .graph import DirectedEdge, Graph
@@ -46,15 +41,15 @@ from .oracle import QueryCounts, QueryOracle, bulk_graph
 
 
 def threshold_for(m_hat: float, epsilon: float) -> int:
-    """Smallest integer theta with theta >= sqrt(2 m_hat / epsilon).
+    """Smallest integer theta >= 1 with theta^2 epsilon >= 2 m_hat.
 
-    The ceiling is re-checked in exact arithmetic so a float rounding of
-    the square root can never undercut the bound.
+    Computed in exact integers from the floats' ratios, so no rounding of
+    a square root can undercut the bound.
     """
-    theta = max(1, math.ceil(math.sqrt(2.0 * m_hat / epsilon)))
-    while Fraction(theta) * theta * Fraction(epsilon) < 2 * Fraction(m_hat):
-        theta += 1
-    return theta
+    a, b = m_hat.as_integer_ratio()
+    c, d = epsilon.as_integer_ratio()
+    bound = -(-2 * a * d // (b * c))  # ceil(2 m_hat / epsilon)
+    return math.isqrt(max(bound, 1) - 1) + 1
 
 
 def attempt_budget(n: int, m_hat: float, epsilon: float) -> int:
@@ -109,55 +104,22 @@ class SampleReport:
         return self.outcome is None
 
 
-def _light_hit(oracle: QueryOracle, theta: int, rng: random.Random) -> tuple[int, int] | None:
-    """The start both tracks share: (u, v) or None.
-
-    u is a uniform vertex, which fails if heavy; v is the occupant of a
-    uniform slot j in [theta] of u, which fails if the slot is empty.
-    """
-    u = oracle.random_vertex()
-    if oracle.degree(u) > theta:
-        return None
-    v = oracle.neighbor(u, rng.randint(1, theta))
-    return None if v is None else (u, v)
-
-
-def sample_light_edge(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
-    """One light-track attempt; None is the fail outcome."""
-    hit = _light_hit(oracle, theta, oracle.rng if rng is None else rng)
-    return None if hit is None else DirectedEdge(*hit)
-
-
-def sample_heavy_edge(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
-    """One heavy-track attempt; None is the fail outcome.
-
-    The degree of the hit vertex v is queried once, both to test that v is
-    heavy and to index a uniform neighbor, keeping an attempt within two
-    degree queries.
-    """
-    rng = oracle.rng if rng is None else rng
-    hit = _light_hit(oracle, theta, rng)
-    if hit is None:
-        return None
-    v = hit[1]
-    dv = oracle.degree(v)
-    if dv <= theta:
-        return None
-    return DirectedEdge(v, oracle.neighbor(v, rng.randint(1, dv)))
-
-
 def _attempts(
     oracle: QueryOracle, theta: int, limit: int, rng: random.Random
 ) -> tuple[DirectedEdge | None, int]:
     """Run up to ``limit`` mixture attempts; return (edge, attempts used).
 
-    The hot loop of every mixture sampler. Each attempt is a fair coin
-    between ``sample_light_edge`` and ``sample_heavy_edge``, written out
-    inline: the same queries and the same random numbers in the same
-    order, without a Python call per step. ``1 + r`` with ``r`` drawn by
-    ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
+    The one attempt of every mixture sampler. A fair coin picks a track;
+    both start from a uniform vertex u, which fails if heavy (d(u) > theta),
+    and a uniform slot j in [theta] of u, which fails if empty. The light
+    track returns (u, v) for the slot's occupant v. The heavy track fails
+    unless v is heavy, and returns (v, w) for a uniform neighbor w of v;
+    d(v) is queried once, both for the test and for the pick, so an
+    attempt makes at most two degree queries. ``1 + r`` with ``r`` drawn
+    by ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
     When ``bulk_graph(oracle)`` gives a graph, ``_bulk_attempts`` runs
-    instead; otherwise every query goes through the oracle's methods.
+    the same attempts on it; otherwise every query goes through the
+    oracle's methods.
     """
     theta = operator.index(theta)
     if theta < 1:

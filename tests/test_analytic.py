@@ -227,3 +227,12 @@ def test_empirical_rejects_bad_arguments():
         empirical_distribution(star(5), trials=0, seed=0, theta=3)
     with pytest.raises(ValueError):
         empirical_distribution(star(5), trials=10, seed=0)  # neither theta nor config
+
+
+def test_empirical_rejects_theta_where_no_attempt_succeeds():
+    # every vertex of K_4 is heavy at theta 2, so no attempt can succeed
+    with pytest.raises(ValueError, match="no attempt"):
+        empirical_distribution(clique(4), trials=1, seed=0, theta=2)
+    uniform = {e: Fraction(1, 12) for e in clique(4).directed_edges()}
+    with pytest.raises(ValueError, match="no attempt"):
+        empirical_distribution(clique(4), trials=1, seed=0, theta=2, reference=uniform)

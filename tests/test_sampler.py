@@ -1,18 +1,20 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesample import (
     DirectedEdge,
     QueryOracle,
     SamplerConfig,
+    attempt_distribution,
     build_graph,
     fallback_uniform_edge,
     mixture_attempt,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
-    sample_heavy_edge,
-    sample_light_edge,
     sample_undirected_edge,
     weighted_expectation,
 )
@@ -33,6 +35,18 @@ def test_threshold_never_undercuts_bound():
             assert theta * theta * eps >= 2 * m_hat * (1 - 1e-12)
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1e12, exclude_min=True, allow_nan=False),
+    st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+)
+def test_threshold_is_the_least_theta_meeting_the_bound(m_hat, eps):
+    theta = threshold_for(m_hat, eps)
+    bound, e = 2 * Fraction(m_hat), Fraction(eps)
+    assert theta * theta * e >= bound
+    assert theta == 1 or (theta - 1) ** 2 * e < bound
+
+
 def test_budget_formula():
     # q = ceil(10 n / ((1 - eps) sqrt(eps m_hat)))
     assert attempt_budget(6, 10.0, 0.45) == math.ceil(60 / (0.55 * math.sqrt(4.5)))
@@ -49,51 +63,32 @@ def test_config_validation():
         SamplerConfig.for_graph(10, 0.0, 0.25)
 
 
-def test_light_attempt_on_all_light_graph():
-    g = path(3)
-    o = QueryOracle(g, seed=2)
-    outcomes = [sample_light_edge(o, 4) for _ in range(2000)]
-    edges = [e for e in outcomes if e is not None]
-    assert all(g.has_edge(*e) for e in edges)
-    # success probability e_light/(n theta) = 4/12
-    assert abs(len(edges) / 2000 - 1 / 3) < 0.05
-    assert o.counts.pair == 0
-
-
-def test_light_attempt_all_heavy_always_fails():
-    o = QueryOracle(clique(4), seed=3)
-    assert all(sample_light_edge(o, 2) is None for _ in range(200))
-
-
-def test_heavy_attempt_returns_heavy_origins():
-    g = star(5)
-    o = QueryOracle(g, seed=4)
-    edges = [e for e in (sample_heavy_edge(o, 3) for _ in range(3000)) if e is not None]
-    assert edges, "heavy track should succeed sometimes on a star"
-    assert all(e.origin == 0 for e in edges)  # the center is the only heavy vertex
-    assert abs(len(edges) / 3000 - 5 / 18) < 0.05
-
-
-def test_heavy_attempt_fails_without_heavy_neighbors():
-    g = build_graph([(0, 1), (2, 3)], 4)
-    o = QueryOracle(g, seed=5)
-    assert all(sample_heavy_edge(o, 2) is None for _ in range(200))
+def test_mixture_attempt_success_rate_and_support():
+    # success rate within 5 SE of the closed form; every edge it returns
+    # has positive closed-form probability
+    trials = 20000
+    for g, theta, seed in ((path(3), 4, 2), (star(5), 3, 4), (clique(4), 2, 3)):
+        dist = attempt_distribution(g, theta)
+        o = QueryOracle(g, seed=seed)
+        edges = [e for e in (mixture_attempt(o, theta) for _ in range(trials)) if e is not None]
+        p = float(dist.success_prob)
+        assert abs(len(edges) / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+        assert all(dist.per_edge[e] > 0 for e in edges)
+    assert dist.success_prob == 0 and not edges  # K_4 at theta 2: every vertex heavy
 
 
 def test_per_attempt_query_caps():
-    # light <= 3 queries (1 vertex + 1 degree + at most 1 neighbor),
-    # heavy <= 5 with at most 2 degree queries, mixture <= 5
+    # mixture <= 5 queries, with 1 vertex and at most 2 degree queries
     g = erdos_renyi(40, 0.2, seed=6)
     o = QueryOracle(g, seed=7)
-    for fn, cap in ((sample_light_edge, 3), (sample_heavy_edge, 5), (mixture_attempt, 5)):
-        for _ in range(500):
-            before = o.counts.copy()
-            fn(o, 4)
-            delta = o.counts - before
-            assert delta.total <= cap
-            assert delta.vertex == 1
-            assert delta.degree <= 2
-            assert delta.pair == 0
+    for _ in range(500):
+        before = o.counts.copy()
+        mixture_attempt(o, 4)
+        delta = o.counts - before
+        assert delta.total <= 5
+        assert delta.vertex == 1
+        assert delta.degree <= 2
+        assert delta.pair == 0
 
 
 def test_full_run_uses_mixture_path_when_q_fits():

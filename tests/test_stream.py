@@ -29,8 +29,6 @@ from edgesample import (
     fallback_uniform_edge,
     mixture_attempt,
     sample_edge_almost_uniformly,
-    sample_heavy_edge,
-    sample_light_edge,
 )
 from edgesample.experiments import WitnessOracle
 from edgesample.generators import star
@@ -204,13 +202,8 @@ def test_single_attempts_match_reference(g, data, seed, budget, separate_rng):
     def twenty(attempt):
         return lambda o, rng: [attempt(o, theta, rng) for _ in range(20)]
 
-    for library, reference in (
-        (mixture_attempt, ref_mixture),
-        (sample_light_edge, ref_light),
-        (sample_heavy_edge, ref_heavy),
-    ):
-        got, want = both(g, seed, budget, separate_rng, twenty(library), twenty(reference))
-        assert got == want
+    got, want = both(g, seed, budget, separate_rng, twenty(mixture_attempt), twenty(ref_mixture))
+    assert got == want
 
 
 @settings(max_examples=150, deadline=None)
