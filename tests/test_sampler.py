@@ -63,18 +63,45 @@ def test_config_validation():
         SamplerConfig.for_graph(10, 0.0, 0.25)
 
 
-def test_mixture_attempt_success_rate_and_support():
-    # success rate within 5 SE of the closed form; every edge it returns
-    # has positive closed-form probability
+def _mixture_edges(g, theta, seed, trials=20000):
+    """``trials`` mixture attempts on ``g``; checks the success rate is
+    within 5 SE of the closed form and every returned edge has positive
+    closed-form probability. Returns the successes and the distribution."""
+    dist = attempt_distribution(g, theta)
+    o = QueryOracle(g, seed=seed)
+    edges = [e for e in (mixture_attempt(o, theta) for _ in range(trials)) if e is not None]
+    p = float(dist.success_prob)
+    assert abs(len(edges) / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+    assert all(dist.per_edge[e] > 0 for e in edges)
+    assert o.counts.pair == 0
+    return edges, dist
+
+
+def test_light_attempt_on_all_light_graph():
+    # every vertex light: only the light track succeeds, e_light/(n theta)
+    # = 4/12 on its half of the coin
+    g = path(3)
+    edges, dist = _mixture_edges(g, 4, seed=2)
+    assert dist.success_prob == Fraction(1, 6)
+    assert all(g.has_edge(*e) for e in edges)
+
+
+def test_light_attempt_all_heavy_always_fails():
+    # K_4 at theta 2: every vertex heavy, so neither track can succeed
+    edges, dist = _mixture_edges(clique(4), 2, seed=3)
+    assert dist.success_prob == 0 and not edges
+
+
+def test_heavy_attempt_returns_heavy_origins():
+    # the center is the only heavy vertex, so the heavy track's edges are
+    # exactly those leaving it: rate 5/18 on its half of the coin
     trials = 20000
-    for g, theta, seed in ((path(3), 4, 2), (star(5), 3, 4), (clique(4), 2, 3)):
-        dist = attempt_distribution(g, theta)
-        o = QueryOracle(g, seed=seed)
-        edges = [e for e in (mixture_attempt(o, theta) for _ in range(trials)) if e is not None]
-        p = float(dist.success_prob)
-        assert abs(len(edges) / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
-        assert all(dist.per_edge[e] > 0 for e in edges)
-    assert dist.success_prob == 0 and not edges  # K_4 at theta 2: every vertex heavy
+    edges, dist = _mixture_edges(star(5), 3, seed=4, trials=trials)
+    heavy = [e for e in edges if e.origin == 0]
+    assert heavy, "heavy track should succeed sometimes on a star"
+    p = float(sum(pr for e, pr in dist.per_edge.items() if e.origin == 0))
+    assert p == 5 / 36
+    assert abs(len(heavy) / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
 
 
 def test_per_attempt_query_caps():
