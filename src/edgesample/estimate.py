@@ -9,6 +9,8 @@ here. Two built-ins:
 * ``degree-sum-mc`` averages the degrees of s uniformly sampled
   vertices, scales by n, and multiplies by 1.5 to center the average
   inside [m, 2m] once the relative error of the average is under 1/3.
+  Where ``oracle.bulk_graph`` allows it, that is one ``integers(n, size=s)``
+  draw from ``oracle._generator(oracle.rng)`` and one gather.
 
 ``estimate_edges_amplified`` takes the median of an odd number of
 independent runs, driving the failure probability down exponentially.
@@ -40,21 +42,13 @@ def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
     if s < 1:
         raise ValueError(f"sample count must be >= 1, got {s}")
     graph = bulk_graph(oracle)
-    total = 0
     if graph is None:
-        degree, random_vertex = oracle.degree, oracle.random_vertex
-        for _ in range(s):
-            total += degree(random_vertex())
-    else:  # random_vertex and degree inline, charged once
-        o, n, n_bits = graph._o, oracle._n, oracle._n_bits
-        getrandbits = oracle.rng.getrandbits
-        for _ in range(s):
-            u = getrandbits(n_bits)
-            while u >= n:
-                u = getrandbits(n_bits)
-            total += o[u + 1] - o[u]
-        oracle.counts.vertex += s
-        oracle.counts.degree += s
+        total = sum(oracle.degree(oracle.random_vertex()) for _ in range(s))
+    else:  # s uniform vertices from one draw, their degrees by one gather, charged once
+        o = graph.offsets
+        u = oracle._generator(oracle.rng).integers(graph.n, size=s)
+        total = int(o[u + 1].sum() - o[u].sum())
+        oracle.counts = oracle.counts + QueryCounts(s, s)
     # 1.5x centers the scaled average inside [m, 2m]; never report zero.
     return max(1.0, 1.5 * oracle.n * total / s)
 

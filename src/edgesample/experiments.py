@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from .estimate import estimate_edges
 from .generators import generate, with_clique
 from .graph import DirectedEdge, Graph, RelabeledView, build_graph
 from .oracle import BudgetExceeded, QueryOracle
-from .sampler import SamplerConfig, _attempts, sample_edge_almost_uniformly
+from .sampler import SamplerConfig, _runs, sample_edge_almost_uniformly
 
 # ---------------------------------------------------------------------------
 # Monte Carlo frequencies vs the analytic distribution
@@ -68,57 +69,39 @@ def empirical_distribution(
     each trial is a full budgeted sampling run and failed runs are counted
     separately. The chi-square statistic and the max standardized count
     deviation are computed against ``reference`` (default: the analytic
-    conditional distribution for the mode in use). Raises ValueError when
-    ``theta`` is given and no attempt can succeed at it.
+    conditional distribution for the mode in use). The trials are pooled
+    runs (``sampler._runs``). Raises ValueError before drawing when the
+    mixture attempt of either mode can never succeed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (theta is None) == (config is None):
         raise ValueError("give exactly one of theta or config")
-    if theta is not None:
-        dist = attempt_distribution(g, theta)
-        if dist.success_prob == 0:  # the draw loop below would never end
-            raise ValueError(f"no attempt can succeed at theta={theta}")
+    if theta is not None or config.q <= g.n:
+        dist = attempt_distribution(g, config.theta if theta is None else theta)
+        if dist.success_prob == 0:  # theta mode would never end, config mode only fail
+            raise ValueError(f"no attempt can succeed at theta={dist.theta}")
+        if reference is None:
+            reference = dist.conditional()
+    elif reference is None:
+        reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
 
     oracle = QueryOracle(g, seed=seed)
-    counts: dict[DirectedEdge, int] = {}
-    attempts_total = 0
-    failures = 0
-    collected = 0
-    while collected < trials:
-        if theta is not None:
-            edge = None
-            while edge is None:  # the chunk size does not change the stream
-                edge, used = _attempts(oracle, theta, 1 << 16, oracle.rng)
-                attempts_total += used
-        else:
-            report = sample_edge_almost_uniformly(oracle, config)
-            attempts_total += report.attempts_used
-            if report.outcome is None:
-                failures += 1
-                collected += 1
-                continue
-            edge = report.outcome
-        counts[edge] = counts.get(edge, 0) + 1
-        collected += 1
-
-    if reference is None:
-        if theta is not None:
-            reference = dist.conditional()
-        elif config.q <= g.n:
-            reference = attempt_distribution(g, config.theta).conditional()
-        else:
-            reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
-
-    returned = trials - failures
+    q = sys.maxsize if config is None else config.q  # a theta-mode run never gives up
+    origins, targets, used = _runs(oracle, theta or config.theta, q, trials, oracle.rng, q > g.n and theta is None)
+    won = origins >= 0
+    keys, hits = np.unique(origins[won] * g.n + targets[won], return_counts=True)
+    counts = {DirectedEdge(*divmod(k, g.n)): c for k, c in zip(keys.tolist(), hits.tolist())}
+    returned = int(won.sum())
     support = [(e, float(p)) for e, p in reference.items() if p > 0]
     off_support = sum(c for e, c in counts.items() if float(reference.get(e, 0)) == 0.0)
     f_obs = [counts.get(e, 0) for e, _ in support]
     f_exp = [returned * p for _, p in support]
     if returned > 0 and off_support == 0:
-        from scipy import stats  # imported here: it is most of the package's import time
+        from scipy.special import chdtrc  # imported here: scipy takes longer to import than the package
 
-        chi2, p_value = stats.chisquare(f_obs, f_exp)
+        chi2 = math.fsum((o - ex) ** 2 / ex for o, ex in zip(f_obs, f_exp))
+        p_value = chdtrc(len(support) - 1, chi2)
         max_std = max(
             abs(o - ex) / math.sqrt(ex * (1.0 - ex / returned)) if 0 < ex < returned else 0.0
             for o, ex in zip(f_obs, f_exp)
@@ -132,8 +115,8 @@ def empirical_distribution(
         p_value=float(p_value),
         max_std_dev=float(max_std),
         off_support=off_support,
-        attempts_total=attempts_total,
-        failures=failures,
+        attempts_total=int(used.sum()),
+        failures=trials - returned,
         seed=seed,
     )
 

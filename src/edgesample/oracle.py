@@ -19,6 +19,8 @@ import operator
 import random
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .graph import Graph
 
 
@@ -70,12 +72,12 @@ class QueryOracle:
     hard cap on the total query count: the call that would exceed it
     raises BudgetExceeded before touching the graph.
 
-    Each query checks the budget and bumps its counter inline.
+    Each query checks the budget and bumps its counter (``_charge``).
     ``random_vertex`` draws by the same ``getrandbits`` rejection as
     ``Random.randrange(n)``, with ``n`` and its bit length cached, so it
     returns the same vertex from the same generator state.
 
-    The two hot loops may bypass the four methods; ``bulk_graph`` says
+    The numpy kernels may bypass the four methods; ``bulk_graph`` says
     when. Everything else goes through the methods.
     """
 
@@ -86,19 +88,29 @@ class QueryOracle:
         self.budget = budget
         self._n = graph.n
         self._n_bits = graph.n.bit_length()
+        self._gen = None  # the kernels' generator, built on first use
+
+    def _generator(self, rng: random.Random) -> np.random.Generator:
+        """The oracle's PCG64 generator, its state set from 256 bits of ``rng``."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(0))
+        state = {"state": rng.getrandbits(128), "inc": rng.getrandbits(128) | 1}
+        self._gen.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        return self._gen
 
     @property
     def n(self) -> int:
         return self._n
 
-    def _exhausted(self) -> BudgetExceeded:
-        return BudgetExceeded(f"query budget {self.budget} exhausted")
-
-    def random_vertex(self) -> int:
+    def _charge(self, kind: str) -> None:
+        """Count one query of ``kind``, or raise BudgetExceeded if none is left."""
         c = self.counts
         if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
-            raise self._exhausted()
-        c.vertex += 1
+            raise BudgetExceeded(f"query budget {self.budget} exhausted")
+        setattr(c, kind, getattr(c, kind) + 1)
+
+    def random_vertex(self) -> int:
+        self._charge("vertex")
         n = self._n
         if not n:
             raise ValueError("empty range for randrange()")
@@ -110,10 +122,7 @@ class QueryOracle:
     def degree(self, v: int) -> int:
         if not 0 <= v < self._n:
             raise IndexError(f"vertex {v} out of range for n={self._n}")
-        c = self.counts
-        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
-            raise self._exhausted()
-        c.degree += 1
+        self._charge("degree")
         return self.graph.degree(v)
 
     def neighbor(self, v: int, i: int) -> int | None:
@@ -121,35 +130,29 @@ class QueryOracle:
             raise IndexError(f"vertex {v} out of range for n={self._n}")
         if i < 1:
             raise ValueError(f"neighbor index must be >= 1, got {i}")
-        c = self.counts
-        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
-            raise self._exhausted()
-        c.neighbor += 1
+        self._charge("neighbor")
         return self.graph.neighbor(v, i)
 
     def pair(self, v: int, w: int) -> bool:
         for x in (v, w):
             if not 0 <= x < self._n:
                 raise IndexError(f"vertex {x} out of range for n={self._n}")
-        c = self.counts
-        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
-            raise self._exhausted()
-        c.pair += 1
+        self._charge("pair")
         return self.graph.has_edge(v, w)
 
 
 def bulk_graph(oracle: QueryOracle) -> Graph | None:
-    """The CSR graph a hot loop may read directly, charging queries in bulk.
+    """The CSR graph the numpy kernels may read directly, charging in bulk.
 
-    The two hot loops, ``sampler._attempts`` and the degree-sum estimate,
-    then read the graph's CSR lists, draw vertices by ``random_vertex``'s
-    rejection on ``oracle.rng`` and add their query counts to
-    ``oracle.counts`` once per call. Only a plain ``QueryOracle`` (no
-    subclass, whose methods may observe each query) without a budget (so
-    ``BudgetExceeded`` fires at the same query) over a nonempty ``Graph``
-    (not a view) qualifies; otherwise None, and the caller makes every
-    query through the oracle's methods. The random stream and the final
-    counts are the same either way.
+    The kernels (``sampler._kernel`` and the degree-sum estimate) draw from
+    ``oracle._generator(rng)``, read the CSR arrays, and add to
+    ``oracle.counts`` once per call exactly what the method loop would
+    charge. Only a plain ``QueryOracle`` (no subclass, whose methods may
+    observe each query) without a budget (so ``BudgetExceeded`` fires at
+    the same query) over a nonempty ``Graph`` (not a view) qualifies;
+    otherwise None, and every query goes through the oracle's methods.
+    The two paths draw different streams from one seed, with the same
+    distribution of outcomes and query counts.
     """
     if type(oracle) is QueryOracle and oracle.budget is None and type(oracle.graph) is Graph and oracle._n:
         return oracle.graph

@@ -17,15 +17,11 @@ q = ceil(10 n / ((1 - eps) sqrt(eps m_hat))) attempts; when that exceeds
 n it reverts to the exactly-uniform (but slower per success) uniform-slot
 fallback.
 
-Every attempt draws its random numbers in a fixed order: the coin
-(``rng.random()``), the vertex query (from ``oracle.rng``), the slot j,
-then on the heavy track the neighbor index of v. Slots and indices are
-drawn inline by ``getrandbits`` rejection, which is exactly what
-``rng.randint(1, k)`` does, and the vertex query matches
-``oracle.rng.randrange(n)``; a run consumes the same numbers as one
-written with those calls, and replays bit-for-bit under the same seed.
-All mixture attempts run in one loop, ``_attempts``, which reads the
-graph directly only where ``oracle.bulk_graph`` allows it.
+Runs are made in one of two ways with the same distribution of outcomes
+and query counts (``_runs``): by ``_kernel`` in numpy blocks where
+``oracle.bulk_graph`` allows it, else by ``_attempts`` through the
+oracle's methods. Both draw from the seeded ``random.Random`` only, so a
+run replays bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,6 +31,8 @@ import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .graph import DirectedEdge, Graph
 from .oracle import QueryCounts, QueryOracle, bulk_graph
@@ -107,26 +105,15 @@ class SampleReport:
 def _attempts(
     oracle: QueryOracle, theta: int, limit: int, rng: random.Random
 ) -> tuple[DirectedEdge | None, int]:
-    """Run up to ``limit`` mixture attempts; return (edge, attempts used).
+    """Up to ``limit`` mixture attempts through the oracle's methods: (edge, used).
 
-    The one attempt of every mixture sampler. A fair coin picks a track;
-    both start from a uniform vertex u, which fails if heavy (d(u) > theta),
-    and a uniform slot j in [theta] of u, which fails if empty. The light
-    track returns (u, v) for the slot's occupant v. The heavy track fails
-    unless v is heavy, and returns (v, w) for a uniform neighbor w of v;
-    d(v) is queried once, both for the test and for the pick, so an
-    attempt makes at most two degree queries. ``1 + r`` with ``r`` drawn
-    by ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
-    When ``bulk_graph(oracle)`` gives a graph, ``_bulk_attempts`` runs
-    the same attempts on it; otherwise every query goes through the
-    oracle's methods.
+    A fair coin picks a track; both start from a uniform vertex u, which
+    fails if heavy (d(u) > theta), and a uniform slot j in [theta] of u,
+    which fails if empty. The light track returns (u, v) for the slot's
+    occupant v; the heavy track fails unless v is heavy, and returns (v, w)
+    for a uniform neighbor w of v. ``1 + r`` with ``r`` drawn by
+    ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
     """
-    theta = operator.index(theta)
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    graph = bulk_graph(oracle)
-    if graph is not None:
-        return _bulk_attempts(oracle, graph, theta, limit, rng)
     k = theta.bit_length()
     coin = rng.random
     getrandbits = rng.getrandbits
@@ -157,67 +144,107 @@ def _attempts(
     return None, limit
 
 
-def _bulk_attempts(
-    oracle: QueryOracle, graph: Graph, theta: int, limit: int, rng: random.Random
-) -> tuple[DirectedEdge | None, int]:
-    """``_attempts`` on the CSR lists of ``graph``, charged in bulk.
+def _kernel(
+    graph: Graph, theta: int, q: int, runs: int, gen: np.random.Generator, fallback: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, QueryCounts]:
+    """``runs`` runs of up to ``q`` attempts: one stream of i.i.d. attempts
+    split at each win and after q failures in a row.
 
-    The same random numbers in the same order: the vertex by
-    ``random_vertex``'s rejection on ``oracle.rng``, then the slot and
-    index on ``rng``. Every attempt queries a vertex and its degree, and
-    its slot unless the start is heavy, so only heavy starts, degree
-    queries of hit vertices and the final heavy-track pick are tallied;
-    the counts go to ``oracle.counts`` when the loop ends.
+    A block draws ``gen.integers(n, size)`` vertices u and
+    ``gen.integers(theta, size)`` slots j, then ``gen.random`` coins for the
+    occupied slots of light starts (no other attempt depends on its coin)
+    and ``gen.integers(d(v))`` picks for the heavy-track wins kept. It holds
+    ``runs`` times the fewest attempts a run can expect to need (2 n theta /
+    m_dir, at most q). With ``fallback`` an attempt is ``fallback_uniform_edge``'s:
+    theta = n, no coin, no degree query. Returns each run's edge (-1, -1
+    on a failure) and attempts, and the queries the method loop would charge.
     """
-    o, t = graph._o, graph._t
-    n, n_bits = oracle._n, oracle._n_bits
-    vertex_bits = oracle.rng.getrandbits
-    coin = rng.random
-    getrandbits = rng.getrandbits
-    k = theta.bit_length()
-    edge = None
-    attempt = heavy_starts = hits = picks = 0
-    for attempt in range(1, limit + 1):
-        light = coin() < 0.5
-        u = vertex_bits(n_bits)
-        while u >= n:
-            u = vertex_bits(n_bits)
-        start = o[u]
-        du = o[u + 1] - start
-        if du > theta:
-            heavy_starts += 1
-            continue
-        j = getrandbits(k)
-        while j >= theta:
-            j = getrandbits(k)
-        if j >= du:
-            continue
-        v = t[start + j]
-        if light:
-            edge = DirectedEdge(u, v)
-            break
-        hits += 1
-        start = o[v]
-        dv = o[v + 1] - start
-        if dv <= theta:
-            continue
-        kv = dv.bit_length()
-        i = getrandbits(kv)
-        while i >= dv:
-            i = getrandbits(kv)
-        picks = 1
-        edge = DirectedEdge(v, t[start + i])
-        break
-    c = oracle.counts
-    c.vertex += attempt
-    c.degree += attempt + hits
-    c.neighbor += attempt - heavy_starts + picks
-    return edge, attempt
+    offsets, targets, n, ends = graph.offsets, graph.targets, graph.n, graph.offsets[1:]
+    per_run = min(q, -(-(1 if fallback else 2) * n * theta // graph.m_dir)) if graph.m_dir else q
+    out = []
+    done = carry = attempts = heavy_starts = heavy_hits = picks = 0
+    while done < runs:
+        left = runs - done
+        size = min(1 << 16, left * per_run, left * q - carry)  # 1 << 16 bounds the memory
+        u = gen.integers(n, size=size)
+        j = gen.integers(theta, size=size)
+        start = offsets[u]
+        du = ends[u] - start
+        cand = (j < du).nonzero()[0]  # the occupied slots and every heavy start
+        heavy = du[cand] > theta
+        hit = cand[~heavy]
+        v = targets[start[hit] + j[hit]]
+        light = np.ones(len(hit), bool) if fallback else gen.random(len(hit)) < 0.5
+        won = light | (ends[v] - offsets[v] > theta)
+        at = hit[won]
+        used = at + 1  # the attempts since the previous win, ending with this one
+        used[1:] -= at[:-1] + 1
+        used[:1] += carry
+        tail = size - int(at[-1]) - 1 if len(at) else size + carry
+        win_at = None
+        if tail >= q or (used > q).any():  # every q failures in a row are a failed run
+            fails = (used - 1) // q
+            win_at = np.arange(len(at)) + fails.cumsum()
+            split = np.full(len(at) + int(fails.sum()) + tail // q, q)
+            split[win_at] = used - fails * q
+            used, tail = split, tail % q
+        if len(used) >= left:  # the last run ends in this block
+            used = used[:left]
+            consumed = int(used.sum()) - carry
+        else:
+            consumed, carry = size, tail
+        kept = len(used) if win_at is None else int(win_at.searchsorted(len(used)))
+        wv, wl = v[won][:kept], light[won][:kept]
+        origin, target = np.where(wl, u[at[:kept]], wv), wv.copy()
+        h = (~wl).nonzero()[0]  # heavy-track wins return a uniform neighbour of v
+        if len(h):
+            base = offsets[wv[h]]
+            target[h] = targets[base + gen.integers(ends[wv[h]] - base)]
+            picks += len(h)
+        if win_at is not None:  # place the wins among the failed runs
+            runs_o, runs_t = np.full((2, len(used)), -1)
+            runs_o[win_at[:kept]], runs_t[win_at[:kept]] = origin, target
+            origin, target = runs_o, runs_t
+        out.append((origin, target, used))
+        done += len(used)
+        attempts += consumed
+        heavy_starts += int(np.count_nonzero(heavy[: cand.searchsorted(consumed)]))
+        heavy_hits += int(np.count_nonzero(~light[: hit.searchsorted(consumed)]))
+    counts = QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
+    return (*(np.concatenate(part) for part in zip(*out)), counts)
+
+
+def _runs(
+    oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
+) -> list[np.ndarray]:
+    """``runs`` runs of up to q mixture attempts (``fallback_uniform_edge``'s
+    with ``fallback``) as [origins, targets, used], origin -1 on a failure:
+    pooled in ``_kernel`` where ``bulk_graph`` allows, else one at a time."""
+    theta = operator.index(theta)
+    if theta < 1:
+        raise ValueError(f"theta must be >= 1, got {theta}")
+    if fallback:
+        theta = q = oracle.n
+    graph = bulk_graph(oracle)
+    if graph is not None:
+        *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
+        oracle.counts = oracle.counts + counts
+        return columns
+    out = []
+    for _ in range(runs):
+        if fallback:
+            report = fallback_uniform_edge(oracle, rng)
+            edge, used = report.outcome, report.attempts_used
+        else:
+            edge, used = _attempts(oracle, theta, q, rng)
+        out.append((*(edge or (-1, -1)), used))
+    return [np.array(column, dtype=np.int64) for column in zip(*out)]
 
 
 def mixture_attempt(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
     """Fair coin between the light and heavy tracks."""
-    return _attempts(oracle, theta, 1, oracle.rng if rng is None else rng)[0]
+    (origin,), (target,), _ = _runs(oracle, theta, 1, 1, oracle.rng if rng is None else rng)
+    return DirectedEdge(int(origin), int(target)) if origin >= 0 else None
 
 
 def sample_edge_almost_uniformly(
@@ -228,13 +255,9 @@ def sample_edge_almost_uniformly(
     if config.q > oracle.n:
         return fallback_uniform_edge(oracle, rng=rng, config=config)
     before = oracle.counts.copy()
-    edge, used = _attempts(oracle, config.theta, config.q, rng)
-    return SampleReport(
-        outcome=edge,
-        attempts_used=used,
-        queries=oracle.counts - before,
-        config=config,
-    )
+    (origin,), (target,), (used,) = _runs(oracle, config.theta, config.q, 1, rng)
+    edge = DirectedEdge(int(origin), int(target)) if origin >= 0 else None
+    return SampleReport(edge, int(used), oracle.counts - before, config)
 
 
 def fallback_uniform_edge(
@@ -336,31 +359,28 @@ def weighted_expectation(
     The sampling distribution is pointwise eps-close to uniform, so the
     limit of the mean is within eps * |uniform mean| of the uniform mean.
     Raises RuntimeError if one draw fails ``max_failures_per_draw`` times
-    in a row.
+    in a row. The draws are pooled runs (``_runs``).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples < 1 or max_failures_per_draw < 1:
+        raise ValueError("samples and max_failures_per_draw must be >= 1")
     weight_fn = weight if callable(weight) else weight.__getitem__
     rng = oracle.rng if rng is None else rng
     before = oracle.counts.copy()
-    total = 0.0
-    total_sq = 0.0
-    failures = 0
-    for _ in range(samples):
-        for _retry in range(max_failures_per_draw):
-            report = sample_edge_almost_uniformly(oracle, config, rng)
-            if report.outcome is not None:
-                w = float(weight_fn(report.outcome))
-                total += w
-                total_sq += w * w
-                break
-            failures += 1
-        else:
-            raise RuntimeError(
-                f"a draw failed {max_failures_per_draw} consecutive times"
-            )
-    mean = total / samples
-    variance = max(0.0, total_sq / samples - mean * mean)
+    weights: list[float] = []
+    failures = streak = 0
+    while len(weights) < samples:
+        # if every run fails, this stops after max_failures_per_draw runs
+        chunk = min(samples - len(weights), max(max_failures_per_draw, len(weights)))
+        origins, targets, _ = _runs(oracle, config.theta, config.q, chunk, rng, config.q > oracle.n)
+        failures += int((origins < 0).sum())
+        for origin, target in zip(origins.tolist(), targets.tolist()):
+            streak = 0 if origin >= 0 else streak + 1
+            if streak == max_failures_per_draw:
+                raise RuntimeError(f"a draw failed {max_failures_per_draw} consecutive times")
+            if origin >= 0:
+                weights.append(float(weight_fn(DirectedEdge(origin, target))))
+    mean = math.fsum(weights) / samples
+    variance = max(0.0, math.fsum(w * w for w in weights) / samples - mean * mean)
     return WeightedExpectation(
         mean=mean,
         std_error=math.sqrt(variance / samples),

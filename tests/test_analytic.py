@@ -236,3 +236,14 @@ def test_empirical_rejects_theta_where_no_attempt_succeeds():
     uniform = {e: Fraction(1, 12) for e in clique(4).directed_edges()}
     with pytest.raises(ValueError, match="no attempt"):
         empirical_distribution(clique(4), trials=1, seed=0, theta=2, reference=uniform)
+
+
+def test_empirical_config_mode_rejects_theta_where_no_attempt_succeeds(monkeypatch):
+    # q = 4 <= n = 4 keeps the mixture, and no attempt of K_4 at theta 2 can succeed
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the check")
+
+    monkeypatch.setattr("edgesample.experiments._runs", no_trials)
+    cfg = SamplerConfig(epsilon=0.25, m_hat=12.0, theta=2, q=4)
+    with pytest.raises(ValueError, match="no attempt can succeed at theta=2"):
+        empirical_distribution(clique(4), trials=20000, seed=0, config=cfg)

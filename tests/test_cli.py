@@ -244,7 +244,7 @@ def test_usage_error_exit_code_from_argparse():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.stats is most of the import time, and only the chi-square of
+    # scipy takes longer to import than the package, and only the chi-square of
     # empirical_distribution needs it.
     src = str(Path(edgesample.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import edgesample, edgesample.cli; "

@@ -1,22 +1,28 @@
-"""The samplers consume exactly the random stream of the plain procedures.
+"""The samplers' two paths against literal references.
 
-The library draws vertices, slots and neighbour indices by inline
-``getrandbits`` rejection, and runs all mixture attempts in one loop; on a
-plain unbudgeted oracle that loop and the degree-sum estimate read the
-graph directly and charge their queries in bulk. The
+The method loop (every oracle but a plain unbudgeted one) draws vertices,
+slots and neighbour indices by inline ``getrandbits`` rejection. The
 reference below is the procedure as written in the paper: one call of
 ``rng.random()``, ``oracle.rng.randrange(n)`` or ``rng.randint(...)`` per
 draw, and one metered oracle call per query. Both are run from the same
 seeds and must agree on the outcome, the attempts used, every query
 counter, the query at which a budget runs out, and the generator states
 afterwards.
+
+On a plain unbudgeted oracle the numpy kernel draws blocks of attempts
+instead. Its outcomes, attempts and query counts must equal the scalar
+rule applied, attempt by attempt, to the numbers it drew (replayed from a
+copy of its generator), and their distribution must match the exact one.
 """
 
+import copy
 import math
 import random
+import sys
 from dataclasses import asdict
 from itertools import combinations, count
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,14 +31,17 @@ from edgesample import (
     BudgetExceeded,
     QueryOracle,
     SamplerConfig,
+    attempt_distribution,
     estimate_edges,
     fallback_uniform_edge,
     mixture_attempt,
     sample_edge_almost_uniformly,
 )
+from edgesample.estimate import _degree_sum_mc
 from edgesample.experiments import WitnessOracle
 from edgesample.generators import star
 from edgesample.graph import RelabeledView, build_graph
+from edgesample.sampler import _kernel, _runs
 
 # ---------------------------------------------------------------------------
 # The reference: one plain call per random draw, one oracle call per query
@@ -124,7 +133,11 @@ def ref_degree_sum(o, samples):
 # ---------------------------------------------------------------------------
 
 
-def both(graph, seed, budget, separate_rng, library_call, reference_call):
+class MethodLoopOracle(QueryOracle):
+    """A subclass, so the library makes every query through the methods."""
+
+
+def both(graph, seed, budget, separate_rng, library_call, reference_call, library_oracle=MethodLoopOracle):
     """Run the library and the reference from the same seeds.
 
     Each side reports (result or "budget", query counts, state of the
@@ -132,7 +145,7 @@ def both(graph, seed, budget, separate_rng, library_call, reference_call):
     """
     sides = []
     for oracle, call in (
-        (QueryOracle(graph, seed=seed, budget=budget), library_call),
+        (library_oracle(graph, seed=seed, budget=budget), library_call),
         (ReferenceOracle(graph, seed, budget), reference_call),
     ):
         rng = random.Random(seed + 1) if separate_rng else oracle.rng
@@ -245,7 +258,7 @@ def test_estimate_and_run_match_reference_at_size(separate_rng):
 
 
 # ---------------------------------------------------------------------------
-# Which oracles the bulk-charged loops read around
+# Which oracles the kernels read around
 # ---------------------------------------------------------------------------
 
 HUBS = hub_graph(5, 200)  # theta 128 at m_hat = m_dir: the five hubs are heavy
@@ -255,27 +268,26 @@ HUBS_CONFIG = SamplerConfig(epsilon=0.25, m_hat=float(HUBS.m_dir), theta=128, q=
 def test_plain_unbudgeted_oracle_never_calls_its_methods():
     def no_methods(oracle):
         def refuse(*args):
-            raise AssertionError("a bulk-charged loop called an oracle method")
+            raise AssertionError("a kernel called an oracle method")
 
         oracle.random_vertex = oracle.degree = oracle.neighbor = refuse
         return oracle
 
+    def draws(seed, separate_rng):
+        o = no_methods(QueryOracle(HUBS, seed=seed))
+        rng = random.Random(seed + 1) if separate_rng else o.rng
+        result = (
+            estimate_edges(o, "degree-sum-mc").m_hat,
+            [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng)) for _ in range(5)],
+            [mixture_attempt(o, HUBS_CONFIG.theta, rng) for _ in range(20)],
+        )
+        return result, counts_of(o), o.rng.getstate(), rng.getstate()
+
     for seed in range(5):
         for separate_rng in (False, True):
-            got, want = both(
-                HUBS, seed, None, separate_rng,
-                lambda o, rng: (
-                    estimate_edges(no_methods(o), "degree-sum-mc").m_hat,
-                    [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng)) for _ in range(5)],
-                    [mixture_attempt(o, HUBS_CONFIG.theta, rng) for _ in range(20)],
-                ),
-                lambda o, rng: (
-                    ref_degree_sum(o, None),
-                    [ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, rng) for _ in range(5)],
-                    [ref_mixture(o, HUBS_CONFIG.theta, rng) for _ in range(20)],
-                ),
-            )
-            assert got == want
+            first = draws(seed, separate_rng)
+            assert first[1]["vertex"] > 0
+            assert draws(seed, separate_rng) == first
 
 
 class CountingOracle(QueryOracle):
@@ -302,17 +314,19 @@ class CountingOracle(QueryOracle):
         return super().pair(v, w)
 
 
-@pytest.mark.parametrize("call", [
-    lambda o: [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG)) for _ in range(5)],
-    lambda o: [mixture_attempt(o, HUBS_CONFIG.theta) for _ in range(50)],
-    lambda o: estimate_edges(o, "degree-sum-mc").m_hat,
+@pytest.mark.parametrize("call, reference_call", [
+    (lambda o: [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG)) for _ in range(5)],
+     lambda o: [ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, o.rng) for _ in range(5)]),
+    (lambda o: [mixture_attempt(o, HUBS_CONFIG.theta) for _ in range(50)],
+     lambda o: [ref_mixture(o, HUBS_CONFIG.theta, o.rng) for _ in range(50)]),
+    (lambda o: estimate_edges(o, "degree-sum-mc").m_hat, lambda o: ref_degree_sum(o, None)),
 ], ids=["run", "mixture_attempt", "degree_sum"])
-def test_subclassed_oracle_sees_every_query(call):
+def test_subclassed_oracle_sees_every_query(call, reference_call):
     for seed in range(5):
-        counting, plain = CountingOracle(HUBS, seed=seed), QueryOracle(HUBS, seed=seed)
-        assert call(counting) == call(plain)
-        assert counting.counts == plain.counts
-        assert counting.rng.getstate() == plain.rng.getstate()
+        counting, reference = CountingOracle(HUBS, seed=seed), ReferenceOracle(HUBS, seed)
+        assert call(counting) == reference_call(reference)
+        assert asdict(counting.counts) == reference.counts
+        assert counting.rng.getstate() == reference.rng.getstate()
         assert counting.calls == counting.counts.total > 0
 
 
@@ -325,6 +339,7 @@ def test_relabeled_view_matches_reference():
             lambda o, rng: (estimate_edges(o, "degree-sum-mc").m_hat,
                             report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng))),
             lambda o, rng: (ref_degree_sum(o, None), ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, rng)),
+            library_oracle=QueryOracle,
         )
         assert got == want
 
@@ -372,3 +387,161 @@ def test_witness_seen_through_heavy_track_only():
             pass
         witnessed.append(o.witnessed)
     assert witnessed == [False] * 4 + [True] * 2
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the scalar rule, on the numbers it drew
+# ---------------------------------------------------------------------------
+
+
+class Recorder:
+    """Passes the kernel's draws through to a generator and records each call."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append(("integers", args, kwargs))
+        return self.gen.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls.append(("random", args, kwargs))
+        return self.gen.random(*args, **kwargs)
+
+
+def scalar_runs(g, theta, q, runs, draws, fallback, events):
+    """The method loop's rule, attempt by attempt, on the kernel's draws.
+
+    ``draws`` yields the kernel's calls in order: per block the vertices
+    and the slots, then (mixture only) a coin per occupied slot of a light
+    start, then a pick per heavy-track win the block keeps. Returns the
+    runs as (edge or None, attempts used) and the query counts.
+    """
+    out, counts, used = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}, 0
+    while len(out) < runs:
+        (_, (n,), _), u = next(draws)
+        (_, (slots,), _), j = next(draws)
+        assert (n, slots) == (g.n, theta)
+        hits = [i for i in range(len(u)) if j[i] < g.degree(u[i]) <= theta]
+        if fallback:
+            coin = dict.fromkeys(hits, True)
+        else:
+            (name, (k,), _), coins = next(draws)
+            assert (name, k) == ("random", len(hits))
+            coin = dict(zip(hits, (coins < 0.5).tolist()))
+        heavy_wins = []
+        for i in range(len(u)):
+            if len(out) == runs:
+                break
+            used += 1
+            counts["vertex"] += 1
+            counts["degree"] += not fallback
+            edge = None
+            if g.degree(u[i]) > theta:
+                events.add("heavy start")
+            else:
+                counts["neighbor"] += 1
+                v = g.neighbor(int(u[i]), int(j[i]) + 1)
+                if v is None:
+                    events.add("empty slot")
+                elif coin[i]:
+                    events.add("light hit")
+                    edge = (int(u[i]), v)
+                else:
+                    counts["degree"] += 1
+                    if g.degree(v) <= theta:
+                        events.add("heavy hit onto a light vertex")
+                    else:
+                        counts["neighbor"] += 1
+                        heavy_wins.append(len(out))
+                        edge = (v, None)
+            if edge is not None or used == q:
+                out.append((edge, used))
+                used = 0
+        if heavy_wins:
+            events.add("heavy pick")
+            (name, (highs,), _), picks = next(draws)
+            origins = [out[r][0][0] for r in heavy_wins]
+            assert highs.tolist() == [g.degree(v) for v in origins]
+            for r, v, i in zip(heavy_wins, origins, picks.tolist()):
+                out[r] = ((v, g.neighbor(v, i + 1)), out[r][1])
+    assert next(draws, None) is None, "the kernel drew numbers it did not use"
+    return out, counts
+
+
+def kernel_and_replay(g, theta, q, runs, seed, fallback=False, events=None):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    twin = copy.deepcopy(gen)
+    recorder = Recorder(gen)
+    origins, targets, used, counts = _kernel(g, theta, q, runs, recorder, fallback)
+    draws = ((call, getattr(twin, call[0])(*call[1], **call[2])) for call in recorder.calls)
+    got = [(None if o < 0 else (o, t), k) for o, t, k in zip(origins.tolist(), targets.tolist(), used.tolist())]
+    return (got, asdict(counts)), scalar_runs(g, theta, q, runs, draws, fallback, set() if events is None else events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data(), st.integers(0, 2**63), st.integers(1, 40), st.booleans())
+def test_kernel_matches_scalar_rule_on_its_draws(g, data, seed, runs, fallback):
+    if g.m_dir == 0:
+        return
+    theta = g.n if fallback else data.draw(st.integers(1, g.n + 2))
+    q = g.n if fallback else data.draw(st.one_of(st.integers(1, 2 * g.n + 1), st.just(sys.maxsize)))
+    if q == sys.maxsize and attempt_distribution(g, theta).success_prob == 0:
+        return  # a run that never gives up would never end
+    got, want = kernel_and_replay(g, theta, q, runs, seed, fallback)
+    assert got == want
+
+
+def test_kernel_replay_reaches_every_branch():
+    # At theta 2, centre 0 is heavy and the path 1-2-3 hanging off it light.
+    kite = build_graph([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6)], 7)
+    events = set()
+    for g, theta in ((HUBS, 128), (STAR, 3), (kite, 2)):
+        for seed in range(3):
+            got, want = kernel_and_replay(g, theta, 40, 25, seed, events=events)
+            assert got == want
+    assert events == {"heavy start", "empty slot", "light hit", "heavy hit onto a light vertex", "heavy pick"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(1, 300), st.integers(0, 2**32))
+def test_degree_sum_kernel_matches_scalar_sum_on_its_draws(g, samples, seed):
+    if g.m_dir < 2:
+        return
+    oracle, twin = QueryOracle(g, seed=seed), QueryOracle(g, seed=seed)
+    m_hat = _degree_sum_mc(oracle, samples)
+    vertices = copy.deepcopy(twin._generator(twin.rng)).integers(g.n, size=samples)
+    assert m_hat == max(1.0, 1.5 * g.n * sum(g.degree(v) for v in vertices.tolist()) / samples)
+    assert counts_of(oracle) == {"vertex": samples, "degree": samples, "neighbor": 0, "pair": 0}
+    assert oracle.rng.getstate() == twin.rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# The kernel's distribution against the exact one, on the 5-hub graph
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_attempts_and_heavy_share_match_exact_values():
+    runs, theta, q = 20000, HUBS_CONFIG.theta, HUBS_CONFIG.q
+    dist = attempt_distribution(HUBS, theta)
+    s = float(dist.success_prob)  # 2000 / 257280: 1/s is about 128.6
+    oracle = QueryOracle(HUBS, seed=8)
+    origins, _, used = _runs(oracle, theta, q, runs, oracle.rng)
+    # attempts used: geometric in s, truncated at q (a failed run uses all q)
+    edges = [0, 8, 24, 48, 80, 120, 160, q - 1, q]  # bins (a, b]
+    cdf = [1 - (1 - s) ** b if b < q else 1.0 for b in edges]
+    expected = [runs * (hi - lo) for lo, hi in zip(cdf, cdf[1:])]
+    observed = np.histogram(used, bins=np.array(edges) + 0.5)[0]
+    assert observed.sum() == runs
+    z = (observed - expected) / np.sqrt(expected)
+    assert np.abs(z).max() < 4, (observed.tolist(), [round(e) for e in expected])
+    failure = (1 - s) ** q
+    observed_failure = float(np.mean(origins < 0))
+    assert abs(observed_failure - failure) < 4 * math.sqrt(failure * (1 - failure) / runs)
+    # heavy origins: the five hubs, with exact share sum(d_L) / weight among wins
+    heavy_share = sum(dist.light_degrees.values()) / dist.weight
+    wins = origins[origins >= 0]
+    observed_share = float(np.mean(wins < 5))
+    assert abs(observed_share - heavy_share) < 4 * math.sqrt(heavy_share * (1 - heavy_share) / len(wins))
+    assert oracle.counts.vertex == used.sum()
