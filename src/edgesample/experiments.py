@@ -9,12 +9,13 @@ n / sqrt(eps * m); the sampler's cost should scale linearly in that ratio.
 
 ``run_lower_bound`` plants a clique holding at least half the directed
 edges inside a disjoint union, relabels all vertex ids uniformly at random
-every trial, and runs budget-capped strategies against it. Until a query
-touches the hidden clique (a "witness": a degree or neighbor query on a
-clique vertex, or a pair query on a clique pair), clique ids are
-information-theoretically hidden, so any strategy with a small budget must
-under-sample clique edges; 1/2 minus the observed clique hit rate is then
-a certified lower bound on the total variational distance from uniform.
+every trial (lazily: a trial draws only the labels it touches), and runs
+budget-capped strategies against it. Until a query touches the hidden
+clique (a "witness": a degree or neighbor query on a clique vertex, or a
+pair query on a clique pair), clique ids are information-theoretically
+hidden, so any strategy with a small budget must under-sample clique
+edges; 1/2 minus the observed clique hit rate is then a certified lower
+bound on the total variational distance from uniform.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Container
 
 import numpy as np
 
 from .analytic import attempt_distribution
 from .estimate import estimate_edges
-from .generators import generate, with_clique
-from .graph import DirectedEdge, Graph, RelabeledView, build_graph
+from .generators import generate
+from .graph import DirectedEdge, Graph, RelabeledView
 from .oracle import BudgetExceeded, QueryOracle
 from .sampler import SamplerConfig, _runs, sample_edge_almost_uniformly
 
@@ -119,7 +121,6 @@ def empirical_distribution(
         failures=trials - returned,
         seed=seed,
     )
-
 
 
 # ---------------------------------------------------------------------------
@@ -214,35 +215,46 @@ def clique_size_for(base: Graph) -> int:
 
 
 def planted_union(base: Graph, k: int) -> tuple[Graph, frozenset[int]]:
-    """Disjoint union of base and a k-clique, clique ids last; unshuffled."""
-    g = build_graph(with_clique(base, k), base.n + k)
-    return g, frozenset(range(base.n, base.n + k))
+    """Disjoint union of base and a k-clique, clique ids last; unshuffled.
+    Its CSR arrays are base's, then the clique's rows (ascending)."""
+    ids = np.arange(base.n, base.n + k)
+    rows = np.broadcast_to(ids, (k, k))[~np.eye(k, dtype=bool)]  # row i is ids without ids[i]
+    offsets = np.concatenate([base.offsets, base.m_dir + (k - 1) * np.arange(1, k + 1)])
+    return Graph(offsets, np.concatenate([base.targets, rows])), frozenset(ids.tolist())
+
+
+class HiddenClique:
+    """The clique's new ids in a view: those whose old id is at least ``first``
+    (clique ids come last in ``planted_union``). A lookup reveals one old id."""
+
+    def __init__(self, view: RelabeledView, first: int):
+        self._old, self._first = view.old, first
+
+    def __contains__(self, v: int) -> bool:
+        return self._old(v) >= self._first
 
 
 class WitnessOracle(QueryOracle):
-    """Oracle that flags the first query revealing clique membership."""
+    """Oracle that flags the first query revealing membership in ``clique_vertices``."""
 
-    def __init__(self, graph, clique_vertices: frozenset[int], seed=None, budget=None):
+    def __init__(self, graph, clique_vertices: Container[int], seed=None, budget=None):
         super().__init__(graph, seed=seed, budget=budget)
         self.clique_vertices = clique_vertices
         self.witnessed = False
 
     def degree(self, v: int) -> int:
         d = super().degree(v)
-        if v in self.clique_vertices:
-            self.witnessed = True
+        self.witnessed |= v in self.clique_vertices
         return d
 
     def neighbor(self, v: int, i: int) -> int | None:
         w = super().neighbor(v, i)
-        if v in self.clique_vertices:
-            self.witnessed = True
+        self.witnessed |= v in self.clique_vertices
         return w
 
     def pair(self, v: int, w: int) -> bool:
         ans = super().pair(v, w)
-        if v != w and v in self.clique_vertices and w in self.clique_vertices:
-            self.witnessed = True
+        self.witnessed |= v != w and v in self.clique_vertices and w in self.clique_vertices
         return ans
 
 
@@ -341,32 +353,28 @@ def run_lower_bound(
 ) -> list[LowerBoundRun]:
     """Run each strategy at each budget against per-trial relabelings.
 
-    The planted union is built once; each trial wraps it in a fresh
-    uniformly random id permutation (equivalent in distribution to
-    rebuilding the labeled graph), so strategies can never learn clique
-    ids across trials.
+    The planted union is built once; each trial wraps it in a fresh, lazily
+    drawn, uniformly random relabeling (equivalent in distribution to
+    rebuilding the labeled graph), so strategies can never learn clique ids
+    across trials. Membership, for witnesses and hits, reads revealed old ids.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     base = generate(base_spec, seed=base_seed)
     k = clique_size_for(base)
-    union, clique_ids = planted_union(base, k)
+    union, _ = planted_union(base, k)
     if budgets is None:
         budgets = default_budgets(union.n, union.m_dir)
-    clique_old = np.fromiter(clique_ids, dtype=np.int64)
     master = random.Random(seed)
     results = []
     for strategy in strategies:
         for budget in budgets:
-            perm_rng = np.random.default_rng(master.getrandbits(63))
+            relabel_rng = random.Random(master.getrandbits(63))
             returns = hits = witnesses = 0
             for _ in range(trials):
-                perm = perm_rng.permutation(union.n)
-                view = RelabeledView(union, perm)
-                clique_new = frozenset(perm[clique_old].tolist())
-                oracle = WitnessOracle(
-                    view, clique_new, seed=master.getrandbits(63), budget=budget
-                )
+                view = RelabeledView(union, relabel_rng)
+                clique = HiddenClique(view, base.n)
+                oracle = WitnessOracle(view, clique, seed=master.getrandbits(63), budget=budget)
                 try:
                     answer = strategy.run(oracle, budget, oracle.rng)
                 except BudgetExceeded:
@@ -376,7 +384,7 @@ def run_lower_bound(
                 if answer is not None:
                     returns += 1
                     u, v = answer
-                    if u != v and u in clique_new and v in clique_new:
+                    if u != v and u in clique and v in clique:
                         hits += 1
             hit_rate = hits / returns if returns else 0.0
             results.append(

@@ -9,8 +9,8 @@ makes "the i-th neighbor of v" a well-defined query.
 Layout (compressed sparse row): ``offsets`` has n + 1 entries and
 ``targets`` has m_dir; the neighbors of v, in their fixed order, are
 ``targets[offsets[v]:offsets[v + 1]]``. Both are read-only int64 arrays,
-and every bulk operation (construction, validation, edge listing,
-relabeling) works on them with numpy.
+and every bulk operation (construction, validation, edge listing) works
+on them with numpy.
 
 The scalar queries ``degree`` and ``neighbor`` are the samplers' hot path.
 They index ``memoryview``s of the same two buffers, not copies: a
@@ -21,6 +21,7 @@ numpy scalar), and the graph holds no memory beyond the two arrays.
 from __future__ import annotations
 
 import math
+import random
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -213,42 +214,53 @@ def build_graph(edge_list: Sequence[tuple[int, int]] | np.ndarray, n: int) -> Gr
 
 
 class RelabeledView:
-    """Graph view under a vertex-id permutation, without copying.
+    """Graph view under a vertex-id permutation, without copying the graph.
 
-    ``perm[old] = new``. Answers the same queries as Graph, with Python
-    ints; the fixed neighbor order of a relabeled vertex is the relabeling
-    of the base vertex's order, which is a legitimate fixed order.
+    Answers Graph's queries with Python ints, in the base's neighbor order.
+    ``old(v)`` and ``new(w)`` map ids each way through two dicts, filled from
+    ``perm`` (``perm[old] = new``) or, given a ``random.Random``, drawn
+    lazily: an id's first use draws its partner uniformly among the ids not
+    yet revealed. Given what is revealed, that is a uniform permutation.
     """
 
-    def __init__(self, base: Graph, perm: Sequence[int] | np.ndarray):
-        perm = np.asarray(perm, dtype=np.int64)
-        if len(perm) != base.n:
-            raise ValueError(f"permutation length {len(perm)} != n={base.n}")
-        self._base = base
-        self._perm = perm
-        self._inv = np.empty(base.n, dtype=np.int64)
-        self._inv[perm] = np.arange(base.n)
+    def __init__(self, base: Graph, perm: Sequence[int] | np.ndarray | random.Random):
+        self._base, self.n, self.m_dir = base, base.n, base.m_dir
+        self._rng, self._old, self._new = perm, {}, {}
+        if not isinstance(perm, random.Random):
+            new = np.asarray(perm, dtype=np.int64).tolist()
+            if sorted(new) != list(range(base.n)):
+                raise ValueError(f"perm of length {len(new)} is not a permutation of 0..{base.n - 1}")
+            self._new, self._old = dict(enumerate(new)), dict(zip(new, range(base.n)))
 
-    @property
-    def n(self) -> int:
-        return self._base.n
+    def _reveal(self, x: int, known: dict[int, int], other: dict[int, int]) -> int:
+        y = known.get(x)
+        if y is None:
+            n = y = self.n
+            if not 0 <= x < n:
+                raise IndexError(f"vertex {x} out of range for n={n}")
+            while y >= n or y in other:  # getrandbits rejection, skipping revealed ids
+                y = self._rng.getrandbits(n.bit_length())
+            known[x], other[y] = y, x
+        return y
 
-    @property
-    def m_dir(self) -> int:
-        return self._base.m_dir
+    def old(self, v: int) -> int:
+        return self._reveal(v, self._old, self._new)
+
+    def new(self, w: int) -> int:
+        return self._reveal(w, self._new, self._old)
 
     def degree(self, v: int) -> int:
-        return self._base.degree(self._inv.item(v))
+        return self._base.degree(self.old(v))
 
     def neighbor(self, v: int, i: int) -> int | None:
-        w = self._base.neighbor(self._inv.item(v), i)
-        return None if w is None else self._perm.item(w)
+        w = self._base.neighbor(self.old(v), i)
+        return None if w is None else self.new(w)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(map(self._perm.item, self._base.neighbors(self._inv.item(v))))
+        return tuple(map(self.new, self._base.neighbors(self.old(v))))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._base.has_edge(self._inv.item(u), self._inv.item(v))
+        return self._base.has_edge(self.old(u), self.old(v))
 
 
 def read_edge_list(path: str) -> Graph:

@@ -1,9 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from edgesample import BudgetExceeded, RelabeledView
+from edgesample import BudgetExceeded, RelabeledView, build_graph
 from edgesample.experiments import (
     BlindGuessStrategy,
     GreedyPairStrategy,
@@ -15,7 +16,7 @@ from edgesample.experiments import (
     run_lower_bound,
     run_scaling,
 )
-from edgesample.generators import erdos_renyi, generate, path
+from edgesample.generators import erdos_renyi, generate, path, with_clique
 
 
 def test_clique_size_reaches_half_the_edges():
@@ -28,6 +29,21 @@ def test_clique_size_reaches_half_the_edges():
         assert len(clique_ids) == k
         assert union.m_dir == base.m_dir + k * (k - 1)
         assert k * (k - 1) >= union.m_dir / 2
+
+
+def test_planted_union_concatenates_base_and_clique_rows():
+    for spec, seed in [("er:5000,0.004", 1), ("er:100,0.1", 1), ("path:30", 0), ("star:17", 0), ("cycle:9", 0)]:
+        base = generate(spec, seed=seed)
+        k = clique_size_for(base)
+        union, clique_ids = planted_union(base, k)
+        union.validate()
+        assert clique_ids == frozenset(range(base.n, base.n + k))
+        assert union.adjacency[: base.n] == base.adjacency
+        assert all(union.neighbors(c) == tuple(sorted(clique_ids - {c})) for c in clique_ids)
+        if spec != "cycle:9":  # rows in ascending order: rebuilding from the edge list keeps them
+            rebuilt = build_graph(with_clique(base, k), base.n + k)
+            assert np.array_equal(union.offsets, rebuilt.offsets)
+            assert np.array_equal(union.targets, rebuilt.targets)
 
 
 def test_default_budgets_bracket_the_transition():
@@ -187,6 +203,42 @@ def test_clique_membership_hidden_before_witness():
     reference = next(iter(distributions.values()))
     assert len(distributions) > 1
     assert all(d == reference for d in distributions.values())
+
+
+class OneEdgeStrategy:
+    """Probe one random vertex and return its first edge, if it has one."""
+
+    name = "one-edge"
+
+    def run(self, oracle, budget, rng):
+        v = oracle.random_vertex()
+        return (v, oracle.neighbor(v, 1)) if oracle.degree(v) else None
+
+
+def test_lower_bound_membership_matches_exact_rates():
+    # Exact values, with 4 sigma: a blind guess hits the clique with
+    # probability k(k-1)/(n(n-1)) and witnesses nothing. A one-edge probe
+    # witnesses exactly when its vertex is a clique vertex (k/n), returns
+    # when the vertex is not isolated, and then hits exactly when the vertex
+    # is a clique vertex; a membership test that is not the relabeling's
+    # (say, new id >= base.n) would put that hit rate near k^2/n^2.
+    base_spec, trials = "er:200,0.01", 6000  # some base vertices are isolated
+    base = generate(base_spec, seed=3)
+    k = clique_size_for(base)
+    n = base.n + k
+    covered = k + sum(d > 0 for d in base.degrees())
+    blind, probe = run_lower_bound(
+        base_spec, (BlindGuessStrategy(), OneEdgeStrategy()), budgets=[3], trials=trials, seed=12, base_seed=3
+    )
+
+    def near(observed, p, count):
+        return abs(observed - p) <= 4 * math.sqrt(p * (1 - p) / count)
+
+    assert blind.witness_rate == 0 and blind.return_rate == 1
+    assert near(blind.clique_hit_rate, k * (k - 1) / (n * (n - 1)), trials)
+    assert near(probe.witness_rate, k / n, trials)
+    assert near(probe.return_rate, covered / n, trials)
+    assert near(probe.clique_hit_rate, k / covered, round(probe.return_rate * trials))
 
 
 def test_lower_bound_deterministic_under_seed():

@@ -1,4 +1,6 @@
 import pickle
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -151,24 +153,66 @@ def test_edge_list_default_n(tmp_path):
 
 def test_relabeled_view_matches_rebuilt_graph():
     g = erdos_renyi(12, 0.3, seed=9)
-    perm = [(i * 5 + 3) % 12 for i in range(12)]  # a fixed permutation
-    assert sorted(perm) == list(range(12))
-    view = RelabeledView(g, perm)
-    rebuilt = build_graph([(perm[u], perm[v]) for u, v in g.undirected_edges()], 12)
-    assert view.m_dir == rebuilt.m_dir
-    for v in range(12):
-        assert view.degree(v) == rebuilt.degree(v)
-        assert sorted(view.neighbors(v)) == sorted(rebuilt.neighbors(v))
-        for w in range(12):
-            assert view.has_edge(v, w) == rebuilt.has_edge(v, w)
-    # slot queries stay consistent with the view's own neighbor order
-    for v in range(12):
-        for i in range(1, view.degree(v) + 2):
-            got = view.neighbor(v, i)
-            if i <= view.degree(v):
-                assert got == view.neighbors(v)[i - 1]
-            else:
-                assert got is None
+    fixed = [(i * 5 + 3) % 12 for i in range(12)]  # a fixed permutation
+    assert sorted(fixed) == list(range(12))
+    lazy = RelabeledView(g, random.Random(4))
+    lazy.degree(5), lazy.neighbor(0, 1), lazy.has_edge(7, 2)  # reveal a few ids through queries
+    drawn = [lazy.new(w) for w in range(12)]  # then all of them
+    assert sorted(drawn) == list(range(12))
+    for perm, view in [(fixed, RelabeledView(g, fixed)), (drawn, lazy)]:
+        rebuilt = build_graph([(perm[u], perm[v]) for u, v in g.undirected_edges()], 12)
+        assert view.m_dir == rebuilt.m_dir
+        for v in range(12):
+            assert view.degree(v) == rebuilt.degree(v)
+            assert sorted(view.neighbors(v)) == sorted(rebuilt.neighbors(v))
+            for w in range(12):
+                assert view.has_edge(v, w) == rebuilt.has_edge(v, w)
+        # slot queries stay consistent with the view's own neighbor order
+        for v in range(12):
+            for i in range(1, view.degree(v) + 2):
+                got = view.neighbor(v, i)
+                if i <= view.degree(v):
+                    assert got == view.neighbors(v)[i - 1]
+                else:
+                    assert got is None
+
+
+def test_lazy_relabeling_is_a_uniform_permutation():
+    from scipy.special import chdtrc
+
+    g = generate("path:4")
+    rng = random.Random(2024)
+    counts = Counter()
+    for _ in range(24_000):
+        view = RelabeledView(g, rng)
+        # a fixed script mixing the queries, some ids revealed by their
+        # answers (old -> new) and some by being asked (new -> old)
+        view.degree(0)
+        w = view.neighbor(0, 1)
+        view.has_edge(w, 3)
+        view.neighbor(2, 2)
+        old = tuple(view.old(v) for v in range(4))  # reveal the rest
+        # the two maps are inverse bijections of 0..3, so nothing is left to draw
+        assert view._old == dict(enumerate(old)) and sorted(old) == [0, 1, 2, 3]
+        assert view._new == {o: v for v, o in view._old.items()}
+        counts[old] += 1
+    assert len(counts) == 24
+    expected = 24_000 / 24
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chdtrc(23, chi2) > 1e-3
+
+
+def test_relabeled_view_rejects_bad_ids_and_perms():
+    g = generate("path:3")
+    for view in (RelabeledView(g, [2, 0, 1]), RelabeledView(g, random.Random(0))):
+        for bad in (-1, 3):
+            with pytest.raises(IndexError):
+                view.degree(bad)
+            with pytest.raises(IndexError):
+                view.new(bad)
+    for perm in ([0, 1], [0, 0, 1], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            RelabeledView(g, perm)
 
 
 def test_generator_spec_errors():

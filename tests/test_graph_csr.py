@@ -232,14 +232,14 @@ def test_clique_union_matches_reference(spec, k, seed):
 
 def test_relabeled_view_answers_with_python_ints():
     union, _ = planted_union(erdos_renyi(30, 0.2, seed=2), 4)
-    perm = np.random.default_rng(7).permutation(union.n)  # as run_lower_bound draws it
-    view = RelabeledView(union, perm)
+    perm = np.random.default_rng(7).permutation(union.n)  # an explicit numpy permutation
     rng = random.Random(1)
-    for v in rng.sample(range(union.n), 10):
-        if view.degree(v):
-            assert type(view.neighbor(v, 1)) is int
-        assert type(view.degree(v)) is int
-        assert all(type(w) is int for w in view.neighbors(v))
+    for view in (RelabeledView(union, perm), RelabeledView(union, random.Random(7))):  # and a lazy one
+        for v in rng.sample(range(union.n), 10):
+            if view.degree(v):
+                assert type(view.neighbor(v, 1)) is int
+            assert type(view.degree(v)) is int
+            assert all(type(w) is int for w in view.neighbors(v))
 
 
 def test_vertex_ids_beyond_int64_fail_cleanly(tmp_path, capsys):
