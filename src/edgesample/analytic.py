@@ -11,13 +11,13 @@ Two independent routes to the same distribution keep each other honest:
   and tallies outcome weights.
 
 Both rest on the light/heavy ``partition`` of the vertices at theta, a
-boolean mask over the degree array; every heavy vertex's d_L comes from
-one ``bincount`` over the CSR arrays. The closed form depends only on an
-edge's origin, so it is held per vertex, not per edge. The directed edges fall into a few classes keyed
-by the ratio d_L(v)/d(v) of their origin (1 for a light origin), each
-weighted by its directed-edge count. Success probability, closeness to
-uniform and the bound margins are exact rational sums over those classes
-at every graph size.
+boolean mask over the degree array. The closed form depends only on an
+edge's origin, so it is held per heavy vertex: d_L comes from one
+reduction over the heavy rows of the CSR arrays alone. The directed edges
+fall into a few classes keyed by the ratio d_L(v)/d(v) of their origin in
+lowest terms (1/1 for a light origin). Success probability, closeness to
+uniform and the bound margins are integer sums over those classes, each
+over one common denominator, and exact at every graph size.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def partition(g: Graph, theta: int) -> DegreePartition:
         raise ValueError(f"theta must be >= 1, got {theta}")
     deg = np.diff(g.offsets)
     heavy = deg > theta
-    e_light = int(deg[~heavy].sum())
-    return DegreePartition(theta, heavy, e_light, g.m_dir - e_light)
+    e_heavy = int(deg[heavy].sum())
+    return DegreePartition(theta, heavy, g.m_dir - e_heavy, e_heavy)
 
 
 @dataclass
@@ -72,52 +72,74 @@ class AttemptDistribution:
         return {e: p / self.success_prob for e, p in self.per_edge.items()}
 
 
+def _reduced(a: int, b: int) -> tuple[int, int]:
+    return a // math.gcd(a, b), b // math.gcd(a, b)
+
+
 class ClosedFormDistribution(AttemptDistribution):
     """The closed form, held per origin vertex.
 
-    An edge out of v has probability ``unit * ratio``: unit = 1/(2 n theta),
-    ratio 1 for a light v and d_L(v)/d(v) for a heavy v (``light_degrees``
-    maps heavy v to d_L). ``classes`` maps each ratio to its directed-edge
-    count; the integer ``weight`` is success_prob / unit. ``per_edge`` is
-    expanded from these only when read.
+    An edge out of v has probability ``unit * a / b``: unit = 1/(2 n theta),
+    and a/b is 1/1 for a light v and d_L(v)/d(v) in lowest terms for a
+    heavy v (``heavy`` maps heavy v to the pair (d_L(v), d(v))). ``pairs``
+    maps each ratio (a, b) to its directed-edge count; the integer
+    ``weight`` is success_prob / unit. ``classes`` (keyed by the ratio as
+    a Fraction) and ``per_edge`` are derived from these when read.
     """
 
-    def __init__(self, g: Graph, part: DegreePartition, light_degrees: dict[int, int]):
-        self.graph = g
-        self.theta = part.theta
-        self.partition = part
-        self.light_degrees = light_degrees
-        self.unit = Fraction(1, 2 * g.n * part.theta)
-        self.weight = part.e_light + sum(light_degrees.values())
-        self.success_prob = self.weight * self.unit
-        classes = {Fraction(1): part.e_light}
-        for v, dl in light_degrees.items():
-            ratio = Fraction(dl, g.degree(v))
-            classes[ratio] = classes.get(ratio, 0) + g.degree(v)
-        self.classes = classes
+    def __init__(self, g: Graph, part: DegreePartition, heavy: dict[int, tuple[int, int]]):
+        self.graph, self.theta, self.partition, self.heavy = g, part.theta, part, heavy
+        pairs = {(1, 1): part.e_light}
+        for dl, d in heavy.values():
+            key = _reduced(dl, d)
+            pairs[key] = pairs.get(key, 0) + d
+        self.pairs = pairs
+        self.weight = part.e_light + sum(dl for dl, _ in heavy.values())
+        self.success_prob = Fraction(self.weight, 2 * g.n * part.theta)
+
+    @property
+    def light_degrees(self) -> dict[int, int]:
+        """d_L of every heavy vertex."""
+        return {v: dl for v, (dl, _) in self.heavy.items()}
+
+    @property
+    def classes(self) -> dict[Fraction, int]:
+        return {Fraction(a, b): count for (a, b), count in self.pairs.items()}
+
+    def _expand(self, value: dict[tuple[int, int], Fraction]) -> dict[DirectedEdge, Fraction]:
+        """Give every directed edge the value of its origin's ratio pair."""
+        g = self.graph
+        by_vertex = [value[1, 1]] * g.n
+        for v, (dl, d) in self.heavy.items():
+            by_vertex[v] = value[_reduced(dl, d)]
+        origins = g._origins().tolist()
+        return dict(zip(map(DirectedEdge, origins, g._t), map(by_vertex.__getitem__, origins)))
 
     @cached_property
     def per_edge(self) -> dict[DirectedEdge, Fraction]:
-        g = self.graph
-        out: dict[DirectedEdge, Fraction] = {}
-        for v in range(g.n):
-            dl = self.light_degrees.get(v)
-            p = self.unit if dl is None else self.unit * Fraction(dl, g.degree(v))
-            for w in g.neighbors(v):
-                out[DirectedEdge(v, w)] = p
-        return out
+        unit = Fraction(1, 2 * self.graph.n * self.theta)
+        return self._expand({(a, b): unit * Fraction(a, b) for a, b in self.pairs})
+
+    def conditional(self) -> dict[DirectedEdge, Fraction]:
+        """As ``AttemptDistribution.conditional``, one division per ratio class."""
+        if self.success_prob == 0:
+            raise ValueError("success probability is zero; conditional undefined")
+        return self._expand({(a, b): Fraction(a, b * self.weight) for a, b in self.pairs})
 
 
 def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     """Closed-form distribution of one fair light/heavy mixture attempt."""
     part = partition(g, theta)
-    heavy = part.heavy
-    origins = g._origins()
-    # d_L of every vertex: its directed edges from a heavy origin to a light target
-    d_light = np.bincount(origins[heavy[origins] & ~heavy[g.targets]], minlength=g.n)
-    heavy_ids = np.flatnonzero(heavy)
-    light_degrees = dict(zip(heavy_ids.tolist(), d_light[heavy_ids].tolist()))
-    return ClosedFormDistribution(g, part, light_degrees)
+    ids = np.flatnonzero(part.heavy)
+    o = g.offsets
+    starts, deg = o[ids], o[ids + 1] - o[ids]
+    # Gather the heavy rows' targets back to back; row k starts at firsts[k].
+    # reduceat needs every row nonempty, which holds as d > theta >= 1.
+    firsts = np.cumsum(deg) - deg
+    rows = g.targets[np.arange(part.e_heavy) + np.repeat(starts - firsts, deg)]
+    d_light = np.add.reduceat(~part.heavy[rows], firsts, dtype=np.int64)
+    heavy = dict(zip(ids.tolist(), zip(d_light.tolist(), deg.tolist())))
+    return ClosedFormDistribution(g, part, heavy)
 
 
 def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
@@ -210,23 +232,20 @@ def conditional_closeness(dist: ClosedFormDistribution) -> ClosenessReport:
 
     The uniform reference puts 1/m_dir on every directed edge, so an edge
     the attempt can never return (ratio 0) contributes a deviation of 1.
-    An edge of ratio r has conditional probability r / weight, so its
-    deviation is |r m - weight| / weight.
+    An edge of ratio a/b has conditional probability a / (b weight), so its
+    deviation is |a m - b weight| / (b weight); the sums run over the
+    common denominator lcm(b) weight.
     """
     if dist.success_prob == 0:
         raise ValueError("success probability is zero; conditional undefined")
     m, w = dist.graph.m_dir, dist.weight
-    max_dev = spread = Fraction(0)
-    for ratio, count in dist.classes.items():
-        dev = abs(ratio * m - w)
+    scale = math.lcm(*(b for _, b in dist.pairs))
+    max_dev = spread = 0
+    for (a, b), count in dist.pairs.items():
+        dev = abs(a * m - b * w) * (scale // b)
         max_dev = max(max_dev, dev)
         spread += count * dev
-    return ClosenessReport(
-        max_ratio_dev=max_dev / w,
-        tv_distance=spread / (2 * w * m),
-        success_prob=dist.success_prob,
-        edge_count=m,
-    )
+    return ClosenessReport(Fraction(max_dev, w * scale), Fraction(spread, 2 * w * m * scale), dist.success_prob, m)
 
 
 def vertex_return_distribution(dist: ClosedFormDistribution) -> dict[int, Fraction]:
@@ -235,17 +254,19 @@ def vertex_return_distribution(dist: ClosedFormDistribution) -> dict[int, Fracti
     if dist.success_prob == 0:
         raise ValueError("success probability is zero; conditional undefined")
     g = dist.graph
-    # Integer weight of each edge out of v, proportional to its probability.
-    scale = math.lcm(*(g.degree(v) for v in dist.light_degrees))
-    weight = [scale] * g.n
-    for v, dl in dist.light_degrees.items():
-        weight[v] = dl * scale // g.degree(v)
-    total = 2 * scale * dist.weight
-    return {
-        v: Fraction(g.degree(v) * weight[v] + sum(weight[w] for w in g.neighbors(v)), total)
-        for v in range(g.n)
-        if g.degree(v)
-    }
+    # Integer edge weights proportional to probability. A vertex total is at
+    # most 2 scale m_dir: int64 when that fits, Python ints (object) if not.
+    scale = math.lcm(*(b for _, b in dist.pairs))
+    dtype = np.int64 if 2 * scale * g.m_dir < 2**63 else object
+    weight = np.full(g.n, scale, dtype=dtype)
+    for v, (dl, d) in dist.heavy.items():
+        weight[v] = dl * scale // d
+    deg = np.diff(g.offsets).astype(dtype)
+    rows = np.flatnonzero(deg)
+    totals = deg[rows] * weight[rows] + np.add.reduceat(weight[g.targets], g.offsets[rows])
+    values, index = np.unique(totals, return_inverse=True)
+    probs = [Fraction(x, 2 * scale * dist.weight) for x in values.tolist()]
+    return dict(zip(rows.tolist(), map(probs.__getitem__, index.tolist())))
 
 
 @dataclass
@@ -293,67 +314,41 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
       applicable only when theta >= sqrt(2 m / eps).
 
     Checks whose hypotheses fail are marked not-applicable, not failed.
+    Each compares integer numerators over one denominator (n theta^3 for
+    the heavy interval, theta^2 for d_L dominance, 2 n theta e for the
+    mixture, where eps = c / e) and builds its margin as one Fraction;
+    notes print a / b, which rounds as float(Fraction(a, b)) does.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    g, theta, part = dist.graph, dist.theta, dist.partition
-    n, m = g.n, g.m_dir
-    eps = Fraction(epsilon)
+    g, theta, part, heavy = dist.graph, dist.theta, dist.partition, dist.heavy
+    m, nt, t2 = g.m_dir, g.n * theta, theta * theta
     report = AttemptBoundsReport(theta=theta, epsilon=epsilon)
+    check = report.checks.append
 
-    light_sum = 2 * dist.unit * part.e_light
-    light_formula = Fraction(part.e_light, n * theta)
-    report.checks.append(
-        BoundCheck(
-            name="light_success_equals_e_light_over_n_theta",
-            applicable=True,
-            passed=light_sum == light_formula,
-            margin=light_sum - light_formula,
-            note=f"success={float(light_sum):.6g}",
-        )
-    )
+    # A track alone succeeds with twice its units of 1/(2 n theta): over n theta.
+    heavy_units = sum(dl for dl, _ in heavy.values())
+    light = dist.weight - heavy_units
+    check(BoundCheck("light_success_equals_e_light_over_n_theta", True, light == part.e_light,
+                     Fraction(light - part.e_light, nt), f"success={light / nt:.6g}"))
 
-    heavy_sum = 2 * dist.unit * sum(dist.light_degrees.values())
-    factor = 1 - Fraction(m, theta * theta)
-    upper = Fraction(part.e_heavy, n * theta)
-    lower = upper * factor
-    report.checks.append(
-        BoundCheck(
-            name="heavy_success_within_interval",
-            applicable=True,
-            passed=lower <= heavy_sum <= upper,
-            margin=min(heavy_sum - lower, upper - heavy_sum),
-            note=f"success={float(heavy_sum):.6g} in [{float(lower):.6g}, {float(upper):.6g}]",
-        )
-    )
+    den = nt * t2
+    hi, up, lo = heavy_units * t2, part.e_heavy * t2, part.e_heavy * (t2 - m)
+    check(BoundCheck("heavy_success_within_interval", True, lo <= hi <= up, Fraction(min(hi - lo, up - hi), den),
+                     f"success={hi / den:.6g} in [{lo / den:.6g}, {up / den:.6g}]"))
 
-    heavy = dist.light_degrees
-    margin = min((dl - factor * g.degree(v) for v, dl in heavy.items()), default=None)
-    report.checks.append(
-        BoundCheck(
-            name="heavy_light_degree_dominates",
-            applicable=bool(heavy),
-            passed=margin is None or margin > 0,
-            margin=margin,
-            note=f"{len(heavy)} heavy vertices" if heavy else "no heavy vertices",
-        )
-    )
+    margin = min((dl * t2 - (t2 - m) * d for dl, d in heavy.values()), default=None)
+    check(BoundCheck("heavy_light_degree_dominates", bool(heavy), margin is None or margin > 0,
+                     None if margin is None else Fraction(margin, t2),
+                     f"{len(heavy)} heavy vertices" if heavy else "no heavy vertices"))
 
-    applicable = eps * theta * theta >= 2 * m
-    bound = (1 - eps) * Fraction(m, 2 * n * theta)
-    if applicable:
-        note = f"success={float(dist.success_prob):.6g} >= {float(bound):.6g}"
-    else:
-        note = "theta below sqrt(2 m / eps); bound not claimed"
-    report.checks.append(
-        BoundCheck(
-            name="mixture_success_lower_bound",
-            applicable=applicable,
-            passed=not applicable or dist.success_prob >= bound,
-            margin=dist.success_prob - bound if applicable else None,
-            note=note,
-        )
-    )
+    c, e = epsilon.as_integer_ratio()
+    applicable = c * t2 >= 2 * m * e
+    den, win, bound = 2 * nt * e, dist.weight * e, (e - c) * m
+    note = f"success={win / den:.6g} >= {bound / den:.6g}" if applicable else \
+        "theta below sqrt(2 m / eps); bound not claimed"
+    check(BoundCheck("mixture_success_lower_bound", applicable, not applicable or win >= bound,
+                     Fraction(win - bound, den) if applicable else None, note))
     return report
 
 

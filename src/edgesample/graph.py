@@ -32,6 +32,7 @@ class GraphConstructionError(ValueError):
 
 
 MAX_VERTICES = math.isqrt(2**63 - 1)  # the edge keys u * n + v must fit in int64
+HEADER_SLACK = 2**20  # isolated vertices an edge-list header may add beyond its edges' endpoints
 
 
 class DirectedEdge(NamedTuple):
@@ -268,8 +269,9 @@ def read_edge_list(path: str) -> Graph:
 
     One ``u v`` pair per line (whitespace-separated decimal ids); lines
     starting with ``#`` are ignored; an optional ``n <count>`` header fixes
-    the vertex count (default: max id + 1). Malformed text raises
-    GraphConstructionError naming the file and line.
+    the vertex count (default: max id + 1) and may name at most 2 k +
+    ``HEADER_SLACK`` vertices for k edges, so that a short file cannot ask
+    for gigabytes. Malformed text raises GraphConstructionError naming the file and line.
     """
     edges: list[tuple[int, int]] = []
     n: int | None = None
@@ -295,6 +297,8 @@ def read_edge_list(path: str) -> Graph:
             raise GraphConstructionError(f"{path}:{lineno}: {exc}") from exc
     if n is None:
         n = max((max(u, v) for u, v in edges), default=-1) + 1
+    elif n > 2 * len(edges) + HEADER_SLACK:
+        raise GraphConstructionError(f"{path}: header names {n} vertices, over 2 x {len(edges)} edges + {HEADER_SLACK}")
     return build_graph(edges, n)
 
 

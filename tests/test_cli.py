@@ -83,6 +83,10 @@ def test_malformed_graph_file_is_data_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sample", "--graph", str(bad), "--seed", "1")
     assert code == 3
     assert "duplicate" in err
+    bad.write_text("n 2000000000\n0 1\n")  # a short file naming 2e9 vertices
+    code, _, err = run_cli(capsys, "verify", "--graph", str(bad), "--seed", "1")
+    assert code == 3
+    assert f"{bad}: header names 2000000000 vertices" in err
     # a bad generator spec is still a usage error
     code, _, _ = run_cli(capsys, "verify", "--generate", "er:-5,0.1", "--seed", "1")
     assert code == 2

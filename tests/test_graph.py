@@ -15,7 +15,7 @@ from edgesample import (
     write_edge_list,
 )
 from edgesample.generators import clique, erdos_renyi, generate, star
-from edgesample.graph import RelabeledView
+from edgesample.graph import HEADER_SLACK, RelabeledView
 
 
 def test_single_edge():
@@ -149,6 +149,15 @@ def test_edge_list_default_n(tmp_path):
     target = tmp_path / "g.edges"
     target.write_text("0 1\n1 5\n")
     assert read_edge_list(str(target)).n == 6
+
+
+def test_edge_list_header_bound(tmp_path):
+    target = tmp_path / "g.edges"
+    target.write_text(f"n {2 + HEADER_SLACK}\n0 1\n")  # one edge: two endpoints plus the slack
+    assert read_edge_list(str(target)).n == 2 + HEADER_SLACK
+    target.write_text(f"n {3 + HEADER_SLACK}\n0 1\n")
+    with pytest.raises(GraphConstructionError, match="header names"):
+        read_edge_list(str(target))
 
 
 def test_relabeled_view_matches_rebuilt_graph():
