@@ -89,8 +89,9 @@ def empirical_distribution(
         reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
 
     oracle = QueryOracle(g, seed=seed)
-    q = sys.maxsize if config is None else config.q  # a theta-mode run never gives up
-    origins, targets, used = _runs(oracle, theta or config.theta, q, trials, oracle.rng, q > g.n and theta is None)
+    fallback = config is not None and config.q > g.n
+    q = sys.maxsize if config is None else min(config.q, g.n)  # a theta-mode run never gives up
+    origins, targets, used = _runs(oracle, theta or config.theta, q, trials, oracle.rng, fallback)
     won = origins >= 0
     keys, hits = np.unique(origins[won] * g.n + targets[won], return_counts=True)
     counts = {DirectedEdge(*divmod(k, g.n)): c for k, c in zip(keys.tolist(), hits.tolist())}

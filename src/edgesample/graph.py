@@ -32,7 +32,7 @@ class GraphConstructionError(ValueError):
 
 
 MAX_VERTICES = math.isqrt(2**63 - 1)  # the edge keys u * n + v must fit in int64
-HEADER_SLACK = 2**20  # isolated vertices an edge-list header may add beyond its edges' endpoints
+HEADER_SLACK = 2**20  # isolated vertices an edge list may name beyond its edges' endpoints
 
 
 class DirectedEdge(NamedTuple):
@@ -271,7 +271,8 @@ def read_edge_list(path: str) -> Graph:
     starting with ``#`` are ignored; an optional ``n <count>`` header fixes
     the vertex count (default: max id + 1) and may name at most 2 k +
     ``HEADER_SLACK`` vertices for k edges, so that a short file cannot ask
-    for gigabytes. Malformed text raises GraphConstructionError naming the file and line.
+    for gigabytes; without a header the same bound applies to max id + 1.
+    Malformed text raises GraphConstructionError naming the file and line.
     """
     edges: list[tuple[int, int]] = []
     n: int | None = None
@@ -295,10 +296,11 @@ def read_edge_list(path: str) -> Graph:
             raise
         except ValueError as exc:  # a non-integer token, or text that is not UTF-8
             raise GraphConstructionError(f"{path}:{lineno}: {exc}") from exc
+    named = "header names" if n is not None else "ids name"
     if n is None:
         n = max((max(u, v) for u, v in edges), default=-1) + 1
-    elif n > 2 * len(edges) + HEADER_SLACK:
-        raise GraphConstructionError(f"{path}: header names {n} vertices, over 2 x {len(edges)} edges + {HEADER_SLACK}")
+    if MAX_VERTICES >= n > 2 * len(edges) + HEADER_SLACK:  # build_graph refuses larger n first thing
+        raise GraphConstructionError(f"{path}: {named} {n} vertices, over 2 x {len(edges)} edges + {HEADER_SLACK}")
     return build_graph(edges, n)
 
 

@@ -17,11 +17,12 @@ q = ceil(10 n / ((1 - eps) sqrt(eps m_hat))) attempts; when that exceeds
 n it reverts to the exactly-uniform (but slower per success) uniform-slot
 fallback.
 
-Runs are made in one of two ways with the same distribution of outcomes
-and query counts (``_runs``): by ``_kernel`` in numpy blocks where
-``oracle.bulk_graph`` allows it, else by ``_attempts`` through the
-oracle's methods. Both draw from the seeded ``random.Random`` only, so a
-run replays bit-for-bit.
+Runs, the fallback's included, are made in one of two ways with the same
+distribution of outcomes and query counts (``_runs``): by ``_kernel`` in
+numpy blocks where ``oracle.bulk_graph`` allows it and the call expects
+``_SCALAR`` attempts or more, else by ``_attempts`` through the oracle's
+methods. Both draw from the seeded ``random.Random`` only, so a run
+replays bit-for-bit.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ def threshold_for(m_hat: float, epsilon: float) -> int:
     Computed in exact integers from the floats' ratios, so no rounding of
     a square root can undercut the bound.
     """
-    a, b = m_hat.as_integer_ratio()
-    c, d = epsilon.as_integer_ratio()
+    (a, b), (c, d) = m_hat.as_integer_ratio(), epsilon.as_integer_ratio()
     bound = -(-2 * a * d // (b * c))  # ceil(2 m_hat / epsilon)
     return math.isqrt(max(bound, 1) - 1) + 1
 
@@ -79,12 +79,7 @@ class SamplerConfig:
     @classmethod
     def for_graph(cls, n: int, m_hat: float, epsilon: float) -> "SamplerConfig":
         _check_epsilon_m_hat(epsilon, m_hat)
-        return cls(
-            epsilon=epsilon,
-            m_hat=m_hat,
-            theta=threshold_for(m_hat, epsilon),
-            q=attempt_budget(n, m_hat, epsilon),
-        )
+        return cls(epsilon, m_hat, threshold_for(m_hat, epsilon), attempt_budget(n, m_hat, epsilon))
 
 
 @dataclass
@@ -102,8 +97,12 @@ class SampleReport:
         return self.outcome is None
 
 
+_NARROW = 64  # the most walk steps a block takes in Python; numpy's split wins above 50-70
+_SCALAR = 32  # calls expecting fewer attempts take the method loop, which is cheaper there
+
+
 def _attempts(
-    oracle: QueryOracle, theta: int, limit: int, rng: random.Random
+    oracle: QueryOracle, theta: int, limit: int, rng: random.Random, fallback: bool = False
 ) -> tuple[DirectedEdge | None, int]:
     """Up to ``limit`` mixture attempts through the oracle's methods: (edge, used).
 
@@ -113,13 +112,12 @@ def _attempts(
     occupant v; the heavy track fails unless v is heavy, and returns (v, w)
     for a uniform neighbor w of v. ``1 + r`` with ``r`` drawn by
     ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
+    With ``fallback`` an attempt is ``fallback_uniform_edge``'s: theta = n
+    is given, and there is no coin and no degree query.
     """
     k = theta.bit_length()
-    coin = rng.random
-    getrandbits = rng.getrandbits
-    random_vertex = oracle.random_vertex
-    degree = oracle.degree
-    neighbor = oracle.neighbor
+    coin, degree = (lambda: 0.0, lambda u: 0) if fallback else (rng.random, oracle.degree)
+    getrandbits, random_vertex, neighbor = rng.getrandbits, oracle.random_vertex, oracle.neighbor
     for attempt in range(1, limit + 1):
         light = coin() < 0.5
         u = random_vertex()
@@ -144,23 +142,36 @@ def _attempts(
     return None, limit
 
 
+def _per_run(graph: Graph, theta: int, q: int, fallback: bool) -> int:
+    """Fewest attempts a run can expect, at most q: 2 n theta / m_dir, or n theta / m_dir without the coin."""
+    return min(q, -(-(1 if fallback else 2) * graph.n * theta // graph.m_dir)) if graph.m_dir else q
+
+
 def _kernel(
     graph: Graph, theta: int, q: int, runs: int, gen: np.random.Generator, fallback: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, QueryCounts]:
     """``runs`` runs of up to ``q`` attempts: one stream of i.i.d. attempts
     split at each win and after q failures in a row.
 
-    A block draws ``gen.integers(n, size)`` vertices u and
-    ``gen.integers(theta, size)`` slots j, then ``gen.random`` coins for the
-    occupied slots of light starts (no other attempt depends on its coin)
-    and ``gen.integers(d(v))`` picks for the heavy-track wins kept. It holds
-    ``runs`` times the fewest attempts a run can expect to need (2 n theta /
-    m_dir, at most q). With ``fallback`` an attempt is ``fallback_uniform_edge``'s:
-    theta = n, no coin, no degree query. Returns each run's edge (-1, -1
-    on a failure) and attempts, and the queries the method loop would charge.
+    A block holds ``runs`` times ``_per_run`` attempts, at most 1 << 16. It
+    draws ``gen.integers(n, size)`` vertices u and ``gen.integers(theta,
+    size)`` slots j and finds the candidates, the occupied slots and the
+    heavy starts; only a hit on a light start needs a coin, and only a
+    heavy-track win a pick. A narrow block (candidates plus runs that can
+    give up in it at most ``_NARROW``, as in a single run, where most
+    attempts are rejected) is walked in Python: a ``gen.random()`` coin per
+    hit and a ``gen.integers(d(v))`` pick per heavy-track win, in attempt
+    order up to the last run the call needs. A wide block (pooled runs)
+    draws one coin array, splits it into runs in numpy and draws one pick
+    array. A walk step costs about 1 us and the split 40-60 us a block more
+    than a short walk, so they cross near 50-70 steps, where the fixed
+    cutoff sits. With ``fallback``
+    an attempt is ``fallback_uniform_edge``'s: theta = n, no coin, no degree
+    query. Returns each run's edge (-1, -1 on a failure) and attempts, and
+    the queries the method loop would charge.
     """
-    offsets, targets, n, ends = graph.offsets, graph.targets, graph.n, graph.offsets[1:]
-    per_run = min(q, -(-(1 if fallback else 2) * n * theta // graph.m_dir)) if graph.m_dir else q
+    offsets, targets, n, ends, o, t = graph.offsets, graph.targets, graph.n, graph.offsets[1:], graph._o, graph._t
+    per_run = _per_run(graph, theta, q, fallback)
     out = []
     done = carry = attempts = heavy_starts = heavy_hits = picks = 0
     while done < runs:
@@ -171,6 +182,32 @@ def _kernel(
         start = offsets[u]
         du = ends[u] - start
         cand = (j < du).nonzero()[0]  # the occupied slots and every heavy start
+        if len(cand) + size // q <= _NARROW:
+            rows, last = [], -1 - carry  # last: the index before the open run's first attempt
+            for c, x, y in [*zip(cand.tolist(), u[cand].tolist(), j[cand].tolist()), (size, 0, 0)]:
+                fails = min((c - last - 1) // q, left)  # the runs that give up before attempt c
+                rows += [(-1, -1, q)] * fails
+                last, left = last + fails * q, left - fails
+                if not left or c == size:
+                    break
+                s = o[x]
+                if o[x + 1] - s > theta:
+                    heavy_starts += 1
+                    continue
+                v = t[s + y]
+                if not (fallback or gen.random() < 0.5):  # the heavy track
+                    heavy_hits += 1
+                    x, s = v, o[v]
+                    if o[v + 1] - s <= theta:
+                        continue
+                    picks += 1
+                    v = t[s + gen.integers(o[v + 1] - s)]
+                rows.append((x, v, c - last))
+                last, left = c, left - 1
+            out.append(np.array(rows, np.int64).reshape(-1, 3).T)
+            attempts += size if left else last + 1
+            done, carry = runs - left, size - 1 - last
+            continue
         heavy = du[cand] > theta
         hit = cand[~heavy]
         v = targets[start[hit] + j[hit]]
@@ -218,89 +255,61 @@ def _runs(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> list[np.ndarray]:
     """``runs`` runs of up to q mixture attempts (``fallback_uniform_edge``'s
-    with ``fallback``) as [origins, targets, used], origin -1 on a failure:
-    pooled in ``_kernel`` where ``bulk_graph`` allows, else one at a time."""
-    theta = operator.index(theta)
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    if fallback:
-        theta = q = oracle.n
+    with ``fallback``, at theta = n) as [origins, targets, used], origin -1
+    on a failure: pooled in ``_kernel`` where ``bulk_graph`` allows and the
+    call expects at least ``_SCALAR`` attempts, else one at a time."""
+    theta = oracle.n if fallback else _theta(theta)
     graph = bulk_graph(oracle)
-    if graph is not None:
+    if graph is not None and runs * _per_run(graph, theta, q, fallback) >= _SCALAR:
         *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
         oracle.counts = oracle.counts + counts
         return columns
-    out = []
-    for _ in range(runs):
-        if fallback:
-            report = fallback_uniform_edge(oracle, rng)
-            edge, used = report.outcome, report.attempts_used
-        else:
-            edge, used = _attempts(oracle, theta, q, rng)
-        out.append((*(edge or (-1, -1)), used))
-    return [np.array(column, dtype=np.int64) for column in zip(*out)]
+    rows = [(*(e or (-1, -1)), k) for e, k in (_attempts(oracle, theta, q, rng, fallback) for _ in range(runs))]
+    return list(np.array(rows, np.int64).reshape(-1, 3).T)
+
+
+def _theta(theta: int) -> int:
+    theta = operator.index(theta)
+    if theta < 1:
+        raise ValueError(f"theta must be >= 1, got {theta}")
+    return theta
 
 
 def mixture_attempt(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
-    """Fair coin between the light and heavy tracks."""
-    (origin,), (target,), _ = _runs(oracle, theta, 1, 1, oracle.rng if rng is None else rng)
-    return DirectedEdge(int(origin), int(target)) if origin >= 0 else None
+    """Fair coin between the light and heavy tracks, through the oracle's
+    methods, which ``_runs`` would also take for a call this small."""
+    return _attempts(oracle, _theta(theta), 1, oracle.rng if rng is None else rng)[0]
+
+
+def _report(oracle, theta, q, rng, config, fallback) -> SampleReport:
+    """One run of ``_runs`` as a SampleReport."""
+    if oracle.n < 1:
+        raise ValueError("graph has no vertices")
+    before = oracle.counts.copy()
+    (origin,), (target,), (used,) = _runs(oracle, theta, q, 1, oracle.rng if rng is None else rng, fallback)
+    edge = DirectedEdge(int(origin), int(target)) if origin >= 0 else None
+    return SampleReport(edge, int(used), oracle.counts - before, config, fallback)
 
 
 def sample_edge_almost_uniformly(
     oracle: QueryOracle, config: SamplerConfig, rng: random.Random | None = None
 ) -> SampleReport:
-    """Run up to q mixture attempts; revert to the fallback when q > n."""
-    rng = oracle.rng if rng is None else rng
-    if config.q > oracle.n:
-        return fallback_uniform_edge(oracle, rng=rng, config=config)
-    before = oracle.counts.copy()
-    (origin,), (target,), (used,) = _runs(oracle, config.theta, config.q, 1, rng)
-    edge = DirectedEdge(int(origin), int(target)) if origin >= 0 else None
-    return SampleReport(edge, int(used), oracle.counts - before, config)
+    """Run up to q mixture attempts; revert to the fallback (n attempts) when q > n."""
+    fallback = config.q > oracle.n
+    return _report(oracle, config.theta, oracle.n if fallback else config.q, rng, config, fallback)
 
 
 def fallback_uniform_edge(
-    oracle: QueryOracle,
-    rng: random.Random | None = None,
-    budget: int | None = None,
+    oracle: QueryOracle, rng: random.Random | None = None, budget: int | None = None,
     config: SamplerConfig | None = None,
 ) -> SampleReport:
     """Exactly-uniform sampler: uniform vertex, uniform slot in [n].
 
     Each attempt returns any specific directed edge with probability
     1/n^2, so the conditional distribution is exactly uniform. Budget
-    defaults to n attempts. The slot is drawn inline, as in ``_attempts``.
+    defaults to n attempts. The attempts are ``_runs``'s with ``fallback``.
     """
-    rng = oracle.rng if rng is None else rng
-    n = oracle.n
-    if n < 1:
-        raise ValueError("graph has no vertices")
-    budget = n if budget is None else budget
-    before = oracle.counts.copy()
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    for attempt in range(1, budget + 1):
-        u = oracle.random_vertex()
-        i = getrandbits(k)
-        while i >= n:
-            i = getrandbits(k)
-        v = oracle.neighbor(u, i + 1)
-        if v is not None:
-            return SampleReport(
-                outcome=DirectedEdge(u, v),
-                attempts_used=attempt,
-                queries=oracle.counts - before,
-                config=config,
-                used_fallback=True,
-            )
-    return SampleReport(
-        outcome=None,
-        attempts_used=budget,
-        queries=oracle.counts - before,
-        config=config,
-        used_fallback=True,
-    )
+    return _report(oracle, oracle.n, oracle.n if budget is None else budget, rng, config, True)
 
 
 def sample_undirected_edge(
@@ -313,9 +322,7 @@ def sample_undirected_edge(
     over the undirected edge set.
     """
     report = sample_edge_almost_uniformly(oracle, config, rng)
-    if report.outcome is None:
-        return None, report
-    return report.outcome.undirected(), report
+    return (None if report.outcome is None else report.outcome.undirected()), report
 
 
 def sample_degree_proportional_vertex(
@@ -331,8 +338,7 @@ def sample_degree_proportional_vertex(
     report = sample_edge_almost_uniformly(oracle, config, rng)
     if report.outcome is None:
         return None, report
-    v = report.outcome.origin if rng.random() < 0.5 else report.outcome.target
-    return v, report
+    return (report.outcome.origin if rng.random() < 0.5 else report.outcome.target), report
 
 
 @dataclass
@@ -371,7 +377,7 @@ def weighted_expectation(
     while len(weights) < samples:
         # if every run fails, this stops after max_failures_per_draw runs
         chunk = min(samples - len(weights), max(max_failures_per_draw, len(weights)))
-        origins, targets, _ = _runs(oracle, config.theta, config.q, chunk, rng, config.q > oracle.n)
+        origins, targets, _ = _runs(oracle, config.theta, min(config.q, oracle.n), chunk, rng, config.q > oracle.n)
         failures += int((origins < 0).sum())
         for origin, target in zip(origins.tolist(), targets.tolist()):
             streak = 0 if origin >= 0 else streak + 1
@@ -381,10 +387,4 @@ def weighted_expectation(
                 weights.append(float(weight_fn(DirectedEdge(origin, target))))
     mean = math.fsum(weights) / samples
     variance = max(0.0, math.fsum(w * w for w in weights) / samples - mean * mean)
-    return WeightedExpectation(
-        mean=mean,
-        std_error=math.sqrt(variance / samples),
-        samples=samples,
-        failures=failures,
-        queries=oracle.counts - before,
-    )
+    return WeightedExpectation(mean, math.sqrt(variance / samples), samples, failures, oracle.counts - before)

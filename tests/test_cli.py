@@ -87,6 +87,10 @@ def test_malformed_graph_file_is_data_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--graph", str(bad), "--seed", "1")
     assert code == 3
     assert f"{bad}: header names 2000000000 vertices" in err
+    bad.write_text("0 1999999999\n")  # no header: max id + 1 names 2e9 vertices
+    code, _, err = run_cli(capsys, "verify", "--graph", str(bad), "--seed", "1")
+    assert code == 3
+    assert f"{bad}: ids name 2000000000 vertices" in err
     # a bad generator spec is still a usage error
     code, _, _ = run_cli(capsys, "verify", "--generate", "er:-5,0.1", "--seed", "1")
     assert code == 2

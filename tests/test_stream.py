@@ -41,7 +41,7 @@ from edgesample.estimate import _degree_sum_mc
 from edgesample.experiments import WitnessOracle
 from edgesample.generators import star
 from edgesample.graph import RelabeledView, build_graph
-from edgesample.sampler import _kernel, _runs
+from edgesample.sampler import _NARROW, _kernel, _runs
 
 # ---------------------------------------------------------------------------
 # The reference: one plain call per random draw, one oracle call per query
@@ -279,7 +279,7 @@ def test_plain_unbudgeted_oracle_never_calls_its_methods():
         result = (
             estimate_edges(o, "degree-sum-mc").m_hat,
             [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng)) for _ in range(5)],
-            [mixture_attempt(o, HUBS_CONFIG.theta, rng) for _ in range(20)],
+            [column.tolist() for column in _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, 20, rng)],
         )
         return result, counts_of(o), o.rng.getstate(), rng.getstate()
 
@@ -360,6 +360,24 @@ def first_heavy_success_seed():
             return seed
 
 
+def test_small_calls_on_a_plain_oracle_take_the_method_loop():
+    # One attempt, or one run expecting 4 attempts, is cheaper through the
+    # methods than through a kernel block: a plain oracle then draws exactly
+    # as a subclassed one and never builds its numpy generator.
+    def calls(o):
+        return (
+            [mixture_attempt(o, STAR_CONFIG.theta) for _ in range(20)],
+            [report_tuple(sample_edge_almost_uniformly(o, STAR_CONFIG)) for _ in range(5)],
+        )
+
+    for seed in range(5):
+        plain, loop = QueryOracle(STAR, seed=seed), MethodLoopOracle(STAR, seed=seed)
+        assert calls(plain) == calls(loop)
+        assert counts_of(plain) == counts_of(loop)
+        assert plain.rng.getstate() == loop.rng.getstate()
+        assert plain._gen is None
+
+
 def test_budget_cut_inside_heavy_attempt_matches_reference():
     seed = first_heavy_success_seed()
     for budget in range(6):
@@ -413,23 +431,40 @@ class Recorder:
 def scalar_runs(g, theta, q, runs, draws, fallback, events):
     """The method loop's rule, attempt by attempt, on the kernel's draws.
 
-    ``draws`` yields the kernel's calls in order: per block the vertices
-    and the slots, then (mixture only) a coin per occupied slot of a light
-    start, then a pick per heavy-track win the block keeps. Returns the
-    runs as (edge or None, attempts used) and the query counts.
+    ``draws`` yields the kernel's calls in order. A block starts with the
+    vertices and the slots. A narrow one (at most ``_NARROW`` candidates,
+    occupied slots and heavy starts, plus runs that can give up in it) then
+    draws, in attempt order and up to the last run the call needs, a scalar
+    ``random()`` coin per occupied slot of a light start (mixture only) and
+    a scalar ``integers(d(v))`` pick right after each heavy-track win. A
+    wide one draws one coin array over all its occupied slots of light
+    starts (mixture only), then one pick array over the heavy-track wins it
+    keeps. Returns the runs as (edge or None, attempts used) and the query
+    counts; ``events`` gets each (kind of block, branch) taken.
     """
-    out, counts, used = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}, 0
+    out, counts, used, kinds = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}, 0, []
+
+    def scalar(name, *args):
+        call, value = next(draws)
+        assert call == (name, args, {})
+        return value
+
     while len(out) < runs:
         (_, (n,), _), u = next(draws)
         (_, (slots,), _), j = next(draws)
         assert (n, slots) == (g.n, theta)
-        hits = [i for i in range(len(u)) if j[i] < g.degree(u[i]) <= theta]
+        candidates = [i for i in range(len(u)) if j[i] < g.degree(u[i])]
+        kind = "narrow block" if len(candidates) + len(u) // q <= _NARROW else "wide block"
+        kinds.append(kind)
+        hits = [i for i in candidates if g.degree(u[i]) <= theta]
         if fallback:
             coin = dict.fromkeys(hits, True)
-        else:
+        elif kind == "wide block":
             (name, (k,), _), coins = next(draws)
             assert (name, k) == ("random", len(hits))
             coin = dict(zip(hits, (coins < 0.5).tolist()))
+        else:
+            coin = None  # drawn one at a time, as the walk reaches each hit
         heavy_wins = []
         for i in range(len(u)):
             if len(out) == runs:
@@ -437,36 +472,40 @@ def scalar_runs(g, theta, q, runs, draws, fallback, events):
             used += 1
             counts["vertex"] += 1
             counts["degree"] += not fallback
-            edge = None
+            edge, branch = None, None
             if g.degree(u[i]) > theta:
-                events.add("heavy start")
+                branch = "heavy start"
             else:
                 counts["neighbor"] += 1
                 v = g.neighbor(int(u[i]), int(j[i]) + 1)
                 if v is None:
-                    events.add("empty slot")
-                elif coin[i]:
-                    events.add("light hit")
-                    edge = (int(u[i]), v)
+                    branch = "empty slot"
+                elif coin[i] if coin is not None else scalar("random") < 0.5:
+                    branch, edge = "light hit", (int(u[i]), v)
                 else:
                     counts["degree"] += 1
                     if g.degree(v) <= theta:
-                        events.add("heavy hit onto a light vertex")
+                        branch = "heavy hit onto a light vertex"
                     else:
                         counts["neighbor"] += 1
-                        heavy_wins.append(len(out))
-                        edge = (v, None)
+                        branch, edge = "heavy pick", (v, None)
+                        if kind == "narrow block":
+                            edge = (v, g.neighbor(v, scalar("integers", g.degree(v)) + 1))
+                        else:
+                            heavy_wins.append(len(out))
+            events.add((kind, branch))
             if edge is not None or used == q:
                 out.append((edge, used))
                 used = 0
         if heavy_wins:
-            events.add("heavy pick")
             (name, (highs,), _), picks = next(draws)
             origins = [out[r][0][0] for r in heavy_wins]
             assert highs.tolist() == [g.degree(v) for v in origins]
             for r, v, i in zip(heavy_wins, origins, picks.tolist()):
                 out[r] = ((v, g.neighbor(v, i + 1)), out[r][1])
     assert next(draws, None) is None, "the kernel drew numbers it did not use"
+    if "wide block" in kinds and "narrow block" in kinds[kinds.index("wide block"):]:
+        events.add("narrow blocks after wide ones")
     return out, counts
 
 
@@ -496,12 +535,17 @@ def test_kernel_matches_scalar_rule_on_its_draws(g, data, seed, runs, fallback):
 def test_kernel_replay_reaches_every_branch():
     # At theta 2, centre 0 is heavy and the path 1-2-3 hanging off it light.
     kite = build_graph([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6)], 7)
+    # 25 runs make narrow blocks only; 400 pooled runs make a wide block,
+    # then narrow ones for the last few runs when q leaves room for them.
     events = set()
     for g, theta in ((HUBS, 128), (STAR, 3), (kite, 2)):
         for seed in range(3):
-            got, want = kernel_and_replay(g, theta, 40, 25, seed, events=events)
-            assert got == want
-    assert events == {"heavy start", "empty slot", "light hit", "heavy hit onto a light vertex", "heavy pick"}
+            for runs, q in ((25, 40), (400, 40), (400, 1000)):
+                got, want = kernel_and_replay(g, theta, q, runs, seed, events=events)
+                assert got == want
+    branches = {"heavy start", "empty slot", "light hit", "heavy hit onto a light vertex", "heavy pick"}
+    kinds = {"narrow block", "wide block"}
+    assert events == {(kind, branch) for kind in kinds for branch in branches} | {"narrow blocks after wide ones"}
 
 
 @settings(max_examples=150, deadline=None)
