@@ -4,9 +4,10 @@ Plant a clique holding half the edges inside a sparse graph and relabel
 all vertex ids randomly each trial. Until some query touches the clique
 (a witness), its location is information-theoretically hidden, so a
 low-budget strategy must return clique edges far less often than the half
-share a uniform sampler would give them. Observed clique-hit rates below
-1/2 certify a lower bound on the total variational distance from uniform:
-TV >= 1/2 - hit rate.
+share a uniform sampler would give them. 1/2 - hit rate then estimates
+the total variational distance from uniform. It is an estimate, not a
+certified bound: the hit rate is conditional on a returned edge (ROADMAP
+item 4 plans the certified bound).
 
 The experiment sweeps query budgets around n/sqrt(m) and shows the
 transition: below it every strategy is blind; above it the mixture
@@ -32,7 +33,7 @@ print(f"n/sqrt(m) = {scale:.1f}; budgets swept: {budgets}\n")
 
 runs = run_lower_bound(base_spec, budgets=budgets, trials=400, seed=11, base_seed=3)
 
-print("strategy           budget   witness   returned   clique-hit   TV lower bound")
+print("strategy           budget   witness   returned   clique-hit      TV estimate")
 for r in runs:
     print(
         f"{r.strategy:18s} {r.budget:6d} {r.witness_rate:9.2%} "
@@ -42,7 +43,7 @@ for r in runs:
 print(
     "\nReading the table: with budgets well under n/sqrt(m), witness rates are"
     "\nnear zero and every strategy's returned edges miss the clique, so the"
-    "\ncertified TV lower bound stays near 1/2. Only with ~10x n/sqrt(m)"
+    "\nTV estimate stays near 1/2. Only with ~10x n/sqrt(m)"
     f"\nqueries does the mixture sampler's hit rate approach the {share:.3f}"
     "\nshare an almost-uniform sampler must give the planted clique."
 )

@@ -156,44 +156,42 @@ def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
     per_edge: dict[DirectedEdge, Fraction] = {
         e: Fraction(0) for e in g.directed_edges()
     }
-    for e, p in enumerate_light_distribution(g, theta).items():
-        per_edge[e] += half * p
-    for e, p in enumerate_heavy_distribution(g, theta).items():
-        per_edge[e] += half * p
+    for track in enumerate_track_distributions(g, theta):
+        for e, p in track.items():
+            per_edge[e] += half * p
     success = sum(per_edge.values(), Fraction(0))
     return AttemptDistribution(theta=theta, per_edge=per_edge, success_prob=success)
 
 
-def enumerate_light_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
-    """Exhaustive per-edge return probabilities of the light track alone."""
-    out: dict[DirectedEdge, Fraction] = {}
+def enumerate_track_distributions(g: Graph, theta: int) -> tuple[dict[DirectedEdge, Fraction], ...]:
+    """Exhaustive per-edge return probabilities of the light and the heavy
+    track alone, as two dicts, from one walk over start vertex u and slot j."""
+    light: dict[DirectedEdge, Fraction] = {}
+    heavy: dict[DirectedEdge, Fraction] = {}
     w_uj = Fraction(1, g.n * theta)
     for u in range(g.n):
         if g.degree(u) > theta:
             continue
         for j in range(1, theta + 1):
             v = g.neighbor(u, j)
-            if v is not None:
-                out[DirectedEdge(u, v)] = out.get(DirectedEdge(u, v), Fraction(0)) + w_uj
-    return out
+            if v is None:
+                continue
+            light[DirectedEdge(u, v)] = light.get(DirectedEdge(u, v), Fraction(0)) + w_uj
+            if g.degree(v) > theta:  # the heavy track goes on to a uniform neighbor w of v
+                w_pick = w_uj / g.degree(v)
+                for w in g.neighbors(v):
+                    heavy[DirectedEdge(v, w)] = heavy.get(DirectedEdge(v, w), Fraction(0)) + w_pick
+    return light, heavy
+
+
+def enumerate_light_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
+    """Exhaustive per-edge return probabilities of the light track alone."""
+    return enumerate_track_distributions(g, theta)[0]
 
 
 def enumerate_heavy_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
     """Exhaustive per-edge return probabilities of the heavy track alone."""
-    out: dict[DirectedEdge, Fraction] = {}
-    w_uj = Fraction(1, g.n * theta)
-    for u in range(g.n):
-        if g.degree(u) > theta:
-            continue
-        for j in range(1, theta + 1):
-            v = g.neighbor(u, j)
-            if v is None or g.degree(v) <= theta:
-                continue
-            w_pick = w_uj / g.degree(v)
-            for w in g.neighbors(v):
-                e = DirectedEdge(v, w)
-                out[e] = out.get(e, Fraction(0)) + w_pick
-    return out
+    return enumerate_track_distributions(g, theta)[1]
 
 
 def enumerate_fallback_distribution(g: Graph) -> dict[DirectedEdge, Fraction]:

@@ -14,12 +14,14 @@ budget-capped strategies against it. Until a query touches the hidden
 clique (a "witness": a degree or neighbor query on a clique vertex, or a
 pair query on a clique pair), clique ids are information-theoretically
 hidden, so any strategy with a small budget must under-sample clique
-edges; 1/2 minus the observed clique hit rate is then a certified lower
-bound on the total variational distance from uniform.
+edges. 1/2 minus the observed clique hit rate *estimates* the total
+variational distance from uniform; it is no certified bound, as the hit
+rate is conditional on a returned edge (see ROADMAP item 4).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -245,17 +247,17 @@ class WitnessOracle(QueryOracle):
 
     def degree(self, v: int) -> int:
         d = super().degree(v)
-        self.witnessed |= v in self.clique_vertices
+        self.witnessed = self.witnessed or v in self.clique_vertices  # once set, the flag cannot change
         return d
 
     def neighbor(self, v: int, i: int) -> int | None:
         w = super().neighbor(v, i)
-        self.witnessed |= v in self.clique_vertices
+        self.witnessed = self.witnessed or v in self.clique_vertices
         return w
 
     def pair(self, v: int, w: int) -> bool:
         ans = super().pair(v, w)
-        self.witnessed |= v != w and v in self.clique_vertices and w in self.clique_vertices
+        self.witnessed = self.witnessed or (v != w and v in self.clique_vertices and w in self.clique_vertices)
         return ans
 
 
@@ -267,12 +269,13 @@ class TruncatedSamplerStrategy:
     """
 
     name = "truncated-sampler"
+    _config = staticmethod(functools.lru_cache(maxsize=16)(SamplerConfig.for_graph))  # per (n, m, eps), not trial
 
     def __init__(self, epsilon: float = 0.25):
         self.epsilon = epsilon
 
     def run(self, oracle: QueryOracle, budget: int, rng: random.Random):
-        cfg = SamplerConfig.for_graph(oracle.n, float(oracle.graph.m_dir), self.epsilon)
+        cfg = self._config(oracle.n, float(oracle.graph.m_dir), self.epsilon)
         report = sample_edge_almost_uniformly(oracle, cfg, rng)
         return None if report.outcome is None else tuple(report.outcome)
 
@@ -358,6 +361,8 @@ def run_lower_bound(
     drawn, uniformly random relabeling (equivalent in distribution to
     rebuilding the labeled graph), so strategies can never learn clique ids
     across trials. Membership, for witnesses and hits, reads revealed old ids.
+    Each (strategy, budget) cell draws two generators from ``seed``: one for
+    its relabelings and one that its trials' oracles draw from in turn.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -370,12 +375,12 @@ def run_lower_bound(
     results = []
     for strategy in strategies:
         for budget in budgets:
-            relabel_rng = random.Random(master.getrandbits(63))
+            relabel_rng, oracle_rng = random.Random(master.getrandbits(63)), random.Random(master.getrandbits(63))
             returns = hits = witnesses = 0
             for _ in range(trials):
                 view = RelabeledView(union, relabel_rng)
                 clique = HiddenClique(view, base.n)
-                oracle = WitnessOracle(view, clique, seed=master.getrandbits(63), budget=budget)
+                oracle = WitnessOracle(view, clique, seed=oracle_rng, budget=budget)
                 try:
                     answer = strategy.run(oracle, budget, oracle.rng)
                 except BudgetExceeded:

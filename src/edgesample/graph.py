@@ -33,6 +33,7 @@ class GraphConstructionError(ValueError):
 
 MAX_VERTICES = math.isqrt(2**63 - 1)  # the edge keys u * n + v must fit in int64
 HEADER_SLACK = 2**20  # isolated vertices an edge list may name beyond its edges' endpoints
+SHORT_ROW = 64  # has_edge scans rows up to this long in Python, under numpy's ~3 us fixed cost per call
 
 
 class DirectedEdge(NamedTuple):
@@ -113,15 +114,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge; False for ids outside 0..n-1.
 
-        Scans the shorter of the two neighbor rows.
+        Scans the shorter of the two neighbor rows: in Python up to
+        ``SHORT_ROW`` entries, below numpy's fixed cost per call, else in numpy.
         """
         n = self.n
         if not (0 <= u < n and 0 <= v < n):
             return False
         o = self._o
-        if o[u + 1] - o[u] > o[v + 1] - o[v]:
-            u, v = v, u
-        return bool((self.targets[o[u]:o[u + 1]] == v).any())
+        a, b, c, d = o[u], o[u + 1], o[v], o[v + 1]
+        if b - a > d - c:
+            a, b, v = c, d, u
+        return v in self._t[a:b] if b - a <= SHORT_ROW else bool((self.targets[a:b] == v).any())
 
     def _origins(self) -> np.ndarray:
         """The origin of every directed edge, aligned with ``targets``."""
@@ -234,24 +237,26 @@ class RelabeledView:
             self._new, self._old = dict(enumerate(new)), dict(zip(new, range(base.n)))
 
     def _reveal(self, x: int, known: dict[int, int], other: dict[int, int]) -> int:
-        y = known.get(x)
-        if y is None:
-            n = y = self.n
-            if not 0 <= x < n:
-                raise IndexError(f"vertex {x} out of range for n={n}")
-            while y >= n or y in other:  # getrandbits rejection, skipping revealed ids
-                y = self._rng.getrandbits(n.bit_length())
-            known[x], other[y] = y, x
+        """Draw the partner of ``x``, which is not in ``known`` (the callers look first)."""
+        n = y = self.n
+        if not 0 <= x < n:
+            raise IndexError(f"vertex {x} out of range for n={n}")
+        while y >= n or y in other:  # getrandbits rejection, skipping revealed ids
+            y = self._rng.getrandbits(n.bit_length())
+        known[x], other[y] = y, x
         return y
 
     def old(self, v: int) -> int:
-        return self._reveal(v, self._old, self._new)
+        x = self._old.get(v)
+        return self._reveal(v, self._old, self._new) if x is None else x
 
     def new(self, w: int) -> int:
-        return self._reveal(w, self._new, self._old)
+        y = self._new.get(w)
+        return self._reveal(w, self._new, self._old) if y is None else y
 
     def degree(self, v: int) -> int:
-        return self._base.degree(self.old(v))
+        x = self._old.get(v)
+        return self._base.degree(self._reveal(v, self._old, self._new) if x is None else x)
 
     def neighbor(self, v: int, i: int) -> int | None:
         w = self._base.neighbor(self.old(v), i)

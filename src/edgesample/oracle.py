@@ -68,11 +68,13 @@ class QueryOracle:
 
     All randomness of a run (vertex queries plus any sampler coins drawn
     from ``oracle.rng``) comes from one seeded ``random.Random``, so a run
-    replays bit-for-bit under the same seed. ``budget``, when set, is a
-    hard cap on the total query count: the call that would exceed it
-    raises BudgetExceeded before touching the graph.
+    replays bit-for-bit under the same seed; a ``random.Random`` given as
+    ``seed`` is ``oracle.rng`` itself, so oracles built on one generator
+    draw one stream in turn. ``budget``, when set, is a hard cap on the
+    total query count: the call that would exceed it raises
+    BudgetExceeded before touching the graph.
 
-    Each query checks the budget and bumps its counter (``_charge``).
+    Each query checks the budget (``_charge``) and bumps its own counter.
     ``random_vertex`` draws by the same ``getrandbits`` rejection as
     ``Random.randrange(n)``, with ``n`` and its bit length cached, so it
     returns the same vertex from the same generator state.
@@ -81,9 +83,9 @@ class QueryOracle:
     when. Everything else goes through the methods.
     """
 
-    def __init__(self, graph, seed: int | None = None, budget: int | None = None):
+    def __init__(self, graph, seed: int | random.Random | None = None, budget: int | None = None):
         self.graph = graph
-        self.rng = random.Random(seed)
+        self.rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         self.counts = QueryCounts()
         self.budget = budget
         self._n = graph.n
@@ -102,15 +104,15 @@ class QueryOracle:
     def n(self) -> int:
         return self._n
 
-    def _charge(self, kind: str) -> None:
-        """Count one query of ``kind``, or raise BudgetExceeded if none is left."""
+    def _charge(self) -> QueryCounts:
+        """The counters, for the caller to bump, or BudgetExceeded if no query is left."""
         c = self.counts
         if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
             raise BudgetExceeded(f"query budget {self.budget} exhausted")
-        setattr(c, kind, getattr(c, kind) + 1)
+        return c
 
     def random_vertex(self) -> int:
-        self._charge("vertex")
+        self._charge().vertex += 1
         n = self._n
         if not n:
             raise ValueError("empty range for randrange()")
@@ -122,7 +124,7 @@ class QueryOracle:
     def degree(self, v: int) -> int:
         if not 0 <= v < self._n:
             raise IndexError(f"vertex {v} out of range for n={self._n}")
-        self._charge("degree")
+        self._charge().degree += 1
         return self.graph.degree(v)
 
     def neighbor(self, v: int, i: int) -> int | None:
@@ -130,14 +132,14 @@ class QueryOracle:
             raise IndexError(f"vertex {v} out of range for n={self._n}")
         if i < 1:
             raise ValueError(f"neighbor index must be >= 1, got {i}")
-        self._charge("neighbor")
+        self._charge().neighbor += 1
         return self.graph.neighbor(v, i)
 
     def pair(self, v: int, w: int) -> bool:
         for x in (v, w):
             if not 0 <= x < self._n:
                 raise IndexError(f"vertex {x} out of range for n={self._n}")
-        self._charge("pair")
+        self._charge().pair += 1
         return self.graph.has_edge(v, w)
 
 

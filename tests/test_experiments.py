@@ -1,13 +1,17 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgesample import BudgetExceeded, RelabeledView, build_graph
+from edgesample import BudgetExceeded, QueryOracle, RelabeledView, build_graph
 from edgesample.experiments import (
     BlindGuessStrategy,
     GreedyPairStrategy,
+    HiddenClique,
     TruncatedSamplerStrategy,
     WitnessOracle,
     clique_size_for,
@@ -248,3 +252,68 @@ def test_lower_bound_deterministic_under_seed():
     assert [(r.strategy, r.clique_hit_rate, r.witness_rate) for r in a] == [
         (r.strategy, r.clique_hit_rate, r.witness_rate) for r in b
     ]
+    assert a == b  # every field of every row
+
+
+def test_oracles_on_one_generator_draw_its_continuation():
+    g = generate("er:50,0.1", seed=1)
+    shared, reference = random.Random(3), random.Random(3)
+    first, second = QueryOracle(g, seed=shared), WitnessOracle(g, frozenset(), seed=shared)
+    assert first.rng is second.rng is shared
+    drawn = [o.random_vertex() for o in (first, second, second, first, second)]
+    assert drawn == [reference.randrange(g.n) for _ in range(5)]
+    assert shared.getstate() == reference.getstate()
+    assert QueryOracle(g, seed=3).rng.getstate() == random.Random(3).getstate()  # an int still seeds its own
+
+
+class RecordingStrategy:
+    """Record the generator each trial is given; return nothing."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.seen = []
+
+    def run(self, oracle, budget, rng):
+        assert rng is oracle.rng
+        self.seen.append((budget, rng, oracle.random_vertex()))
+        return None
+
+
+def test_one_oracle_stream_per_cell():
+    strategy = RecordingStrategy()
+    run_lower_bound("er:60,0.1", (strategy,), budgets=[2, 5], trials=25, seed=1)
+    assert len(strategy.seen) == 50
+    cells = {budget: {id(rng) for b, rng, _ in strategy.seen if b == budget} for budget in (2, 5)}
+    assert [len(ids) for ids in cells.values()] == [1, 1] and cells[2] != cells[5]
+    assert len({v for _, _, v in strategy.seen}) > 1  # the trials draw on, not from one fixed state
+
+
+SMALL_UNION, _ = planted_union(path(5), clique_size_for(path(5)))  # clique ids 5..8, n = 9
+QUERY = st.tuples(st.sampled_from(["vertex", "degree", "neighbor", "pair"]), st.integers(0, 8), st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(QUERY, max_size=12), st.integers(0, 2**32))
+def test_witness_oracle_reveals_what_a_plain_oracle_reveals(script, seed):
+    first = path(5).n
+    plain_view, witness_view = (RelabeledView(SMALL_UNION, random.Random(seed)) for _ in range(2))
+    plain = QueryOracle(plain_view, seed=seed)
+    witness = WitnessOracle(witness_view, HiddenClique(witness_view, first), seed=seed)
+    for o in (plain, witness):
+        for kind, a, b in script:
+            if kind == "vertex":
+                o.random_vertex()
+            elif kind == "degree":
+                o.degree(a)
+            elif kind == "neighbor":
+                o.neighbor(a, b + 1)
+            else:
+                o.pair(a, b)
+    assert witness_view._old == plain_view._old and witness_view._new == plain_view._new
+    clique = {v for v, old in plain_view._old.items() if old >= first}
+    expected = any(
+        (kind in ("degree", "neighbor") and a in clique) or (kind == "pair" and a != b and {a, b} <= clique)
+        for kind, a, b in script
+    )
+    assert witness.witnessed is expected

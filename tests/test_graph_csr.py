@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from edgesample import GraphConstructionError, RelabeledView, build_graph, cli
 from edgesample.experiments import planted_union
-from edgesample.graph import MAX_VERTICES
+from edgesample.graph import MAX_VERTICES, SHORT_ROW
 from edgesample.generators import _sample_distinct, clique_union, erdos_renyi, generate
 
 # ---------------------------------------------------------------------------
@@ -176,6 +176,40 @@ def test_csr_graph_matches_reference(case):
         assert list(g.directed_edges()) == reference_directed(adjacency)
         assert list(g.undirected_edges()) == reference_undirected(adjacency)
         assert g.edge_array().tolist() == [list(e) for e in reference_undirected(adjacency)]
+
+
+@st.composite
+def rows_around_short_row(draw):
+    """Up to four hubs, each joined to a drawn number of other ids, so that
+    rows fall on both sides of ``SHORT_ROW`` (Python scan / numpy scan)."""
+    n = 2 * SHORT_ROW + 8
+    sizes = st.sampled_from([0, 1, SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1, 2 * SHORT_ROW]) | st.integers(0, n - 1)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = set()
+    for hub in range(draw(st.integers(1, 4))):
+        edges |= {(min(hub, w), max(hub, w)) for w in rng.sample([w for w in range(n) if w != hub], draw(sizes))}
+    return sorted(edges), n
+
+
+# Vertex 0 has 2 * SHORT_ROW neighbours and vertex 1 exactly SHORT_ROW (0 and 2..SHORT_ROW). In
+# BOTH_LONG their rows have 2 * SHORT_ROW + 1 and SHORT_ROW + 1 entries, with edge (0, 1) last in both.
+LONG_AND_SHORT = ([(0, w) for w in range(1, 2 * SHORT_ROW + 1)] + [(1, w) for w in range(2, SHORT_ROW + 1)],
+                  2 * SHORT_ROW + 8)
+BOTH_LONG = ([(0, w) for w in range(2, 2 * SHORT_ROW + 2)] + [(1, w) for w in range(2, SHORT_ROW + 2)] + [(0, 1)],
+             2 * SHORT_ROW + 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_around_short_row(), st.lists(st.integers(-2, 2 * SHORT_ROW + 9), max_size=3))
+@example(case=LONG_AND_SHORT, extra=[])
+@example(case=BOTH_LONG, extra=[])
+def test_has_edge_matches_pair_set_across_the_short_row_cutoff(case, extra):
+    edges, n = case
+    g = build_graph(edges, n)
+    pairs = {*edges, *((v, u) for u, v in edges)}
+    for u in [0, 1, 2, 3, *extra]:
+        for v in [-(2**63), -1, *range(n), n, n + 1, 2**63]:  # u == v and out-of-range ids included
+            assert g.has_edge(u, v) is g.has_edge(v, u) is ((u, v) in pairs)
 
 
 @settings(max_examples=300, deadline=None)
