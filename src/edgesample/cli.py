@@ -90,6 +90,11 @@ def _graph_summary(g) -> dict:
     return {"n": g.n, "m_directed": g.m_dir, "m_undirected": g.m_dir // 2}
 
 
+def _config(args, command: str, *flags: str, **resolved) -> dict:
+    """The echoed run configuration: the named flags as given, then the resolved values."""
+    return {"command": command, **{flag: getattr(args, flag) for flag in flags}, **resolved}
+
+
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", metavar="FILE", help="edge-list file ('u v' per line, optional 'n COUNT' header)")
     p.add_argument("--generate", metavar="SPEC", help="generator spec, e.g. star:5, er:1000,0.05, clique_union:path:4,3")
@@ -162,18 +167,8 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     g, source = _load_graph(args, seed)
     oracle = QueryOracle(g, seed=seed)
-    config_echo = {
-        "command": "sample",
-        "source": source,
-        "epsilon": epsilon,
-        "seed": seed,
-        "count": args.count,
-        "estimator": args.estimator,
-        "samples": args.samples,
-        "reps": args.reps,
-        "reuse_estimate": args.reuse_estimate,
-        **_graph_summary(g),
-    }
+    config_echo = _config(args, "sample", "count", "estimator", "samples", "reps", "reuse_estimate",
+                          source=source, epsilon=epsilon, seed=seed, **_graph_summary(g))
     est = None
     any_failure = False
     for _ in range(args.count):
@@ -209,15 +204,8 @@ def _cmd_estimate(args) -> int:
             "m_hat": est.m_hat,
             "method": est.method,
             "queries": est.queries_used.as_dict(),
-            "config": {
-                "command": "estimate",
-                "source": source,
-                "seed": seed,
-                "estimator": args.estimator,
-                "samples": args.samples,
-                "reps": args.reps,
-                **_graph_summary(g),
-            },
+            "config": _config(args, "estimate", "estimator", "samples", "reps", source=source, seed=seed,
+                              **_graph_summary(g)),
         }
     )
     return EXIT_OK
@@ -237,14 +225,7 @@ def _cmd_verify(args) -> int:
         "theta": theta,
         "success_prob": dist.success_prob,
         "bounds": check_attempt_bounds(dist, epsilon).as_dict(),
-        "config": {
-            "command": "verify",
-            "source": source,
-            "epsilon": epsilon,
-            "theta": theta,
-            "seed": seed,
-            **_graph_summary(g),
-        },
+        "config": _config(args, "verify", source=source, epsilon=epsilon, theta=theta, seed=seed, **_graph_summary(g)),
     }
     if dist.success_prob > 0:
         closeness = conditional_closeness(dist)
@@ -287,15 +268,8 @@ def _cmd_bench(args) -> int:
         {
             "slope": result.slope,
             "intercept": result.intercept,
-            "config": {
-                "command": "bench",
-                "specs": list(args.generate),
-                "epsilon": epsilon,
-                "trials": args.trials,
-                "seed": seed,
-                "estimator": args.estimator,
-                "samples": args.samples,
-            },
+            "config": _config(args, "bench", "trials", "estimator", "samples", specs=list(args.generate),
+                              epsilon=epsilon, seed=seed),
         },
         stream=sys.stderr,
     )
@@ -353,15 +327,8 @@ def _cmd_lb(args) -> int:
             "rows": len(rows),
             "k": rows[0].k if rows else None,
             "e_k_over_m": rows[0].e_k_dir / rows[0].m_dir if rows else None,
-            "config": {
-                "command": "lb",
-                "base_spec": args.generate,
-                "epsilon": epsilon,
-                "trials": args.trials,
-                "budgets": budgets,
-                "strategies": [s.name for s in strategies],
-                "seed": seed,
-            },
+            "config": _config(args, "lb", "trials", base_spec=args.generate, epsilon=epsilon, budgets=budgets,
+                              strategies=[s.name for s in strategies], seed=seed),
         },
         stream=sys.stderr,
     )
@@ -375,7 +342,7 @@ def _cmd_gen(args) -> int:
     _emit(
         {
             "out": args.out,
-            "config": {"command": "gen", "spec": args.generate, "seed": seed},
+            "config": _config(args, "gen", spec=args.generate, seed=seed),
             **_graph_summary(g),
         }
     )

@@ -9,8 +9,13 @@ here. Two built-ins:
 * ``degree-sum-mc`` averages the degrees of s uniformly sampled
   vertices, scales by n, and multiplies by 1.5 to center the average
   inside [m, 2m] once the relative error of the average is under 1/3.
-  Where ``oracle.bulk_graph`` allows it, that is one ``integers(n, size=s)``
-  draw from ``oracle._generator(oracle.rng)`` and one gather.
+  Without a given s, a pilot pass of ceil(sqrt(n)) samples (sized for
+  m_hat = n) sets s from its estimate. Where ``oracle.bulk_graph`` allows
+  it, the generator ``oracle._generator(oracle.rng)`` is seeded once and
+  draws ``integers(n, size=2 * pilot_s)``: the pilot reads the first
+  half, the main pass the first s of the second half (a new
+  ``integers(n, size=s)`` only when s > pilot_s), the degrees come from
+  one gather, and the queries are charged once.
 
 ``estimate_edges_amplified`` takes the median of an odd number of
 independent runs, driving the failure probability down exponentially.
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .oracle import QueryCounts, QueryOracle, bulk_graph
 
@@ -38,26 +45,30 @@ def _exact(oracle: QueryOracle, samples: int | None) -> float:
 
 
 def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
-    s = _auto_samples(oracle) if samples is None else samples
-    if s < 1:
-        raise ValueError(f"sample count must be >= 1, got {s}")
-    graph = bulk_graph(oracle)
+    if samples is not None and samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
+    n, graph = oracle.n, bulk_graph(oracle)
+    pilot_s = 0 if samples else _sample_count(n, n)
     if graph is None:
-        total = sum(oracle.degree(oracle.random_vertex()) for _ in range(s))
-    else:  # s uniform vertices from one draw, their degrees by one gather, charged once
-        o = graph.offsets
-        u = oracle._generator(oracle.rng).integers(graph.n, size=s)
-        total = int(o[u + 1].sum() - o[u].sum())
-        oracle.counts = oracle.counts + QueryCounts(s, s)
-    # 1.5x centers the scaled average inside [m, 2m]; never report zero.
-    return max(1.0, 1.5 * oracle.n * total / s)
+        s = samples or _sample_count(n, _degree_sum_mc(oracle, pilot_s))
+        return _scaled(n, sum(oracle.degree(oracle.random_vertex()) for _ in range(s)), s)
+    gen, o, ends = oracle._generator(oracle.rng), graph.offsets, graph.offsets[1:]
+    d = ends[u := gen.integers(n, size=samples or 2 * pilot_s)] - o[u]
+    if pilot_s:  # the pilot reads the draw's first half; the main pass its second, or a new draw
+        s = _sample_count(n, _scaled(n, int(np.add.reduce(d[:pilot_s])), pilot_s))
+        d = d[pilot_s:pilot_s + s] if s <= pilot_s else ends[u := gen.integers(n, size=s)] - o[u]
+    oracle.counts = oracle.counts + QueryCounts(pilot_s + len(d), pilot_s + len(d))
+    return _scaled(n, int(np.add.reduce(d)), len(d))
 
 
-def _auto_samples(oracle: QueryOracle) -> int:
-    """One doubling round: s from a pilot estimate that starts at m_hat = n."""
-    pilot_s = max(1, math.ceil(oracle.n / math.sqrt(oracle.n)))
-    pilot = _degree_sum_mc(oracle, pilot_s)
-    return max(1, math.ceil(oracle.n / math.sqrt(pilot)))
+def _scaled(n: int, total: int, s: int) -> float:
+    """n times the mean of s sampled degrees, times 1.5 to center it inside [m, 2m]; never zero."""
+    return max(1.0, 1.5 * n * total / s)
+
+
+def _sample_count(n: int, m_hat: float) -> int:
+    """ceil(n / sqrt(m_hat)): the pilot's at m_hat = n, the main pass's at the pilot's estimate."""
+    return max(1, math.ceil(n / math.sqrt(m_hat)))
 
 
 ESTIMATORS = {
@@ -70,17 +81,9 @@ def estimate_edges(
     oracle: QueryOracle, estimator: str = "degree-sum-mc", samples: int | None = None
 ) -> EdgeEstimate:
     """Run one estimator pass; see module docstring for the built-ins."""
-    if oracle.graph.m_dir < 2:
-        raise ValueError("graph has no edges to estimate")
-    try:
-        fn = ESTIMATORS[estimator]
-    except KeyError:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}"
-        ) from None
-    before = oracle.counts.copy()
-    m_hat = fn(oracle, samples)
-    return EdgeEstimate(m_hat=m_hat, queries_used=oracle.counts - before, method=estimator)
+    estimate = estimate_edges_amplified(oracle, estimator, samples)
+    estimate.method = estimator
+    return estimate
 
 
 def estimate_edges_amplified(
@@ -92,16 +95,19 @@ def estimate_edges_amplified(
     """Median of an odd number of independent estimates.
 
     If one run lands in [m, 2m] with probability p > 1/2, the median of r
-    runs does so with probability >= 1 - exp(-2 r (p - 1/2)^2).
+    runs does so with probability >= 1 - exp(-2 r (p - 1/2)^2). The
+    arguments are checked and the counters copied once, for all r runs.
     """
     if repetitions < 1 or repetitions % 2 == 0:
         raise ValueError(f"repetitions must be odd and >= 1, got {repetitions}")
+    if oracle.graph.m_dir < 2:
+        raise ValueError("graph has no edges to estimate")
+    try:
+        fn = ESTIMATORS[estimator]
+    except KeyError:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}"
+        ) from None
     before = oracle.counts.copy()
-    values = sorted(
-        estimate_edges(oracle, estimator, samples).m_hat for _ in range(repetitions)
-    )
-    return EdgeEstimate(
-        m_hat=values[repetitions // 2],
-        queries_used=oracle.counts - before,
-        method=f"{estimator}-median-{repetitions}",
-    )
+    values = sorted(fn(oracle, samples) for _ in range(repetitions))
+    return EdgeEstimate(values[repetitions // 2], oracle.counts - before, f"{estimator}-median-{repetitions}")

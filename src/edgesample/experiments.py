@@ -294,14 +294,17 @@ class GreedyPairStrategy:
     def run(self, oracle: QueryOracle, budget: int, rng: random.Random):
         probe_budget = (2 * budget) // 3
         seen: dict[int, int] = {}
-        while oracle.counts.total + 2 <= probe_budget:
+        used = oracle.counts.total  # each query below bumps one counter by one
+        while used + 2 <= probe_budget:
             v = oracle.random_vertex()
             seen[v] = oracle.degree(v)
+            used += 2
         ranked = sorted(seen, key=seen.get, reverse=True)
         for i in range(len(ranked)):
             for j in range(i + 1, len(ranked)):
-                if oracle.counts.total >= budget:
+                if used >= budget:
                     return None
+                used += 1
                 if oracle.pair(ranked[i], ranked[j]):
                     return (ranked[i], ranked[j])
         return None

@@ -154,36 +154,37 @@ def _kernel(
     split at each win and after q failures in a row.
 
     A block holds ``runs`` times ``_per_run`` attempts, at most 1 << 16. It
-    draws ``gen.integers(n, size)`` vertices u and ``gen.integers(theta,
-    size)`` slots j and finds the candidates, the occupied slots and the
-    heavy starts; only a hit on a light start needs a coin, and only a
-    heavy-track win a pick. A narrow block (candidates plus runs that can
-    give up in it at most ``_NARROW``, as in a single run, where most
-    attempts are rejected) is walked in Python: a ``gen.random()`` coin per
-    hit and a ``gen.integers(d(v))`` pick per heavy-track win, in attempt
-    order up to the last run the call needs. A wide block (pooled runs)
-    draws one coin array, splits it into runs in numpy and draws one pick
-    array. A walk step costs about 1 us and the split 40-60 us a block more
-    than a short walk, so they cross near 50-70 steps, where the fixed
-    cutoff sits. With ``fallback``
-    an attempt is ``fallback_uniform_edge``'s: theta = n, no coin, no degree
-    query. Returns each run's edge (-1, -1 on a failure) and attempts, and
-    the queries the method loop would charge.
+    makes one bounded draw ``w = gen.integers(n * theta, size)`` and splits
+    it by ``divmod(w, theta)`` into vertices u and slots j, a bijection of
+    [n theta] onto [n] x [theta], so u and j are uniform and independent
+    (``_runs`` keeps n theta <= 2^63). Its candidates are the occupied slots
+    and the heavy starts; only a hit on a light start needs a coin, and only
+    a heavy-track win a pick. A narrow block (candidates plus runs that can
+    give up in it at most ``_NARROW``, as in a single run) is walked in
+    Python: a ``gen.random()`` coin per hit and a ``gen.integers(d(v))``
+    pick per heavy-track win, in attempt order up to the last run the call
+    needs. A wide block (pooled runs) draws one coin array, splits it into
+    runs in numpy and draws one pick array. A walk step costs about 1 us
+    and the split 40-60 us a block more than a short walk, so they cross
+    near 50-70 steps, where the fixed cutoff sits. The walked runs collect
+    in one list, made into arrays once: before a wide block or at the end.
+    With ``fallback`` an attempt is ``fallback_uniform_edge``'s: theta = n,
+    no coin, no degree query. Returns each run's edge (-1, -1 on a failure)
+    and attempts, and the queries the method loop would charge.
     """
     offsets, targets, n, ends, o, t = graph.offsets, graph.targets, graph.n, graph.offsets[1:], graph._o, graph._t
     per_run = _per_run(graph, theta, q, fallback)
-    out = []
+    out, rows = [], []  # rows: the narrow blocks' runs since the last wide block
     done = carry = attempts = heavy_starts = heavy_hits = picks = 0
     while done < runs:
         left = runs - done
         size = min(1 << 16, left * per_run, left * q - carry)  # 1 << 16 bounds the memory
-        u = gen.integers(n, size=size)
-        j = gen.integers(theta, size=size)
+        u, j = np.divmod(gen.integers(n * theta, size=size), theta)
         start = offsets[u]
         du = ends[u] - start
         cand = (j < du).nonzero()[0]  # the occupied slots and every heavy start
         if len(cand) + size // q <= _NARROW:
-            rows, last = [], -1 - carry  # last: the index before the open run's first attempt
+            last = -1 - carry  # the index before the open run's first attempt
             for c, x, y in [*zip(cand.tolist(), u[cand].tolist(), j[cand].tolist()), (size, 0, 0)]:
                 fails = min((c - last - 1) // q, left)  # the runs that give up before attempt c
                 rows += [(-1, -1, q)] * fails
@@ -204,7 +205,6 @@ def _kernel(
                     v = t[s + gen.integers(o[v + 1] - s)]
                 rows.append((x, v, c - last))
                 last, left = c, left - 1
-            out.append(np.array(rows, np.int64).reshape(-1, 3).T)
             attempts += size if left else last + 1
             done, carry = runs - left, size - 1 - last
             continue
@@ -242,13 +242,18 @@ def _kernel(
             runs_o, runs_t = np.full((2, len(used)), -1)
             runs_o[win_at[:kept]], runs_t[win_at[:kept]] = origin, target
             origin, target = runs_o, runs_t
+        if rows:
+            out.append(np.array(rows, np.int64).reshape(-1, 3).T)
+            rows = []
         out.append((origin, target, used))
         done += len(used)
         attempts += consumed
         heavy_starts += int(np.count_nonzero(heavy[: cand.searchsorted(consumed)]))
         heavy_hits += int(np.count_nonzero(~light[: hit.searchsorted(consumed)]))
     counts = QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
-    return (*(np.concatenate(part) for part in zip(*out)), counts)
+    if rows:
+        out.append(np.array(rows, np.int64).reshape(-1, 3).T)
+    return (*(out[0] if len(out) == 1 else map(np.concatenate, zip(*out))), counts)
 
 
 def _runs(
@@ -256,11 +261,13 @@ def _runs(
 ) -> list[np.ndarray]:
     """``runs`` runs of up to q mixture attempts (``fallback_uniform_edge``'s
     with ``fallback``, at theta = n) as [origins, targets, used], origin -1
-    on a failure: pooled in ``_kernel`` where ``bulk_graph`` allows and the
-    call expects at least ``_SCALAR`` attempts, else one at a time."""
+    on a failure: pooled in ``_kernel`` where ``bulk_graph`` allows, the
+    call expects at least ``_SCALAR`` attempts and n theta fits the
+    kernel's one draw (at most 2^63, always so at theta = n), else one at
+    a time."""
     theta = oracle.n if fallback else _theta(theta)
     graph = bulk_graph(oracle)
-    if graph is not None and runs * _per_run(graph, theta, q, fallback) >= _SCALAR:
+    if graph is not None and graph.n * theta <= 1 << 63 and runs * _per_run(graph, theta, q, fallback) >= _SCALAR:
         *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
         oracle.counts = oracle.counts + counts
         return columns

@@ -132,6 +132,47 @@ def test_greedy_pairs_returns_real_edges_only():
     assert returned > 0
 
 
+class MeterReadingGreedy(GreedyPairStrategy):
+    """The strategy as it reads the oracle's meter before every query."""
+
+    def run(self, oracle, budget, rng):
+        probe_budget = (2 * budget) // 3
+        seen = {}
+        while oracle.counts.total + 2 <= probe_budget:
+            v = oracle.random_vertex()
+            seen[v] = oracle.degree(v)
+        ranked = sorted(seen, key=seen.get, reverse=True)
+        for i in range(len(ranked)):
+            for j in range(i + 1, len(ranked)):
+                if oracle.counts.total >= budget:
+                    return None
+                if oracle.pair(ranked[i], ranked[j]):
+                    return (ranked[i], ranked[j])
+        return None
+
+
+@pytest.mark.parametrize("spent", [0, 1, 7])
+def test_greedy_pairs_counts_its_queries_as_the_meter_does(spent):
+    # Counting locally from one read of the meter takes the same steps, even
+    # on an oracle that has already spent queries or runs out mid-strategy.
+    base = erdos_renyi(80, 0.1, seed=4)
+    union, _ = planted_union(base, clique_size_for(base))
+    for seed in range(10):
+        for budget in (1, 2, 5, 12, 40, 120):
+            sides = []
+            for strategy in (GreedyPairStrategy(), MeterReadingGreedy()):
+                view = RelabeledView(union, random.Random(seed))
+                o = WitnessOracle(view, HiddenClique(view, base.n), seed=seed, budget=budget + spent)
+                for _ in range(spent):
+                    o.random_vertex()
+                try:
+                    answer = strategy.run(o, budget + spent, o.rng)
+                except BudgetExceeded:
+                    answer = "budget"
+                sides.append((answer, o.counts, o.witnessed, o.rng.getstate(), view._old))
+            assert sides[0] == sides[1]
+
+
 def test_lower_bound_run_shapes_and_certificate():
     runs = run_lower_bound("er:150,0.06", trials=150, seed=5, budgets=[1, 40])
     assert {r.strategy for r in runs} == {"truncated-sampler", "greedy-pairs", "blind-guess"}

@@ -290,6 +290,20 @@ def test_plain_unbudgeted_oracle_never_calls_its_methods():
             assert draws(seed, separate_rng) == first
 
 
+@pytest.mark.parametrize("theta", [2**62, 2**64])
+def test_theta_past_the_kernels_draw_takes_the_method_loop(theta):
+    # n theta > 2^63 does not fit the kernel's one draw per block: a plain
+    # oracle then runs as a budgeted one does, and neither raises.
+    cfg = SamplerConfig(epsilon=0.25, m_hat=10.0, theta=theta, q=40)
+    sides = []
+    for budget in (None, 10**6):
+        o = QueryOracle(star(50), seed=1, budget=budget)
+        report = sample_edge_almost_uniformly(o, cfg)
+        sides.append((report_tuple(report), counts_of(o), asdict(report.queries), o.rng.getstate()))
+    assert sides[0] == sides[1]
+    assert sides[0][0] == (None, 40)
+
+
 class CountingOracle(QueryOracle):
     """A subclass that sees every query: the bulk-charged loops must not skip it."""
 
@@ -431,8 +445,9 @@ class Recorder:
 def scalar_runs(g, theta, q, runs, draws, fallback, events):
     """The method loop's rule, attempt by attempt, on the kernel's draws.
 
-    ``draws`` yields the kernel's calls in order. A block starts with the
-    vertices and the slots. A narrow one (at most ``_NARROW`` candidates,
+    ``draws`` yields the kernel's calls in order. A block starts with one
+    ``integers(n * theta)`` draw, split into vertices and slots by
+    ``divmod(w, theta)``. A narrow one (at most ``_NARROW`` candidates,
     occupied slots and heavy starts, plus runs that can give up in it) then
     draws, in attempt order and up to the last run the call needs, a scalar
     ``random()`` coin per occupied slot of a light start (mixture only) and
@@ -450,9 +465,9 @@ def scalar_runs(g, theta, q, runs, draws, fallback, events):
         return value
 
     while len(out) < runs:
-        (_, (n,), _), u = next(draws)
-        (_, (slots,), _), j = next(draws)
-        assert (n, slots) == (g.n, theta)
+        (name, (bound,), _), w = next(draws)
+        assert (name, bound) == ("integers", g.n * theta)
+        u, j = np.divmod(w, theta)
         candidates = [i for i in range(len(u)) if j[i] < g.degree(u[i])]
         kind = "narrow block" if len(candidates) + len(u) // q <= _NARROW else "wide block"
         kinds.append(kind)
@@ -559,6 +574,28 @@ def test_degree_sum_kernel_matches_scalar_sum_on_its_draws(g, samples, seed):
     assert m_hat == max(1.0, 1.5 * g.n * sum(g.degree(v) for v in vertices.tolist()) / samples)
     assert counts_of(oracle) == {"vertex": samples, "degree": samples, "neighbor": 0, "pair": 0}
     assert oracle.rng.getstate() == twin.rng.getstate()
+
+
+@pytest.mark.parametrize("g, main_fits", [
+    (HUBS, True),  # mean degree about 2: s <= pilot_s
+    (build_graph([(2 * i, 2 * i + 1) for i in range(60)], 400), False),  # mean degree 0.3: s > pilot_s
+], ids=["main pass in the pilot's draw", "main pass draws again"])
+def test_degree_sum_estimate_replays_both_passes_from_its_draws(g, main_fits):
+    n = g.n
+    pilot_s = math.ceil(n / math.sqrt(n))
+    for seed in range(20):
+        oracle, twin = QueryOracle(g, seed=seed), QueryOracle(g, seed=seed)
+        m_hat = estimate_edges(oracle, "degree-sum-mc").m_hat
+        gen = twin._generator(twin.rng)
+        degrees = [g.degree(v) for v in gen.integers(n, size=2 * pilot_s).tolist()]
+        pilot = max(1.0, 1.5 * n * sum(degrees[:pilot_s]) / pilot_s)
+        s = max(1, math.ceil(n / math.sqrt(pilot)))
+        assert (s <= pilot_s) is main_fits
+        main = degrees[pilot_s:pilot_s + s] if main_fits else [g.degree(v) for v in gen.integers(n, size=s).tolist()]
+        assert m_hat == max(1.0, 1.5 * n * sum(main) / s)
+        assert counts_of(oracle) == {"vertex": pilot_s + s, "degree": pilot_s + s, "neighbor": 0, "pair": 0}
+        assert oracle.rng.getstate() == twin.rng.getstate()
+        assert oracle._gen.bit_generator.state == gen.bit_generator.state  # it drew nothing more
 
 
 # ---------------------------------------------------------------------------
