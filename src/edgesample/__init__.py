@@ -42,7 +42,6 @@ from .sampler import (
     mixture_attempt,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
-    sample_undirected_edge,
     weighted_expectation,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "read_edge_list",
     "sample_degree_proportional_vertex",
     "sample_edge_almost_uniformly",
-    "sample_undirected_edge",
     "verify_attempt_bounds",
     "vertex_return_distribution",
     "weighted_expectation",

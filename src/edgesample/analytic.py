@@ -83,8 +83,8 @@ class ClosedFormDistribution(AttemptDistribution):
     and a/b is 1/1 for a light v and d_L(v)/d(v) in lowest terms for a
     heavy v (``heavy`` maps heavy v to the pair (d_L(v), d(v))). ``pairs``
     maps each ratio (a, b) to its directed-edge count; the integer
-    ``weight`` is success_prob / unit. ``classes`` (keyed by the ratio as
-    a Fraction) and ``per_edge`` are derived from these when read.
+    ``weight`` is success_prob / unit. ``per_edge`` is derived from these
+    when read.
     """
 
     def __init__(self, g: Graph, part: DegreePartition, heavy: dict[int, tuple[int, int]]):
@@ -96,15 +96,6 @@ class ClosedFormDistribution(AttemptDistribution):
         self.pairs = pairs
         self.weight = part.e_light + sum(dl for dl, _ in heavy.values())
         self.success_prob = Fraction(self.weight, 2 * g.n * part.theta)
-
-    @property
-    def light_degrees(self) -> dict[int, int]:
-        """d_L of every heavy vertex."""
-        return {v: dl for v, (dl, _) in self.heavy.items()}
-
-    @property
-    def classes(self) -> dict[Fraction, int]:
-        return {Fraction(a, b): count for (a, b), count in self.pairs.items()}
 
     def _expand(self, value: dict[tuple[int, int], Fraction]) -> dict[DirectedEdge, Fraction]:
         """Give every directed edge the value of its origin's ratio pair."""
@@ -152,13 +143,9 @@ def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
     """
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    half = Fraction(1, 2)
-    per_edge: dict[DirectedEdge, Fraction] = {
-        e: Fraction(0) for e in g.directed_edges()
-    }
-    for track in enumerate_track_distributions(g, theta):
-        for e, p in track.items():
-            per_edge[e] += half * p
+    light, heavy = enumerate_track_distributions(g, theta)
+    zero = Fraction(0)
+    per_edge = {e: (light.get(e, zero) + heavy.get(e, zero)) / 2 for e in g.directed_edges()}
     success = sum(per_edge.values(), Fraction(0))
     return AttemptDistribution(theta=theta, per_edge=per_edge, success_prob=success)
 
@@ -182,16 +169,6 @@ def enumerate_track_distributions(g: Graph, theta: int) -> tuple[dict[DirectedEd
                 for w in g.neighbors(v):
                     heavy[DirectedEdge(v, w)] = heavy.get(DirectedEdge(v, w), Fraction(0)) + w_pick
     return light, heavy
-
-
-def enumerate_light_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
-    """Exhaustive per-edge return probabilities of the light track alone."""
-    return enumerate_track_distributions(g, theta)[0]
-
-
-def enumerate_heavy_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
-    """Exhaustive per-edge return probabilities of the heavy track alone."""
-    return enumerate_track_distributions(g, theta)[1]
 
 
 def enumerate_fallback_distribution(g: Graph) -> dict[DirectedEdge, Fraction]:

@@ -19,11 +19,14 @@ import math
 import os
 import secrets
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .analytic import attempt_distribution, check_attempt_bounds, conditional_closeness
 from .estimate import ESTIMATORS, estimate_edges_amplified
-from .experiments import DEFAULT_STRATEGIES, TruncatedSamplerStrategy, run_lower_bound, run_scaling
+from .experiments import (
+    DEFAULT_STRATEGIES, LowerBoundRun, ScalingRun, TruncatedSamplerStrategy, run_lower_bound, run_scaling,
+)
 from .generators import generate
 from .graph import GraphConstructionError, read_edge_list, write_edge_list
 from .oracle import QueryOracle
@@ -93,6 +96,15 @@ def _graph_summary(g) -> dict:
 def _config(args, command: str, *flags: str, **resolved) -> dict:
     """The echoed run configuration: the named flags as given, then the resolved values."""
     return {"command": command, **{flag: getattr(args, flag) for flag in flags}, **resolved}
+
+
+def _table(rows: list[dict], columns, plot_data: bool) -> None:
+    """CSV with a header line, or space-separated columns under a ``#`` header
+    for ``--plot-data``; floats print with 12 significant digits."""
+    sep = " " if plot_data else ","
+    print(("# " if plot_data else "") + sep.join(columns))
+    for row in rows:
+        print(sep.join(f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c]) for c in columns))
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -240,11 +252,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-_SCALING_COLUMNS = (
-    "spec,n,m_dir,epsilon,trials,mean_queries,stddev_queries,failure_rate,cost_scale"
-)
-
-
 def _cmd_bench(args) -> int:
     epsilon = _check_epsilon(args.epsilon)
     seed = _resolve_seed(args)
@@ -252,18 +259,9 @@ def _cmd_bench(args) -> int:
         args.generate, epsilon, args.trials, seed, args.estimator, args.samples
     )
     rows = sorted(result.runs, key=lambda r: (r.cost_scale, r.spec))
-    if args.plot_data:
-        print("# cost_scale mean_queries stddev_queries")
-        for r in rows:
-            print(f"{r.cost_scale:.12g} {r.mean_queries:.12g} {r.stddev_queries:.12g}")
-    else:
-        print(_SCALING_COLUMNS)
-        for r in rows:
-            print(
-                f"{r.spec},{r.n},{r.m_dir},{r.epsilon:.12g},{r.trials},"
-                f"{r.mean_queries:.12g},{r.stddev_queries:.12g},"
-                f"{r.failure_rate:.12g},{r.cost_scale:.12g}"
-            )
+    columns = ("cost_scale", "mean_queries", "stddev_queries") if args.plot_data else \
+        [f.name for f in fields(ScalingRun)] + ["cost_scale"]
+    _table([{**vars(r), "cost_scale": r.cost_scale} for r in rows], columns, args.plot_data)
     _emit(
         {
             "slope": result.slope,
@@ -277,11 +275,6 @@ def _cmd_bench(args) -> int:
 
 
 _LB_STRATEGIES = {s.name: type(s) for s in DEFAULT_STRATEGIES}
-
-_LB_COLUMNS = (
-    "base_spec,n,m_dir,k,e_k_dir,budget,strategy,trials,"
-    "clique_hit_rate,witness_rate,return_rate,tv_lower_estimate,witness_envelope"
-)
 
 
 def _cmd_lb(args) -> int:
@@ -304,29 +297,16 @@ def _cmd_lb(args) -> int:
     runs = run_lower_bound(
         args.generate, strategies, budgets, args.trials, seed=seed, base_seed=seed
     )
-    rows = sorted(runs, key=lambda r: (r.strategy, r.budget))
-    if args.plot_data:
-        print("# budget witness_rate clique_hit_rate tv_lower_estimate strategy")
-        for r in rows:
-            print(
-                f"{r.budget} {r.witness_rate:.12g} {r.clique_hit_rate:.12g} "
-                f"{r.tv_lower_estimate:.12g} {r.strategy}"
-            )
-    else:
-        print(_LB_COLUMNS)
-        for r in rows:
-            envelope = min(1.0, 4.0 * r.k * r.budget / r.n)
-            print(
-                f"{r.base_spec},{r.n},{r.m_dir},{r.k},{r.e_k_dir},{r.budget},"
-                f"{r.strategy},{r.trials},{r.clique_hit_rate:.12g},"
-                f"{r.witness_rate:.12g},{r.return_rate:.12g},"
-                f"{r.tv_lower_estimate:.12g},{envelope:.12g}"
-            )
+    rows = [{**vars(r), "witness_envelope": min(1.0, 4.0 * r.k * r.budget / r.n)}
+            for r in sorted(runs, key=lambda r: (r.strategy, r.budget))]
+    columns = ("budget", "witness_rate", "clique_hit_rate", "tv_lower_estimate", "strategy") if args.plot_data else \
+        [f.name for f in fields(LowerBoundRun)] + ["witness_envelope"]
+    _table(rows, columns, args.plot_data)
     _emit(
         {
             "rows": len(rows),
-            "k": rows[0].k if rows else None,
-            "e_k_over_m": rows[0].e_k_dir / rows[0].m_dir if rows else None,
+            "k": rows[0]["k"] if rows else None,
+            "e_k_over_m": rows[0]["e_k_dir"] / rows[0]["m_dir"] if rows else None,
             "config": _config(args, "lb", "trials", base_spec=args.generate, epsilon=epsilon, budgets=budgets,
                               strategies=[s.name for s in strategies], seed=seed),
         },

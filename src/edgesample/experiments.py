@@ -8,9 +8,9 @@ across a family of graphs and fits the log-log slope against
 n / sqrt(eps * m); the sampler's cost should scale linearly in that ratio.
 
 ``run_lower_bound`` plants a clique holding at least half the directed
-edges inside a disjoint union, relabels all vertex ids uniformly at random
-every trial (lazily: a trial draws only the labels it touches), and runs
-budget-capped strategies against it. Until a query touches the hidden
+edges inside a disjoint union (``generators.planted_union``), relabels all
+vertex ids uniformly at random every trial (lazily: a trial draws only the
+labels it touches), and runs budget-capped strategies against it. Until a query touches the hidden
 clique (a "witness": a degree or neighbor query on a clique vertex, or a
 pair query on a clique pair), clique ids are information-theoretically
 hidden, so any strategy with a small budget must under-sample clique
@@ -33,10 +33,10 @@ import numpy as np
 
 from .analytic import attempt_distribution
 from .estimate import estimate_edges
-from .generators import generate
+from .generators import generate, planted_union
 from .graph import DirectedEdge, Graph, RelabeledView
 from .oracle import BudgetExceeded, QueryOracle
-from .sampler import SamplerConfig, _runs, sample_edge_almost_uniformly
+from .sampler import SamplerConfig, _plan, _runs, sample_edge_almost_uniformly
 
 # ---------------------------------------------------------------------------
 # Monte Carlo frequencies vs the analytic distribution
@@ -81,8 +81,10 @@ def empirical_distribution(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (theta is None) == (config is None):
         raise ValueError("give exactly one of theta or config")
-    if theta is not None or config.q <= g.n:
-        dist = attempt_distribution(g, config.theta if theta is None else theta)
+    # a theta-mode run never gives up
+    theta, q, fallback = (theta, sys.maxsize, False) if config is None else _plan(config, g.n)
+    if not fallback:
+        dist = attempt_distribution(g, theta)
         if dist.success_prob == 0:  # theta mode would never end, config mode only fail
             raise ValueError(f"no attempt can succeed at theta={dist.theta}")
         if reference is None:
@@ -91,9 +93,7 @@ def empirical_distribution(
         reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
 
     oracle = QueryOracle(g, seed=seed)
-    fallback = config is not None and config.q > g.n
-    q = sys.maxsize if config is None else min(config.q, g.n)  # a theta-mode run never gives up
-    origins, targets, used = _runs(oracle, theta or config.theta, q, trials, oracle.rng, fallback)
+    origins, targets, used = _runs(oracle, theta, q, trials, oracle.rng, fallback)
     won = origins >= 0
     keys, hits = np.unique(origins[won] * g.n + targets[won], return_counts=True)
     counts = {DirectedEdge(*divmod(k, g.n)): c for k, c in zip(keys.tolist(), hits.tolist())}
@@ -215,15 +215,6 @@ def clique_size_for(base: Graph) -> int:
     while k * (k - 1) < base.m_dir:
         k += 1
     return k
-
-
-def planted_union(base: Graph, k: int) -> tuple[Graph, frozenset[int]]:
-    """Disjoint union of base and a k-clique, clique ids last; unshuffled.
-    Its CSR arrays are base's, then the clique's rows (ascending)."""
-    ids = np.arange(base.n, base.n + k)
-    rows = np.broadcast_to(ids, (k, k))[~np.eye(k, dtype=bool)]  # row i is ids without ids[i]
-    offsets = np.concatenate([base.offsets, base.m_dir + (k - 1) * np.arange(1, k + 1)])
-    return Graph(offsets, np.concatenate([base.targets, rows])), frozenset(ids.tolist())
 
 
 class HiddenClique:
@@ -369,6 +360,8 @@ def run_lower_bound(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if budgets is not None and any(b < 0 for b in budgets):
+        raise ValueError(f"budgets must be >= 0, got {budgets}")
     base = generate(base_spec, seed=base_seed)
     k = clique_size_for(base)
     union, _ = planted_union(base, k)

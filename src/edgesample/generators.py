@@ -4,6 +4,9 @@ Every generator is a pure function of its parameters and seed. The
 spec-string grammar is shell-friendly: ``path:8``, ``star:5``, ``er:1000,0.05``,
 ``clique_union:er:1000,0.05,30`` (the value after the last comma is the
 clique size; everything before it is the base spec).
+
+``planted_union`` builds a graph plus a disjoint clique; ``clique_union``
+relabels it at random, and the hidden-clique experiment lazily per trial.
 """
 
 from __future__ import annotations
@@ -85,10 +88,13 @@ def _sample_distinct(rng: np.random.Generator, n_total: int, m: int) -> np.ndarr
     return picked
 
 
-def with_clique(base: Graph, k: int) -> np.ndarray:
-    """Edge array of the disjoint union of ``base`` and a k-clique: base's
-    undirected edges in their order, then the clique on ids base.n..base.n+k-1."""
-    return np.concatenate([base.edge_array(), np.column_stack(np.triu_indices(k, 1)) + base.n])
+def planted_union(base: Graph, k: int) -> tuple[Graph, frozenset[int]]:
+    """Disjoint union of base and a k-clique, clique ids last; unshuffled.
+    Its CSR arrays are base's, then the clique's rows (ascending)."""
+    ids = np.arange(base.n, base.n + k)
+    rows = np.broadcast_to(ids, (k, k))[~np.eye(k, dtype=bool)]  # row i is ids without ids[i]
+    offsets = np.concatenate([base.offsets, base.m_dir + (k - 1) * np.arange(1, k + 1)])
+    return Graph(offsets, np.concatenate([base.targets, rows])), frozenset(ids.tolist())
 
 
 def clique_union(base: Graph, k: int, seed: int) -> Graph:
@@ -98,7 +104,7 @@ def clique_union(base: Graph, k: int, seed: int) -> Graph:
         raise ValueError(f"clique size must be >= 1, got {k}")
     n = base.n + k
     perm = np.random.default_rng(seed).permutation(n)
-    return build_graph(perm[with_clique(base, k)], n)
+    return build_graph(perm[planted_union(base, k)[0].edge_array()], n)
 
 
 def generate(spec: str, seed: int = 0) -> Graph:

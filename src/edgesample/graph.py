@@ -42,9 +42,6 @@ class DirectedEdge(NamedTuple):
     origin: int
     target: int
 
-    def reversed(self) -> DirectedEdge:
-        return DirectedEdge(self.target, self.origin)
-
     def undirected(self) -> tuple[int, int]:
         """The unordered edge as a sorted pair."""
         return (self.origin, self.target) if self.origin <= self.target else (self.target, self.origin)
@@ -292,6 +289,8 @@ def read_edge_list(path: str) -> Graph:
                 if parts[0] == "n":
                     if len(parts) != 2:
                         raise GraphConstructionError(f"{path}:{lineno}: malformed header {line!r}")
+                    if n is not None:
+                        raise GraphConstructionError(f"{path}:{lineno}: second 'n' header {line!r}")
                     n = int(parts[1])
                     continue
                 if len(parts) != 2:

@@ -288,7 +288,12 @@ def mixture_attempt(oracle: QueryOracle, theta: int, rng: random.Random | None =
     return _attempts(oracle, _theta(theta), 1, oracle.rng if rng is None else rng)[0]
 
 
-def _report(oracle, theta, q, rng, config, fallback) -> SampleReport:
+def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:
+    """A run's (theta, attempts, fallback): q mixture attempts, or n fallback attempts when q > n."""
+    return (config.theta, n, True) if config.q > n else (config.theta, config.q, False)
+
+
+def _report(oracle, theta, q, fallback, rng, config) -> SampleReport:
     """One run of ``_runs`` as a SampleReport."""
     if oracle.n < 1:
         raise ValueError("graph has no vertices")
@@ -302,13 +307,11 @@ def sample_edge_almost_uniformly(
     oracle: QueryOracle, config: SamplerConfig, rng: random.Random | None = None
 ) -> SampleReport:
     """Run up to q mixture attempts; revert to the fallback (n attempts) when q > n."""
-    fallback = config.q > oracle.n
-    return _report(oracle, config.theta, oracle.n if fallback else config.q, rng, config, fallback)
+    return _report(oracle, *_plan(config, oracle.n), rng, config)
 
 
 def fallback_uniform_edge(
-    oracle: QueryOracle, rng: random.Random | None = None, budget: int | None = None,
-    config: SamplerConfig | None = None,
+    oracle: QueryOracle, rng: random.Random | None = None, budget: int | None = None
 ) -> SampleReport:
     """Exactly-uniform sampler: uniform vertex, uniform slot in [n].
 
@@ -316,20 +319,7 @@ def fallback_uniform_edge(
     1/n^2, so the conditional distribution is exactly uniform. Budget
     defaults to n attempts. The attempts are ``_runs``'s with ``fallback``.
     """
-    return _report(oracle, oracle.n, oracle.n if budget is None else budget, rng, config, True)
-
-
-def sample_undirected_edge(
-    oracle: QueryOracle, config: SamplerConfig, rng: random.Random | None = None
-) -> tuple[tuple[int, int] | None, SampleReport]:
-    """Sample a directed edge and forget its orientation.
-
-    Each undirected edge owns exactly two directed versions, so its
-    probability is their sum and inherits the pointwise closeness bound
-    over the undirected edge set.
-    """
-    report = sample_edge_almost_uniformly(oracle, config, rng)
-    return (None if report.outcome is None else report.outcome.undirected()), report
+    return _report(oracle, oracle.n, oracle.n if budget is None else budget, True, rng, None)
 
 
 def sample_degree_proportional_vertex(
@@ -379,12 +369,13 @@ def weighted_expectation(
     weight_fn = weight if callable(weight) else weight.__getitem__
     rng = oracle.rng if rng is None else rng
     before = oracle.counts.copy()
+    theta, q, fallback = _plan(config, oracle.n)
     weights: list[float] = []
     failures = streak = 0
     while len(weights) < samples:
         # if every run fails, this stops after max_failures_per_draw runs
         chunk = min(samples - len(weights), max(max_failures_per_draw, len(weights)))
-        origins, targets, _ = _runs(oracle, config.theta, min(config.q, oracle.n), chunk, rng, config.q > oracle.n)
+        origins, targets, _ = _runs(oracle, theta, q, chunk, rng, fallback)
         failures += int((origins < 0).sum())
         for origin, target in zip(origins.tolist(), targets.tolist()):
             streak = 0 if origin >= 0 else streak + 1

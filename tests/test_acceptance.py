@@ -29,8 +29,7 @@ from edgesample import (
 )
 from edgesample.analytic import (
     enumerate_fallback_distribution,
-    enumerate_heavy_distribution,
-    enumerate_light_distribution,
+    enumerate_track_distributions,
     run_failure_probability,
 )
 from edgesample.experiments import clique_size_for, planted_union, run_lower_bound, run_scaling
@@ -58,7 +57,7 @@ def test_criterion_01_light_edge_uniformity(catalog_graphs):
                 for e in g.directed_edges()
                 if g.degree(e.origin) <= theta
             }
-            got = enumerate_light_distribution(g, theta)
+            got = enumerate_track_distributions(g, theta)[0]
             assert got == expected, f"{label} theta={theta}: light per-edge mismatch"
             assert sum(got.values(), Fraction(0)) == Fraction(part.e_light, g.n * theta), (
                 f"{label} theta={theta}: light success mismatch"
@@ -85,7 +84,7 @@ def test_criterion_02_heavy_edge_closed_form(catalog_graphs):
                 p = Fraction(dl, g.n * theta * g.degree(v))
                 for w in g.neighbors(v):
                     expected[(v, w)] = p
-            got = {tuple(e): p for e, p in enumerate_heavy_distribution(g, theta).items()}
+            got = {tuple(e): p for e, p in enumerate_track_distributions(g, theta)[1].items()}
             assert got == expected, f"{label} theta={theta}: heavy per-edge mismatch"
             success = sum(got.values(), Fraction(0))
             upper = Fraction(part.e_heavy, g.n * theta)

@@ -16,8 +16,7 @@ from edgesample import (
 )
 from edgesample.analytic import (
     enumerate_fallback_distribution,
-    enumerate_heavy_distribution,
-    enumerate_light_distribution,
+    enumerate_track_distributions,
     run_failure_probability,
 )
 from edgesample.generators import clique, erdos_renyi, path, star
@@ -58,13 +57,13 @@ def test_enumeration_matches_closed_form_spot():
 
 def test_light_track_enumeration_values():
     g = path(3)
-    d = enumerate_light_distribution(g, 4)
+    d = enumerate_track_distributions(g, 4)[0]
     assert set(d.values()) == {Fraction(1, 12)}
     assert sum(d.values()) == Fraction(1, 3)
 
 
 def test_heavy_track_enumeration_values():
-    d = enumerate_heavy_distribution(star(5), 3)
+    d = enumerate_track_distributions(star(5), 3)[1]
     # each center->leaf edge: d_L(c)/(n theta d(c)) = 5/(6*3*5) = 1/18
     assert d == {DirectedEdge(0, leaf): Fraction(1, 18) for leaf in range(1, 6)}
 

@@ -128,7 +128,8 @@ def test_hub_clique_exercises_heavy_edge_factor():
 
 def reference_bounds(dist, epsilon):
     """(name, applicable, passed, margin, note) of each bound check, in Fractions."""
-    g, theta, part, light_degrees = dist.graph, dist.theta, dist.partition, dist.light_degrees
+    g, theta, part = dist.graph, dist.theta, dist.partition
+    light_degrees = {v: dl for v, (dl, _) in dist.heavy.items()}
     n, m, eps = g.n, g.m_dir, Fraction(epsilon)
     unit = Fraction(1, 2 * n * theta)
     success = unit * (part.e_light + sum(light_degrees.values()))
@@ -201,7 +202,7 @@ def test_applicability_edge_and_boundary_cases():
     below = check_attempt_bounds(attempt_distribution(path(3), 4), math.nextafter(0.5, 0)).checks
     assert not below[3].applicable and below[3].margin is None
     dead = attempt_distribution(clique(4), 2)
-    assert dead.success_prob == 0 and dead.light_degrees == {v: 0 for v in range(4)}
+    assert dead.success_prob == 0 and dead.heavy == {v: (0, 3) for v in range(4)}
     assert not check_attempt_bounds(dead, 0.25).checks[3].applicable  # theta 2 is far below sqrt(2 m / eps)
     none = check_attempt_bounds(attempt_distribution(star(3), 3), 0.25).checks[2]
     assert (none.applicable, none.passed, none.margin, none.note) == (False, True, None, "no heavy vertices")

@@ -91,6 +91,10 @@ def test_malformed_graph_file_is_data_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--graph", str(bad), "--seed", "1")
     assert code == 3
     assert f"{bad}: ids name 2000000000 vertices" in err
+    bad.write_text("n 5\n0 1\nn 3\n1 2\n")  # a second header
+    code, _, err = run_cli(capsys, "verify", "--graph", str(bad), "--seed", "1")
+    assert code == 3
+    assert f"{bad}:3: second 'n' header" in err
     # a bad generator spec is still a usage error
     code, _, _ = run_cli(capsys, "verify", "--generate", "er:-5,0.1", "--seed", "1")
     assert code == 2
@@ -235,6 +239,15 @@ def test_lb_csv_and_summary(capsys):
     summary = json.loads(err)
     assert summary["config"]["strategies"] == ["blind-guess", "greedy-pairs"]
     assert summary["e_k_over_m"] >= 0.5
+
+
+def test_lb_negative_budget_usage_error(capsys):
+    argv = ["lb", "--generate", "er:200,0.05", "--trials", "5", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv, "--budgets", "0,-3")
+    assert code == 2 and out == ""
+    assert "budgets must be >= 0" in err
+    code, out, _ = run_cli(capsys, *argv, "--budgets", "0")  # a budget of 0 stays valid
+    assert code == 0 and len(out.splitlines()) == 4  # header + 3 strategies
 
 
 def test_lb_unknown_strategy_usage_error(capsys):

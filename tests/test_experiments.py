@@ -20,7 +20,7 @@ from edgesample.experiments import (
     run_lower_bound,
     run_scaling,
 )
-from edgesample.generators import erdos_renyi, generate, path, with_clique
+from edgesample.generators import erdos_renyi, generate, path
 
 
 def test_clique_size_reaches_half_the_edges():
@@ -44,8 +44,11 @@ def test_planted_union_concatenates_base_and_clique_rows():
         assert clique_ids == frozenset(range(base.n, base.n + k))
         assert union.adjacency[: base.n] == base.adjacency
         assert all(union.neighbors(c) == tuple(sorted(clique_ids - {c})) for c in clique_ids)
+        # base's edges in their order, then the clique's pairs ascending: clique_union relabels this array
+        edges = np.concatenate([base.edge_array(), np.column_stack(np.triu_indices(k, 1)) + base.n])
+        assert np.array_equal(union.edge_array(), edges)
         if spec != "cycle:9":  # rows in ascending order: rebuilding from the edge list keeps them
-            rebuilt = build_graph(with_clique(base, k), base.n + k)
+            rebuilt = build_graph(edges, base.n + k)
             assert np.array_equal(union.offsets, rebuilt.offsets)
             assert np.array_equal(union.targets, rebuilt.targets)
 
@@ -99,6 +102,14 @@ def test_witness_oracle_flags_only_clique_touches():
     o3 = WitnessOracle(union, frozenset(clique_ids), seed=0)
     o3.neighbor(5, 1)
     assert o3.witnessed
+
+
+def test_run_lower_bound_rejects_negative_budgets():
+    with pytest.raises(ValueError, match="budgets must be >= 0"):
+        run_lower_bound("er:200,0.05", budgets=[0, -3], trials=5, seed=1)
+    rows = run_lower_bound("er:200,0.05", budgets=[0], trials=5, seed=1)
+    assert [r.budget for r in rows] == [0, 0, 0]
+    assert all(r.witness_rate == 0 for r in rows)  # no query can be made
 
 
 def test_budget_meter_truncates_strategies():

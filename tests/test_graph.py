@@ -68,8 +68,8 @@ def test_partition_clique4_all_heavy():
 
 
 def test_light_degree_examples():
-    assert attempt_distribution(star(5), 3).light_degrees == {0: 5}
-    assert attempt_distribution(clique(4), 2).light_degrees == {v: 0 for v in range(4)}
+    assert attempt_distribution(star(5), 3).heavy == {0: (5, 5)}  # v: (d_L(v), d(v))
+    assert attempt_distribution(clique(4), 2).heavy == {v: (0, 3) for v in range(4)}
 
 
 def test_graph_pickles_and_reads_python_ints():
@@ -124,7 +124,6 @@ def test_heavy_count_bound():
 
 def test_directed_edge_helpers():
     e = DirectedEdge(3, 1)
-    assert e.reversed() == DirectedEdge(1, 3)
     assert e.undirected() == (1, 3)
 
 
@@ -158,6 +157,15 @@ def test_edge_list_header_bound(tmp_path):
     target.write_text(f"n {3 + HEADER_SLACK}\n0 1\n")
     with pytest.raises(GraphConstructionError, match="header names"):
         read_edge_list(str(target))
+
+
+def test_edge_list_second_header_raises(tmp_path):
+    target = tmp_path / "g.edges"
+    target.write_text("n 5\n0 1\nn 3\n1 2\n")
+    with pytest.raises(GraphConstructionError, match=f"{target}:3: second 'n' header"):
+        read_edge_list(str(target))
+    target.write_text("# n 3 in a comment is no header\nn 5\n0 1\n")
+    assert read_edge_list(str(target)).n == 5
 
 
 def test_relabeled_view_matches_rebuilt_graph():

@@ -15,7 +15,6 @@ from edgesample import (
     mixture_attempt,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
-    sample_undirected_edge,
     weighted_expectation,
 )
 from edgesample.generators import clique, erdos_renyi, path, star
@@ -179,21 +178,6 @@ def test_fallback_single_edge_distribution():
     # per-attempt success 2/4; both orientations equally likely
     assert abs(successes / runs - 0.5) < 0.04
     assert abs(hits[DirectedEdge(0, 1)] - hits[DirectedEdge(1, 0)]) < 5 * math.sqrt(successes)
-
-
-def test_undirected_single_edge():
-    g = build_graph([(0, 1)], 2)
-    o = QueryOracle(g, seed=14)
-    cfg = SamplerConfig.for_graph(2, 2.0, 0.25)
-    successes = 0
-    for _ in range(100):
-        pair, report = sample_undirected_edge(o, cfg)
-        if report.failed:
-            assert pair is None
-        else:
-            assert pair == (0, 1)
-            successes += 1
-    assert successes > 50
 
 
 def test_degree_proportional_single_edge_endpoints():

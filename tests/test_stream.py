@@ -621,7 +621,7 @@ def test_kernel_attempts_and_heavy_share_match_exact_values():
     observed_failure = float(np.mean(origins < 0))
     assert abs(observed_failure - failure) < 4 * math.sqrt(failure * (1 - failure) / runs)
     # heavy origins: the five hubs, with exact share sum(d_L) / weight among wins
-    heavy_share = sum(dist.light_degrees.values()) / dist.weight
+    heavy_share = sum(dl for dl, _ in dist.heavy.values()) / dist.weight
     wins = origins[origins >= 0]
     observed_share = float(np.mean(wins < 5))
     assert abs(observed_share - heavy_share) < 4 * math.sqrt(heavy_share * (1 - heavy_share) / len(wins))
