@@ -38,7 +38,6 @@ from .oracle import BudgetExceeded, QueryCounts, QueryOracle
 from .sampler import (
     SampleReport,
     SamplerConfig,
-    fallback_uniform_edge,
     mixture_attempt,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
@@ -66,7 +65,6 @@ __all__ = [
     "enumerate_attempt_distribution",
     "estimate_edges",
     "estimate_edges_amplified",
-    "fallback_uniform_edge",
     "mixture_attempt",
     "partition",
     "read_edge_list",

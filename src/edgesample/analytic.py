@@ -65,12 +65,6 @@ class AttemptDistribution:
     per_edge: dict[DirectedEdge, Fraction]
     success_prob: Fraction
 
-    def conditional(self) -> dict[DirectedEdge, Fraction]:
-        """Distribution of the returned edge given that the attempt succeeded."""
-        if self.success_prob == 0:
-            raise ValueError("success probability is zero; conditional undefined")
-        return {e: p / self.success_prob for e, p in self.per_edge.items()}
-
 
 def _reduced(a: int, b: int) -> tuple[int, int]:
     return a // math.gcd(a, b), b // math.gcd(a, b)
@@ -112,7 +106,8 @@ class ClosedFormDistribution(AttemptDistribution):
         return self._expand({(a, b): unit * Fraction(a, b) for a, b in self.pairs})
 
     def conditional(self) -> dict[DirectedEdge, Fraction]:
-        """As ``AttemptDistribution.conditional``, one division per ratio class."""
+        """Distribution of the returned edge given that the attempt succeeded,
+        one division per ratio class."""
         if self.success_prob == 0:
             raise ValueError("success probability is zero; conditional undefined")
         return self._expand({(a, b): Fraction(a, b * self.weight) for a, b in self.pairs})

@@ -30,7 +30,7 @@ from .experiments import (
 from .generators import generate
 from .graph import GraphConstructionError, read_edge_list, write_edge_list
 from .oracle import QueryOracle
-from .sampler import SamplerConfig, sample_edge_almost_uniformly, threshold_for
+from .sampler import SamplerConfig, check_epsilon, sample_edge_almost_uniformly, threshold_for
 
 EXIT_OK = 0
 EXIT_FAILURE_OUTCOME = 1
@@ -81,12 +81,6 @@ def _load_graph(args, seed: int):
     if has_file:
         return read_edge_list(args.graph), f"file:{args.graph}"
     return generate(args.generate, seed=seed), args.generate
-
-
-def _check_epsilon(epsilon: float) -> float:
-    if not 0.0 < epsilon < 0.5:
-        raise UsageError(f"--epsilon must lie strictly inside (0, 0.5), got {epsilon}")
-    return epsilon
 
 
 def _graph_summary(g) -> dict:
@@ -173,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    epsilon = _check_epsilon(args.epsilon)
+    epsilon = check_epsilon(args.epsilon)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     seed = _resolve_seed(args)
@@ -224,7 +218,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    epsilon = _check_epsilon(args.epsilon)
+    epsilon = check_epsilon(args.epsilon)
     seed = _resolve_seed(args)
     g, source = _load_graph(args, seed)
     if g.m_dir == 0:
@@ -253,7 +247,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    epsilon = _check_epsilon(args.epsilon)
+    epsilon = check_epsilon(args.epsilon)
     seed = _resolve_seed(args)
     result = run_scaling(
         args.generate, epsilon, args.trials, seed, args.estimator, args.samples
@@ -278,7 +272,7 @@ _LB_STRATEGIES = {s.name: type(s) for s in DEFAULT_STRATEGIES}
 
 
 def _cmd_lb(args) -> int:
-    epsilon = _check_epsilon(args.epsilon)
+    epsilon = check_epsilon(args.epsilon)
     seed = _resolve_seed(args)
     budgets = None
     if args.budgets:

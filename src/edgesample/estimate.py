@@ -45,8 +45,6 @@ def _exact(oracle: QueryOracle, samples: int | None) -> float:
 
 
 def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
-    if samples is not None and samples < 1:
-        raise ValueError(f"sample count must be >= 1, got {samples}")
     n, graph = oracle.n, bulk_graph(oracle)
     pilot_s = 0 if samples else _sample_count(n, n)
     if graph is None:
@@ -100,6 +98,8 @@ def estimate_edges_amplified(
     """
     if repetitions < 1 or repetitions % 2 == 0:
         raise ValueError(f"repetitions must be odd and >= 1, got {repetitions}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
     if oracle.graph.m_dir < 2:
         raise ValueError("graph has no edges to estimate")
     try:

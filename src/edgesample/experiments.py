@@ -53,9 +53,7 @@ class EmpiricalReport:
     p_value: float
     max_std_dev: float
     off_support: int
-    attempts_total: int
     failures: int
-    seed: int | None
 
 
 def empirical_distribution(
@@ -93,7 +91,7 @@ def empirical_distribution(
         reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
 
     oracle = QueryOracle(g, seed=seed)
-    origins, targets, used = _runs(oracle, theta, q, trials, oracle.rng, fallback)
+    origins, targets, _ = _runs(oracle, theta, q, trials, oracle.rng, fallback)
     won = origins >= 0
     keys, hits = np.unique(origins[won] * g.n + targets[won], return_counts=True)
     counts = {DirectedEdge(*divmod(k, g.n)): c for k, c in zip(keys.tolist(), hits.tolist())}
@@ -120,9 +118,7 @@ def empirical_distribution(
         p_value=float(p_value),
         max_std_dev=float(max_std),
         off_support=off_support,
-        attempts_total=int(used.sum()),
         failures=trials - returned,
-        seed=seed,
     )
 
 

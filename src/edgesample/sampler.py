@@ -14,8 +14,9 @@ With theta >= sqrt(2 m / eps), per-attempt probabilities of any two edges
 agree within a factor 1/(1 - eps/2), so the conditional distribution is
 pointwise eps-close to uniform. The main routine budgets
 q = ceil(10 n / ((1 - eps) sqrt(eps m_hat))) attempts; when that exceeds
-n it reverts to the exactly-uniform (but slower per success) uniform-slot
-fallback.
+n it reverts to n fallback attempts: a uniform vertex and a uniform slot
+in [n], no coin, no degree query. Each returns any directed edge with
+probability 1/n^2, so the fallback is exactly uniform, if slower per success.
 
 Runs, the fallback's included, are made in one of two ways with the same
 distribution of outcomes and query counts (``_runs``): by ``_kernel`` in
@@ -55,31 +56,30 @@ def attempt_budget(n: int, m_hat: float, epsilon: float) -> int:
     return max(1, math.ceil(10.0 * n / ((1.0 - epsilon) * math.sqrt(epsilon * m_hat))))
 
 
-def _check_epsilon_m_hat(epsilon: float, m_hat: float) -> None:
+def check_epsilon(epsilon: float) -> float:
+    """Return epsilon if it lies strictly inside (0, 0.5), else raise ValueError."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie strictly inside (0, 0.5), got {epsilon}")
-    if m_hat <= 0:
-        raise ValueError(f"edge estimate must be positive, got {m_hat}")
+    return epsilon
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Resolved parameters of one sampling run."""
+    """Resolved parameters of one sampling run: threshold theta and attempt budget q."""
 
-    epsilon: float
-    m_hat: float
     theta: int
     q: int
 
     def __post_init__(self):
-        _check_epsilon_m_hat(self.epsilon, self.m_hat)
         if self.theta < 1 or self.q < 1:
             raise ValueError("theta and q must be >= 1")
 
     @classmethod
     def for_graph(cls, n: int, m_hat: float, epsilon: float) -> "SamplerConfig":
-        _check_epsilon_m_hat(epsilon, m_hat)
-        return cls(epsilon, m_hat, threshold_for(m_hat, epsilon), attempt_budget(n, m_hat, epsilon))
+        check_epsilon(epsilon)
+        if not 0.0 < m_hat < math.inf:
+            raise ValueError(f"edge estimate must be positive and finite, got {m_hat}")
+        return cls(threshold_for(m_hat, epsilon), attempt_budget(n, m_hat, epsilon))
 
 
 @dataclass
@@ -89,12 +89,8 @@ class SampleReport:
     outcome: DirectedEdge | None
     attempts_used: int
     queries: QueryCounts
-    config: SamplerConfig | None
+    config: SamplerConfig
     used_fallback: bool = False
-
-    @property
-    def failed(self) -> bool:
-        return self.outcome is None
 
 
 _NARROW = 64  # the most walk steps a block takes in Python; numpy's split wins above 50-70
@@ -112,8 +108,8 @@ def _attempts(
     occupant v; the heavy track fails unless v is heavy, and returns (v, w)
     for a uniform neighbor w of v. ``1 + r`` with ``r`` drawn by
     ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
-    With ``fallback`` an attempt is ``fallback_uniform_edge``'s: theta = n
-    is given, and there is no coin and no degree query.
+    With ``fallback`` an attempt is the fallback's (see the module
+    docstring): theta = n is given, and there is no coin and no degree query.
     """
     k = theta.bit_length()
     coin, degree = (lambda: 0.0, lambda u: 0) if fallback else (rng.random, oracle.degree)
@@ -168,8 +164,8 @@ def _kernel(
     and the split 40-60 us a block more than a short walk, so they cross
     near 50-70 steps, where the fixed cutoff sits. The walked runs collect
     in one list, made into arrays once: before a wide block or at the end.
-    With ``fallback`` an attempt is ``fallback_uniform_edge``'s: theta = n,
-    no coin, no degree query. Returns each run's edge (-1, -1 on a failure)
+    With ``fallback`` an attempt is the fallback's: theta = n, no coin, no
+    degree query. Returns each run's edge (-1, -1 on a failure)
     and attempts, and the queries the method loop would charge.
     """
     offsets, targets, n, ends, o, t = graph.offsets, graph.targets, graph.n, graph.offsets[1:], graph._o, graph._t
@@ -259,8 +255,8 @@ def _kernel(
 def _runs(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> list[np.ndarray]:
-    """``runs`` runs of up to q mixture attempts (``fallback_uniform_edge``'s
-    with ``fallback``, at theta = n) as [origins, targets, used], origin -1
+    """``runs`` runs of up to q mixture attempts (fallback attempts with
+    ``fallback``, at theta = n) as [origins, targets, used], origin -1
     on a failure: pooled in ``_kernel`` where ``bulk_graph`` allows, the
     call expects at least ``_SCALAR`` attempts and n theta fits the
     kernel's one draw (at most 2^63, always so at theta = n), else one at
@@ -282,10 +278,10 @@ def _theta(theta: int) -> int:
     return theta
 
 
-def mixture_attempt(oracle: QueryOracle, theta: int, rng: random.Random | None = None) -> DirectedEdge | None:
+def mixture_attempt(oracle: QueryOracle, theta: int) -> DirectedEdge | None:
     """Fair coin between the light and heavy tracks, through the oracle's
     methods, which ``_runs`` would also take for a call this small."""
-    return _attempts(oracle, _theta(theta), 1, oracle.rng if rng is None else rng)[0]
+    return _attempts(oracle, _theta(theta), 1, oracle.rng)[0]
 
 
 def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:
@@ -293,37 +289,21 @@ def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:
     return (config.theta, n, True) if config.q > n else (config.theta, config.q, False)
 
 
-def _report(oracle, theta, q, fallback, rng, config) -> SampleReport:
-    """One run of ``_runs`` as a SampleReport."""
+def sample_edge_almost_uniformly(
+    oracle: QueryOracle, config: SamplerConfig, rng: random.Random | None = None
+) -> SampleReport:
+    """One run of ``_runs``: up to q mixture attempts, or the fallback's n when q > n."""
     if oracle.n < 1:
         raise ValueError("graph has no vertices")
+    theta, q, fallback = _plan(config, oracle.n)
     before = oracle.counts.copy()
     (origin,), (target,), (used,) = _runs(oracle, theta, q, 1, oracle.rng if rng is None else rng, fallback)
     edge = DirectedEdge(int(origin), int(target)) if origin >= 0 else None
     return SampleReport(edge, int(used), oracle.counts - before, config, fallback)
 
 
-def sample_edge_almost_uniformly(
-    oracle: QueryOracle, config: SamplerConfig, rng: random.Random | None = None
-) -> SampleReport:
-    """Run up to q mixture attempts; revert to the fallback (n attempts) when q > n."""
-    return _report(oracle, *_plan(config, oracle.n), rng, config)
-
-
-def fallback_uniform_edge(
-    oracle: QueryOracle, rng: random.Random | None = None, budget: int | None = None
-) -> SampleReport:
-    """Exactly-uniform sampler: uniform vertex, uniform slot in [n].
-
-    Each attempt returns any specific directed edge with probability
-    1/n^2, so the conditional distribution is exactly uniform. Budget
-    defaults to n attempts. The attempts are ``_runs``'s with ``fallback``.
-    """
-    return _report(oracle, oracle.n, oracle.n if budget is None else budget, True, rng, None)
-
-
 def sample_degree_proportional_vertex(
-    oracle: QueryOracle, config: SamplerConfig, rng: random.Random | None = None
+    oracle: QueryOracle, config: SamplerConfig
 ) -> tuple[int | None, SampleReport]:
     """Sample a vertex with probability close to d(v) / m_dir.
 
@@ -331,11 +311,10 @@ def sample_degree_proportional_vertex(
     probability 1/2; v sits in d(v) directed edges as origin and d(v) as
     target, so the exactly-uniform case lands on d(v)/m_dir.
     """
-    rng = oracle.rng if rng is None else rng
-    report = sample_edge_almost_uniformly(oracle, config, rng)
+    report = sample_edge_almost_uniformly(oracle, config)
     if report.outcome is None:
         return None, report
-    return (report.outcome.origin if rng.random() < 0.5 else report.outcome.target), report
+    return (report.outcome.origin if oracle.rng.random() < 0.5 else report.outcome.target), report
 
 
 @dataclass
@@ -354,7 +333,6 @@ def weighted_expectation(
     config: SamplerConfig,
     weight: Mapping[tuple[int, int], float] | Callable[[DirectedEdge], float],
     samples: int,
-    rng: random.Random | None = None,
     max_failures_per_draw: int = 100,
 ) -> WeightedExpectation:
     """Average an edge weight over ``samples`` successful draws.
@@ -367,7 +345,6 @@ def weighted_expectation(
     if samples < 1 or max_failures_per_draw < 1:
         raise ValueError("samples and max_failures_per_draw must be >= 1")
     weight_fn = weight if callable(weight) else weight.__getitem__
-    rng = oracle.rng if rng is None else rng
     before = oracle.counts.copy()
     theta, q, fallback = _plan(config, oracle.n)
     weights: list[float] = []
@@ -375,7 +352,7 @@ def weighted_expectation(
     while len(weights) < samples:
         # if every run fails, this stops after max_failures_per_draw runs
         chunk = min(samples - len(weights), max(max_failures_per_draw, len(weights)))
-        origins, targets, _ = _runs(oracle, theta, q, chunk, rng, fallback)
+        origins, targets, _ = _runs(oracle, theta, q, chunk, oracle.rng, fallback)
         failures += int((origins < 0).sum())
         for origin, target in zip(origins.tolist(), targets.tolist()):
             streak = 0 if origin >= 0 else streak + 1

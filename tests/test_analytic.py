@@ -243,6 +243,6 @@ def test_empirical_config_mode_rejects_theta_where_no_attempt_succeeds(monkeypat
         raise AssertionError("a trial ran before the check")
 
     monkeypatch.setattr("edgesample.experiments._runs", no_trials)
-    cfg = SamplerConfig(epsilon=0.25, m_hat=12.0, theta=2, q=4)
+    cfg = SamplerConfig(theta=2, q=4)
     with pytest.raises(ValueError, match="no attempt can succeed at theta=2"):
         empirical_distribution(clique(4), trials=20000, seed=0, config=cfg)

@@ -56,6 +56,20 @@ def test_epsilon_out_of_range_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "sample", "--generate", "star:5", "--epsilon", "0.7")
     assert code == 2
     assert "(0, 0.5)" in err
+    for command in ("verify", "bench", "lb"):
+        code, out, err = run_cli(capsys, command, "--generate", "star:5", "--epsilon", "0.5", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "(0, 0.5)" in err
+
+
+def test_zero_samples_is_usage_error_for_every_estimator(capsys):
+    # the exact estimator reads no samples, but a count below 1 is still rejected
+    for estimator in ("exact", "degree-sum-mc"):
+        for command in ("estimate", "sample", "bench"):
+            argv = [command, "--generate", "star:5", "--estimator", estimator, "--samples", "0", "--seed", "1"]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "sample count must be >= 1" in err
 
 
 def test_exactly_one_graph_source(capsys):
@@ -262,6 +276,15 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--bogus-flag"])
     assert exc.value.code == 2
+
+
+def test_all_names_resolve():
+    assert len(set(edgesample.__all__)) == len(edgesample.__all__)
+    for name in edgesample.__all__:
+        assert getattr(edgesample, name) is not None, name
+    namespace = {}
+    exec("from edgesample import *", namespace)
+    assert set(edgesample.__all__) <= namespace.keys()
 
 
 def test_import_leaves_scipy_unloaded():

@@ -78,8 +78,11 @@ def test_repetitions_must_be_odd():
 
 def test_sample_count_must_be_positive():
     o = QueryOracle(path(3), seed=0)
-    with pytest.raises(ValueError):
-        estimate_edges(o, "degree-sum-mc", samples=0)
+    for estimator in ("degree-sum-mc", "exact"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="sample count"):
+                estimate_edges(o, estimator, samples=bad)
+    assert o.counts.total == 0
 
 
 def test_empty_graph_rejected():

@@ -33,7 +33,6 @@ from edgesample import (
     SamplerConfig,
     attempt_distribution,
     estimate_edges,
-    fallback_uniform_edge,
     mixture_attempt,
     sample_edge_almost_uniformly,
 )
@@ -191,31 +190,24 @@ def report_tuple(report):
 def test_full_run_and_fallback_match_reference(g, data, seed, budget, separate_rng):
     theta = data.draw(st.integers(1, g.n + 2))
     q = data.draw(st.integers(1, 2 * g.n + 1))
-    cfg = SamplerConfig(epsilon=0.25, m_hat=max(1.0, float(g.m_dir)), theta=theta, q=q)
+    cfg = SamplerConfig(theta=theta, q=q)  # q > n runs the fallback
     got, want = both(
         g, seed, budget, separate_rng,
         lambda o, rng: report_tuple(sample_edge_almost_uniformly(o, cfg, rng)),
         lambda o, rng: ref_run(o, theta, q, rng),
     )
     assert got == want
-    fallback_budget = data.draw(st.integers(1, 3 * g.n))
-    got, want = both(
-        g, seed, budget, separate_rng,
-        lambda o, rng: report_tuple(fallback_uniform_edge(o, rng=rng, budget=fallback_budget)),
-        lambda o, rng: ref_fallback(o, fallback_budget, rng),
-    )
-    assert got == want
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs(), st.data(), st.integers(0, 2**32), budgets, st.booleans())
-def test_single_attempts_match_reference(g, data, seed, budget, separate_rng):
+@given(graphs(), st.data(), st.integers(0, 2**32), budgets)
+def test_single_attempts_match_reference(g, data, seed, budget):
     theta = data.draw(st.integers(1, g.n + 2))
-
-    def twenty(attempt):
-        return lambda o, rng: [attempt(o, theta, rng) for _ in range(20)]
-
-    got, want = both(g, seed, budget, separate_rng, twenty(mixture_attempt), twenty(ref_mixture))
+    got, want = both(
+        g, seed, budget, False,
+        lambda o, rng: [mixture_attempt(o, theta) for _ in range(20)],
+        lambda o, rng: [ref_mixture(o, theta, rng) for _ in range(20)],
+    )
     assert got == want
 
 
@@ -262,7 +254,7 @@ def test_estimate_and_run_match_reference_at_size(separate_rng):
 # ---------------------------------------------------------------------------
 
 HUBS = hub_graph(5, 200)  # theta 128 at m_hat = m_dir: the five hubs are heavy
-HUBS_CONFIG = SamplerConfig(epsilon=0.25, m_hat=float(HUBS.m_dir), theta=128, q=200)
+HUBS_CONFIG = SamplerConfig(theta=128, q=200)
 
 
 def test_plain_unbudgeted_oracle_never_calls_its_methods():
@@ -294,7 +286,7 @@ def test_plain_unbudgeted_oracle_never_calls_its_methods():
 def test_theta_past_the_kernels_draw_takes_the_method_loop(theta):
     # n theta > 2^63 does not fit the kernel's one draw per block: a plain
     # oracle then runs as a budgeted one does, and neither raises.
-    cfg = SamplerConfig(epsilon=0.25, m_hat=10.0, theta=theta, q=40)
+    cfg = SamplerConfig(theta=theta, q=40)
     sides = []
     for budget in (None, 10**6):
         o = QueryOracle(star(50), seed=1, budget=budget)
@@ -363,7 +355,7 @@ def test_relabeled_view_matches_reference():
 # ---------------------------------------------------------------------------
 
 STAR = star(5)  # centre 0 is the only heavy vertex at theta = 3
-STAR_CONFIG = SamplerConfig(epsilon=0.25, m_hat=10.0, theta=3, q=6)
+STAR_CONFIG = SamplerConfig(theta=3, q=6)
 
 
 def first_heavy_success_seed():
