@@ -10,13 +10,13 @@ n / sqrt(eps * m); the sampler's cost should scale linearly in that ratio.
 ``run_lower_bound`` plants a clique holding at least half the directed
 edges inside a disjoint union (``generators.planted_union``), relabels all
 vertex ids uniformly at random every trial (lazily: a trial draws only the
-labels it touches), and runs budget-capped strategies against it. Until a query touches the hidden
-clique (a "witness": a degree or neighbor query on a clique vertex, or a
-pair query on a clique pair), clique ids are information-theoretically
-hidden, so any strategy with a small budget must under-sample clique
-edges. 1/2 minus the observed clique hit rate *estimates* the total
-variational distance from uniform; it is no certified bound, as the hit
-rate is conditional on a returned edge (see ROADMAP item 4).
+labels it touches), and runs budget-capped strategies against it. Until a
+query touches the hidden clique (a witness, as ``RelabeledView`` defines
+it), clique ids are information-theoretically hidden, so any strategy with
+a small budget must under-sample clique edges. 1/2 minus the observed
+clique hit rate *estimates* the total variational distance from uniform;
+it is no certified bound, as the hit rate is conditional on a returned
+edge (see ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container
 
 import numpy as np
 
@@ -213,41 +212,6 @@ def clique_size_for(base: Graph) -> int:
     return k
 
 
-class HiddenClique:
-    """The clique's new ids in a view: those whose old id is at least ``first``
-    (clique ids come last in ``planted_union``). A lookup reveals one old id."""
-
-    def __init__(self, view: RelabeledView, first: int):
-        self._old, self._first = view.old, first
-
-    def __contains__(self, v: int) -> bool:
-        return self._old(v) >= self._first
-
-
-class WitnessOracle(QueryOracle):
-    """Oracle that flags the first query revealing membership in ``clique_vertices``."""
-
-    def __init__(self, graph, clique_vertices: Container[int], seed=None, budget=None):
-        super().__init__(graph, seed=seed, budget=budget)
-        self.clique_vertices = clique_vertices
-        self.witnessed = False
-
-    def degree(self, v: int) -> int:
-        d = super().degree(v)
-        self.witnessed = self.witnessed or v in self.clique_vertices  # once set, the flag cannot change
-        return d
-
-    def neighbor(self, v: int, i: int) -> int | None:
-        w = super().neighbor(v, i)
-        self.witnessed = self.witnessed or v in self.clique_vertices
-        return w
-
-    def pair(self, v: int, w: int) -> bool:
-        ans = super().pair(v, w)
-        self.witnessed = self.witnessed or (v != w and v in self.clique_vertices and w in self.clique_vertices)
-        return ans
-
-
 class TruncatedSamplerStrategy:
     """The mixture sampler itself, cut off by the hard query meter.
 
@@ -350,7 +314,8 @@ def run_lower_bound(
     The planted union is built once; each trial wraps it in a fresh, lazily
     drawn, uniformly random relabeling (equivalent in distribution to
     rebuilding the labeled graph), so strategies can never learn clique ids
-    across trials. Membership, for witnesses and hits, reads revealed old ids.
+    across trials. Membership, for witnesses and hits, reads revealed old ids:
+    the view marks the clique's and flags the witness (``RelabeledView``).
     Each (strategy, budget) cell draws two generators from ``seed``: one for
     its relabelings and one that its trials' oracles draw from in turn.
     """
@@ -361,6 +326,7 @@ def run_lower_bound(
     base = generate(base_spec, seed=base_seed)
     k = clique_size_for(base)
     union, _ = planted_union(base, k)
+    clique = range(base.n, union.n)  # old ids: planted_union puts the clique last
     if budgets is None:
         budgets = default_budgets(union.n, union.m_dir)
     master = random.Random(seed)
@@ -371,18 +337,17 @@ def run_lower_bound(
             returns = hits = witnesses = 0
             for _ in range(trials):
                 view = RelabeledView(union, relabel_rng)
-                clique = HiddenClique(view, base.n)
-                oracle = WitnessOracle(view, clique, seed=oracle_rng, budget=budget)
+                view.marked = clique
+                oracle = QueryOracle(view, seed=oracle_rng, budget=budget)
                 try:
                     answer = strategy.run(oracle, budget, oracle.rng)
                 except BudgetExceeded:
                     answer = None
-                if oracle.witnessed:
-                    witnesses += 1
+                witnesses += view.witnessed
                 if answer is not None:
                     returns += 1
                     u, v = answer
-                    if u != v and u in clique and v in clique:
+                    if u != v and view.old(u) in clique and view.old(v) in clique:
                         hits += 1
             hit_rate = hits / returns if returns else 0.0
             results.append(

@@ -63,7 +63,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     starts = np.zeros(n, dtype=np.int64)
     if n > 1:
         starts[1:] = np.cumsum(np.arange(n - 1, 0, -1))
-    i = np.searchsorted(starts, chosen, side="right") - 1
+    # chosen is sorted, so row i holds the chosen pairs from starts[i] on: n searches, not m
+    i = np.repeat(np.arange(n), np.diff(np.searchsorted(chosen, starts), append=len(chosen)))
     j = chosen - starts[i] + i + 1
     return build_graph(np.column_stack([i, j]), n)
 
@@ -82,9 +83,8 @@ def _sample_distinct(rng: np.random.Generator, n_total: int, m: int) -> np.ndarr
         # sort and mask rather than np.union1d: its unique() hashes, many times slower here
         merged = np.sort(np.concatenate([picked, batch]))
         picked = merged[np.insert(merged[1:] != merged[:-1], 0, True)]
-        if len(picked) > m:
-            drop = rng.permutation(picked)[: len(picked) - m]
-            picked = np.setdiff1d(picked, drop, assume_unique=True)
+        if len(picked) > m:  # drop a uniform excess: the draws and the set of permutation(picked)
+            picked = np.delete(picked, rng.permutation(len(picked))[: len(picked) - m])
     return picked
 
 

@@ -222,11 +222,19 @@ class RelabeledView:
     ``perm`` (``perm[old] = new``) or, given a ``random.Random``, drawn
     lazily: an id's first use draws its partner uniformly among the ids not
     yet revealed. Given what is revealed, that is a uniform permutation.
+
+    It also flags a witness of ``marked``, a container of old ids (default
+    empty): ``witnessed`` is set by a ``degree`` or ``neighbor`` query on a
+    marked id, or a ``has_edge`` on two distinct marked ids. A vertex query
+    returning a marked id is no witness, nor is a query the budget refuses:
+    an oracle calls one of these methods per query, after charging it.
     """
 
     def __init__(self, base: Graph, perm: Sequence[int] | np.ndarray | random.Random):
         self._base, self.n, self.m_dir = base, base.n, base.m_dir
+        self._o, self._t, self._bits = base._o, base._t, base.n.bit_length()
         self._rng, self._old, self._new = perm, {}, {}
+        self.marked, self.witnessed = (), False  # marked: a Container[int]
         if not isinstance(perm, random.Random):
             new = np.asarray(perm, dtype=np.int64).tolist()
             if sorted(new) != list(range(base.n)):
@@ -239,7 +247,7 @@ class RelabeledView:
         if not 0 <= x < n:
             raise IndexError(f"vertex {x} out of range for n={n}")
         while y >= n or y in other:  # getrandbits rejection, skipping revealed ids
-            y = self._rng.getrandbits(n.bit_length())
+            y = self._rng.getrandbits(self._bits)
         known[x], other[y] = y, x
         return y
 
@@ -253,17 +261,37 @@ class RelabeledView:
 
     def degree(self, v: int) -> int:
         x = self._old.get(v)
-        return self._base.degree(self._reveal(v, self._old, self._new) if x is None else x)
+        if x is None:
+            x = self._reveal(v, self._old, self._new)
+        if x in self.marked:
+            self.witnessed = True
+        o = self._o
+        return o[x + 1] - o[x]
 
     def neighbor(self, v: int, i: int) -> int | None:
-        w = self._base.neighbor(self.old(v), i)
-        return None if w is None else self.new(w)
+        x = self._old.get(v)
+        if x is None:
+            x = self._reveal(v, self._old, self._new)
+        if x in self.marked:
+            self.witnessed = True
+        o = self._o
+        start = o[x]
+        if i > o[x + 1] - start:
+            return None
+        if i < 1:
+            raise ValueError(f"neighbor index must be >= 1, got {i}")
+        w = self._t[start + i - 1]
+        y = self._new.get(w)
+        return self._reveal(w, self._new, self._old) if y is None else y
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(map(self.new, self._base.neighbors(self.old(v))))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._base.has_edge(self.old(u), self.old(v))
+        x, y = self.old(u), self.old(v)
+        if u != v and x in self.marked and y in self.marked:
+            self.witnessed = True
+        return self._base.has_edge(x, y)
 
 
 def read_edge_list(path: str) -> Graph:

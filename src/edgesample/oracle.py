@@ -74,10 +74,11 @@ class QueryOracle:
     total query count: the call that would exceed it raises
     BudgetExceeded before touching the graph.
 
-    Each query checks the budget (``_charge``) and bumps its own counter.
-    ``random_vertex`` draws by the same ``getrandbits`` rejection as
-    ``Random.randrange(n)``, with ``n`` and its bit length cached, so it
-    returns the same vertex from the same generator state.
+    Each query checks the budget and bumps its own counter inline: a helper
+    would add a Python frame to every query. ``random_vertex`` draws by the
+    same ``getrandbits`` rejection as ``Random.randrange(n)``, with ``n`` and
+    its bit length cached, so it returns the same vertex from the same
+    generator state.
 
     The numpy kernels may bypass the four methods; ``bulk_graph`` says
     when. Everything else goes through the methods.
@@ -104,15 +105,11 @@ class QueryOracle:
     def n(self) -> int:
         return self._n
 
-    def _charge(self) -> QueryCounts:
-        """The counters, for the caller to bump, or BudgetExceeded if no query is left."""
+    def random_vertex(self) -> int:
         c = self.counts
         if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
             raise BudgetExceeded(f"query budget {self.budget} exhausted")
-        return c
-
-    def random_vertex(self) -> int:
-        self._charge().vertex += 1
+        c.vertex += 1
         n = self._n
         if not n:
             raise ValueError("empty range for randrange()")
@@ -124,7 +121,10 @@ class QueryOracle:
     def degree(self, v: int) -> int:
         if not 0 <= v < self._n:
             raise IndexError(f"vertex {v} out of range for n={self._n}")
-        self._charge().degree += 1
+        c = self.counts
+        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
+            raise BudgetExceeded(f"query budget {self.budget} exhausted")
+        c.degree += 1
         return self.graph.degree(v)
 
     def neighbor(self, v: int, i: int) -> int | None:
@@ -132,14 +132,20 @@ class QueryOracle:
             raise IndexError(f"vertex {v} out of range for n={self._n}")
         if i < 1:
             raise ValueError(f"neighbor index must be >= 1, got {i}")
-        self._charge().neighbor += 1
+        c = self.counts
+        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
+            raise BudgetExceeded(f"query budget {self.budget} exhausted")
+        c.neighbor += 1
         return self.graph.neighbor(v, i)
 
     def pair(self, v: int, w: int) -> bool:
         for x in (v, w):
             if not 0 <= x < self._n:
                 raise IndexError(f"vertex {x} out of range for n={self._n}")
-        self._charge().pair += 1
+        c = self.counts
+        if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
+            raise BudgetExceeded(f"query budget {self.budget} exhausted")
+        c.pair += 1
         return self.graph.has_edge(v, w)
 
 

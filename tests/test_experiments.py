@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesample import BudgetExceeded, QueryOracle, RelabeledView, build_graph
+from edgesample import BudgetExceeded, QueryOracle, RelabeledView, build_graph, experiments
 from edgesample.experiments import (
     BlindGuessStrategy,
     GreedyPairStrategy,
-    HiddenClique,
     TruncatedSamplerStrategy,
-    WitnessOracle,
     clique_size_for,
     default_budgets,
     planted_union,
@@ -86,22 +84,35 @@ def test_scaling_epsilon_cost_ratio():
     assert abs(ratio - math.sqrt(2)) < 0.2 * math.sqrt(2)
 
 
-def test_witness_oracle_flags_only_clique_touches():
+def marked_view(graph, marked, perm=None):
+    """A view of ``graph`` (by default under the identity perm) that marks ``marked``."""
+    view = RelabeledView(graph, list(range(graph.n)) if perm is None else perm)
+    view.marked = marked
+    return view
+
+
+def test_view_flags_only_marked_touches():
     base = path(4)
     union, clique_ids = planted_union(base, 3)  # clique ids 4, 5, 6
-    o = WitnessOracle(union, frozenset(clique_ids), seed=0)
+    view = marked_view(union, frozenset(clique_ids))
+    o = QueryOracle(view, seed=0)
     o.degree(0)
     o.neighbor(1, 1)
     o.pair(0, 4)  # pair query witnesses only when BOTH endpoints are clique ids
-    assert not o.witnessed
+    o.pair(4, 4)  # ... and they are distinct
+    assert not view.witnessed
     o.degree(4)
-    assert o.witnessed
-    o2 = WitnessOracle(union, frozenset(clique_ids), seed=0)
-    o2.pair(4, 5)
-    assert o2.witnessed
-    o3 = WitnessOracle(union, frozenset(clique_ids), seed=0)
-    o3.neighbor(5, 1)
-    assert o3.witnessed
+    assert view.witnessed
+    view2 = marked_view(union, frozenset(clique_ids))
+    QueryOracle(view2, seed=0).pair(4, 5)
+    assert view2.witnessed
+    view3 = marked_view(union, frozenset(clique_ids))
+    QueryOracle(view3, seed=0).neighbor(5, 1)
+    assert view3.witnessed
+    refused = marked_view(union, frozenset(clique_ids))
+    with pytest.raises(BudgetExceeded):  # a query the budget refuses witnesses nothing
+        QueryOracle(refused, seed=0, budget=0).degree(4)
+    assert not refused.witnessed
 
 
 def test_run_lower_bound_rejects_negative_budgets():
@@ -116,7 +127,7 @@ def test_budget_meter_truncates_strategies():
     base = erdos_renyi(60, 0.15, seed=2)
     k = clique_size_for(base)
     union, clique_ids = planted_union(base, k)
-    o = WitnessOracle(union, frozenset(clique_ids), seed=1, budget=3)
+    o = QueryOracle(marked_view(union, frozenset(clique_ids)), seed=1, budget=3)
     strategy = TruncatedSamplerStrategy(0.25)
     with pytest.raises(BudgetExceeded):
         while True:
@@ -131,7 +142,7 @@ def test_greedy_pairs_returns_real_edges_only():
     strategy = GreedyPairStrategy()
     returned = 0
     for seed in range(30):
-        o = WitnessOracle(union, frozenset(clique_ids), seed=seed, budget=120)
+        o = QueryOracle(marked_view(union, frozenset(clique_ids)), seed=seed, budget=120)
         try:
             answer = strategy.run(o, 120, o.rng)
         except BudgetExceeded:
@@ -172,15 +183,15 @@ def test_greedy_pairs_counts_its_queries_as_the_meter_does(spent):
         for budget in (1, 2, 5, 12, 40, 120):
             sides = []
             for strategy in (GreedyPairStrategy(), MeterReadingGreedy()):
-                view = RelabeledView(union, random.Random(seed))
-                o = WitnessOracle(view, HiddenClique(view, base.n), seed=seed, budget=budget + spent)
+                view = marked_view(union, range(base.n, union.n), random.Random(seed))
+                o = QueryOracle(view, seed=seed, budget=budget + spent)
                 for _ in range(spent):
                     o.random_vertex()
                 try:
                     answer = strategy.run(o, budget + spent, o.rng)
                 except BudgetExceeded:
                     answer = "budget"
-                sides.append((answer, o.counts, o.witnessed, o.rng.getstate(), view._old))
+                sides.append((answer, o.counts, view.witnessed, o.rng.getstate(), view._old))
             assert sides[0] == sides[1]
 
 
@@ -310,7 +321,7 @@ def test_lower_bound_deterministic_under_seed():
 def test_oracles_on_one_generator_draw_its_continuation():
     g = generate("er:50,0.1", seed=1)
     shared, reference = random.Random(3), random.Random(3)
-    first, second = QueryOracle(g, seed=shared), WitnessOracle(g, frozenset(), seed=shared)
+    first, second = QueryOracle(g, seed=shared), QueryOracle(marked_view(g, frozenset()), seed=shared)
     assert first.rng is second.rng is shared
     drawn = [o.random_vertex() for o in (first, second, second, first, second)]
     assert drawn == [reference.randrange(g.n) for _ in range(5)]
@@ -347,11 +358,11 @@ QUERY = st.tuples(st.sampled_from(["vertex", "degree", "neighbor", "pair"]), st.
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(QUERY, max_size=12), st.integers(0, 2**32))
-def test_witness_oracle_reveals_what_a_plain_oracle_reveals(script, seed):
+def test_marking_reveals_nothing_and_flags_each_witness(script, seed):
     first = path(5).n
-    plain_view, witness_view = (RelabeledView(SMALL_UNION, random.Random(seed)) for _ in range(2))
-    plain = QueryOracle(plain_view, seed=seed)
-    witness = WitnessOracle(witness_view, HiddenClique(witness_view, first), seed=seed)
+    plain_view = RelabeledView(SMALL_UNION, random.Random(seed))
+    witness_view = marked_view(SMALL_UNION, range(first, SMALL_UNION.n), random.Random(seed))
+    plain, witness = QueryOracle(plain_view, seed=seed), QueryOracle(witness_view, seed=seed)
     for o in (plain, witness):
         for kind, a, b in script:
             if kind == "vertex":
@@ -368,4 +379,81 @@ def test_witness_oracle_reveals_what_a_plain_oracle_reveals(script, seed):
         (kind in ("degree", "neighbor") and a in clique) or (kind == "pair" and a != b and {a, b} <= clique)
         for kind, a, b in script
     )
-    assert witness.witnessed is expected
+    assert witness_view.witnessed is expected
+    assert not plain_view.witnessed  # nothing is marked by default
+
+
+def cell_counts(rows):
+    """Each row as (strategy, budget, witnesses, returns, hits), after checking
+    that its rates are exactly those counts' ratios."""
+    cells = []
+    for r in rows:
+        witnesses, returns = round(r.witness_rate * r.trials), round(r.return_rate * r.trials)
+        hits = round(r.clique_hit_rate * returns)
+        assert (r.witness_rate, r.return_rate) == (witnesses / r.trials, returns / r.trials)
+        assert r.clique_hit_rate == (hits / returns if returns else 0.0)
+        cells.append((r.strategy, r.budget, witnesses, returns, hits))
+    return cells
+
+
+LB_PINS = {  # (spec, seed): ((n, m_dir, k), cells), as the experiment first wrote them, 100 trials a cell
+    ("er:600,0.02", 1): ((685, 14262, 85), [
+        ("truncated-sampler", 1, 0, 0, 0), ("truncated-sampler", 6, 26, 7, 3),
+        ("truncated-sampler", 58, 81, 49, 30), ("truncated-sampler", 300, 86, 98, 49),
+        ("greedy-pairs", 1, 0, 0, 0), ("greedy-pairs", 6, 19, 1, 0),
+        ("greedy-pairs", 58, 91, 73, 66), ("greedy-pairs", 300, 100, 100, 100),
+        ("blind-guess", 1, 0, 100, 1), ("blind-guess", 6, 0, 100, 2),
+        ("blind-guess", 58, 0, 100, 1), ("blind-guess", 300, 0, 100, 1),
+    ]),
+    ("er:600,0.02", 2): ((686, 14512, 86), [
+        ("truncated-sampler", 1, 0, 0, 0), ("truncated-sampler", 6, 22, 10, 3),
+        ("truncated-sampler", 58, 82, 54, 30), ("truncated-sampler", 300, 86, 98, 46),
+        ("greedy-pairs", 1, 0, 0, 0), ("greedy-pairs", 6, 25, 4, 2),
+        ("greedy-pairs", 58, 92, 76, 72), ("greedy-pairs", 300, 100, 100, 100),
+        ("blind-guess", 1, 0, 100, 2), ("blind-guess", 6, 0, 100, 4),
+        ("blind-guess", 58, 0, 100, 1), ("blind-guess", 300, 0, 100, 2),
+    ]),
+    ("er:600,0.02", 3): ((686, 14468, 86), [
+        ("truncated-sampler", 1, 0, 0, 0), ("truncated-sampler", 6, 23, 3, 1),
+        ("truncated-sampler", 58, 81, 48, 23), ("truncated-sampler", 300, 92, 99, 50),
+        ("greedy-pairs", 1, 0, 0, 0), ("greedy-pairs", 6, 17, 4, 1),
+        ("greedy-pairs", 58, 93, 81, 75), ("greedy-pairs", 300, 100, 100, 100),
+        ("blind-guess", 1, 0, 100, 0), ("blind-guess", 6, 0, 100, 1),
+        ("blind-guess", 58, 0, 100, 1), ("blind-guess", 300, 0, 100, 2),
+    ]),
+    ("er:5000,0.004", 1): ((5317, 199888, 317), [  # the benchmark's lb spec, default budgets
+        ("truncated-sampler", 1, 0, 0, 0), ("truncated-sampler", 2, 5, 0, 0),
+        ("truncated-sampler", 12, 22, 6, 5), ("truncated-sampler", 119, 85, 51, 25),
+        ("greedy-pairs", 1, 0, 0, 0), ("greedy-pairs", 2, 0, 0, 0),
+        ("greedy-pairs", 12, 25, 3, 2), ("greedy-pairs", 119, 91, 76, 71),
+        ("blind-guess", 1, 0, 100, 1), ("blind-guess", 2, 0, 100, 0),
+        ("blind-guess", 12, 0, 100, 0), ("blind-guess", 119, 0, 100, 1),
+    ]),
+}
+
+
+@pytest.mark.parametrize("spec, seed", LB_PINS)
+def test_lower_bound_rows_are_pinned(spec, seed):
+    # k = 85..86 on er:600,0.02 is above graph.SHORT_ROW, so clique pair
+    # queries take the numpy row scan, and budget 300 reveals long chains.
+    budgets = [1, 6, 58, 300] if spec == "er:600,0.02" else None
+    rows = run_lower_bound(spec, budgets=budgets, trials=100, seed=seed, base_seed=seed)
+    shape, cells = LB_PINS[spec, seed]
+    assert {(r.n, r.m_dir, r.k) for r in rows} == {shape}
+    assert cell_counts(rows) == cells
+
+
+def test_each_trial_builds_its_view_through_the_module_attribute(monkeypatch):
+    # A benchmark that times the relabeling swaps experiments.RelabeledView
+    # for a wrapper taking (graph, perm); the rows must not notice.
+    plain = run_lower_bound("er:80,0.1", budgets=[1, 20], trials=30, seed=2)
+    calls = []
+
+    def recording_view(graph, perm):
+        calls.append((graph, perm))
+        return RelabeledView(graph, perm)
+
+    monkeypatch.setattr(experiments, "RelabeledView", recording_view)
+    assert run_lower_bound("er:80,0.1", budgets=[1, 20], trials=30, seed=2) == plain
+    assert len(calls) == 3 * 2 * 30
+    assert all(isinstance(perm, random.Random) for _, perm in calls)

@@ -9,6 +9,7 @@ edge listing, on the exception raised for a bad edge list, and, for the
 generators, on the graph and the random-generator state afterwards.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -253,6 +254,52 @@ def test_sample_distinct_matches_reference(n_total, data, seed):
 @pytest.mark.parametrize("n, p, seed", [(1, 0.5, 0), (2, 1.0, 1), (60, 0.2, 3), (300, 0.05, 4), (2000, 0.006, 3)])
 def test_erdos_renyi_matches_reference(n, p, seed):
     assert erdos_renyi(n, p, seed).adjacency == reference_erdos_renyi(n, p, seed)
+
+
+ER_DIGESTS = {  # sha256 of the offsets and targets bytes, as the generator first wrote them
+    (5000, 0.004, 1): (  # drops the overshoot of a rejection batch
+        "68076a7f54c7cf64ae15026da1fd570d64190b79db921782c04ec44129c3e756",
+        "c74a76c86835db403fcc3c09c6edbb39c96dc79dcfc8f3fa7335b767ebe97391",
+    ),
+    (300, 0.5, 3): (  # dense: one permutation of all pairs
+        "4a87ad16f215d5746e62cac06eca4889e17e198b8d72a14a03e2cc23b6b21b05",
+        "8dd0909b111b99ed871e15a448775400b7e7867fe2b4d08e9bbece4258251840",
+    ),
+    (2, 1.0, 4): (
+        "ab25350e3e65efebe24584461683ecda68725576e825e550038b90e7b1479946",
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, p, seed", ER_DIGESTS)
+def test_erdos_renyi_output_is_pinned(n, p, seed):
+    g = erdos_renyi(n, p, seed)
+    assert g.offsets.dtype == g.targets.dtype == np.int64
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (g.offsets, g.targets))
+    assert digests == ER_DIGESTS[n, p, seed]
+
+
+class RecordingGenerator:
+    """A numpy generator that records the name of each method called on it."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_distinct_trims_an_overshoot(seed):
+    # 10**12 values: a batch of 1.2 m + 8 all but surely holds more than m
+    # distinct ones, and the recorded permutation shows the trim ran.
+    rng = RecordingGenerator(seed)
+    got = _sample_distinct(rng, 10**12, 1000)
+    assert rng.calls == ["integers", "permutation"]
+    assert len(got) == 1000 and got.dtype == np.int64
+    assert np.all(got[1:] > got[:-1]) and 0 <= got[0] and got[-1] < 10**12
 
 
 @pytest.mark.parametrize("spec, k, seed", [("path:4", 3, 6), ("star:8", 1, 2), ("er:30,0.2", 5, 5), ("er:200,0.05", 20, 4)])

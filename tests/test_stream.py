@@ -37,7 +37,6 @@ from edgesample import (
     sample_edge_almost_uniformly,
 )
 from edgesample.estimate import _degree_sum_mc
-from edgesample.experiments import WitnessOracle
 from edgesample.generators import star
 from edgesample.graph import RelabeledView, build_graph
 from edgesample.sampler import _NARROW, _kernel, _runs
@@ -403,13 +402,15 @@ def test_witness_seen_through_heavy_track_only():
     seed = first_heavy_success_seed()
     witnessed = []
     for budget in range(6):
-        o = WitnessOracle(STAR, frozenset({0}), seed=seed, budget=budget)
+        view = RelabeledView(STAR, list(range(STAR.n)))
+        view.marked = frozenset({0})
+        o = QueryOracle(view, seed=seed, budget=budget)
         try:
             report = sample_edge_almost_uniformly(o, STAR_CONFIG)
             assert report.outcome.origin == 0 and report.attempts_used == 1
         except BudgetExceeded:
             pass
-        witnessed.append(o.witnessed)
+        witnessed.append(view.witnessed)
     assert witnessed == [False] * 4 + [True] * 2
 
 
