@@ -40,7 +40,7 @@ for theta in range(1, 8):
 # The closed form is anchored by brute force: enumerate the attempt's full
 # sample space (coin x vertex x slot x neighbor pick) and compare exactly.
 theta = 3
-assert enumerate_attempt_distribution(g, theta).per_edge == attempt_distribution(g, theta).per_edge
+assert enumerate_attempt_distribution(g, theta) == attempt_distribution(g, theta).per_edge
 print("\nclosed form == exhaustive enumeration at theta=3 (exact rationals)")
 
 # Every bound the attempt analysis promises, with margins.

@@ -13,7 +13,6 @@ cli         : ``edgesample`` command-line front end
 """
 
 from .analytic import (
-    AttemptDistribution,
     ClosenessReport,
     DegreePartition,
     attempt_distribution,
@@ -38,14 +37,12 @@ from .oracle import BudgetExceeded, QueryCounts, QueryOracle
 from .sampler import (
     SampleReport,
     SamplerConfig,
-    mixture_attempt,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
     weighted_expectation,
 )
 
 __all__ = [
-    "AttemptDistribution",
     "BudgetExceeded",
     "ClosenessReport",
     "DegreePartition",
@@ -65,7 +62,6 @@ __all__ = [
     "enumerate_attempt_distribution",
     "estimate_edges",
     "estimate_edges_amplified",
-    "mixture_attempt",
     "partition",
     "read_edge_list",
     "sample_degree_proportional_vertex",

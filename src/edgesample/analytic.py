@@ -8,7 +8,8 @@ Two independent routes to the same distribution keep each other honest:
   d_L(v) counts v's light neighbors.
 * ``enumerate_attempt_distribution`` walks the attempt's full sample
   space (coin x start vertex x slot index x neighbor pick) step by step
-  and tallies outcome weights.
+  and tallies outcome weights into a per-edge dict, which must equal the
+  closed form's ``per_edge``.
 
 Both rest on the light/heavy ``partition`` of the vertices at theta, a
 boolean mask over the degree array. The closed form depends only on an
@@ -57,21 +58,12 @@ def partition(g: Graph, theta: int) -> DegreePartition:
     return DegreePartition(theta, heavy, g.m_dir - e_heavy, e_heavy)
 
 
-@dataclass
-class AttemptDistribution:
-    """Per-directed-edge return probability of one mixture attempt."""
-
-    theta: int
-    per_edge: dict[DirectedEdge, Fraction]
-    success_prob: Fraction
-
-
 def _reduced(a: int, b: int) -> tuple[int, int]:
     return a // math.gcd(a, b), b // math.gcd(a, b)
 
 
-class ClosedFormDistribution(AttemptDistribution):
-    """The closed form, held per origin vertex.
+class ClosedFormDistribution:
+    """The closed-form distribution of one mixture attempt, held per origin vertex.
 
     An edge out of v has probability ``unit * a / b``: unit = 1/(2 n theta),
     and a/b is 1/1 for a light v and d_L(v)/d(v) in lowest terms for a
@@ -128,8 +120,9 @@ def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     return ClosedFormDistribution(g, part, heavy)
 
 
-def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
-    """Exhaustive enumeration of one mixture attempt's sample space.
+def enumerate_attempt_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
+    """Exhaustive enumeration of one mixture attempt's sample space, as
+    per-edge return probabilities (their sum is the success probability).
 
     Follows the procedures literally: a fair coin picks the light or heavy
     track; then start vertex u (1/n), slot j in [theta] (1/theta), and on
@@ -140,9 +133,7 @@ def enumerate_attempt_distribution(g: Graph, theta: int) -> AttemptDistribution:
         raise ValueError(f"theta must be >= 1, got {theta}")
     light, heavy = enumerate_track_distributions(g, theta)
     zero = Fraction(0)
-    per_edge = {e: (light.get(e, zero) + heavy.get(e, zero)) / 2 for e in g.directed_edges()}
-    success = sum(per_edge.values(), Fraction(0))
-    return AttemptDistribution(theta=theta, per_edge=per_edge, success_prob=success)
+    return {e: (light.get(e, zero) + heavy.get(e, zero)) / 2 for e in g.directed_edges()}
 
 
 def enumerate_track_distributions(g: Graph, theta: int) -> tuple[dict[DirectedEdge, Fraction], ...]:

@@ -7,8 +7,9 @@ the fully resolved run configuration, floats are printed with 12
 significant digits, and identical configuration plus seed reproduces
 byte-identical output.
 
-Exit status: 0 success, 1 a sampling run ended in Failure, 2 usage error,
-3 I/O error or a ``--graph`` file whose contents are not a valid edge list.
+Exit status: 0 success, 1 a sampling run ended in Failure, 2 usage error
+(a ``--samples`` too large to allocate included), 3 I/O error or a
+``--graph`` file whose contents are not a valid edge list.
 """
 
 from __future__ import annotations
@@ -61,26 +62,32 @@ def _emit(obj, stream=None) -> None:
     print(json.dumps(_fmt(obj), sort_keys=True), file=stream or sys.stdout)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("EDGE_SAMPLER_SEED")
-    if env is not None:
+def _resolve_seed(seed: int | None) -> int:
+    """--seed, else EDGE_SAMPLER_SEED, else a random 32-bit seed. A negative seed is
+    refused: random.Random seeds from its absolute value, so -7 would replay 7."""
+    source = "--seed"
+    if seed is None:
+        env = os.environ.get("EDGE_SAMPLER_SEED")
+        if env is None:
+            return secrets.randbits(32)
+        source = "EDGE_SAMPLER_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"EDGE_SAMPLER_SEED must be an integer, got {env!r}")
-    return secrets.randbits(32)
+    if seed < 0:
+        raise UsageError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
-def _load_graph(args, seed: int):
+def _load_graph(args):
     has_file = getattr(args, "graph", None) is not None
     has_spec = getattr(args, "generate", None) is not None
     if has_file == has_spec:
         raise UsageError("give exactly one graph source: --graph FILE or --generate SPEC")
     if has_file:
         return read_edge_list(args.graph), f"file:{args.graph}"
-    return generate(args.generate, seed=seed), args.generate
+    return generate(args.generate, seed=args.seed), args.generate
 
 
 def _graph_summary(g) -> dict:
@@ -88,7 +95,7 @@ def _graph_summary(g) -> dict:
 
 
 def _config(args, command: str, *flags: str, **resolved) -> dict:
-    """The echoed run configuration: the named flags as given, then the resolved values."""
+    """The echoed run configuration: the named flags (``seed`` as ``main`` resolved it), then derived values."""
     return {"command": command, **{flag: getattr(args, flag) for flag in flags}, **resolved}
 
 
@@ -106,20 +113,32 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generate", metavar="SPEC", help="generator spec, e.g. star:5, er:1000,0.05, clique_union:path:4,3")
 
 
+def _add_command(sub, name: str, run, help: str, epsilon: str | None = None, estimator: str | None = None):
+    """Subcommand ``name``, run by ``run(args)``, with ``--seed``, ``--epsilon`` given its help, and
+    ``--estimator``/``--samples`` given the estimator's default. Each gets fresh actions: argparse
+    ``parents=`` would share them, so one command's defaults would leak into another's."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    p.add_argument("--seed", type=int, help="non-negative seed (default: $EDGE_SAMPLER_SEED, else random)")
+    if epsilon is not None:
+        p.add_argument("--epsilon", type=float, default=0.25, help=epsilon)
+    if estimator is not None:
+        p.add_argument("--estimator", choices=sorted(ESTIMATORS), default=estimator)
+        p.add_argument("--samples", type=int, help="vertex samples per estimator pass")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgesample",
         description="Sample edges of a graph nearly uniformly through metered vertex/degree/neighbor queries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    closeness = "closeness to uniform, in (0, 0.5)"
 
-    p = sub.add_parser("sample", help="draw almost-uniform directed edges")
+    p = _add_command(sub, "sample", _cmd_sample, "draw almost-uniform directed edges", closeness, "degree-sum-mc")
     _add_graph_source(p)
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, default=1, help="independent edge draws")
-    p.add_argument("--estimator", choices=sorted(ESTIMATORS), default="degree-sum-mc")
-    p.add_argument("--samples", type=int, help="vertex samples per estimator pass")
     p.add_argument("--reps", type=int, default=1, help="odd number of estimates to take a median over")
     p.add_argument(
         "--reuse-estimate",
@@ -128,59 +147,45 @@ def build_parser() -> argparse.ArgumentParser:
         "correlated through the shared estimate instead of independent",
     )
 
-    p = sub.add_parser("estimate", help="estimate the directed edge count")
+    p = _add_command(sub, "estimate", _cmd_estimate, "estimate the directed edge count", estimator="degree-sum-mc")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--estimator", choices=sorted(ESTIMATORS), default="degree-sum-mc")
-    p.add_argument("--samples", type=int)
     p.add_argument("--reps", type=int, default=1)
 
-    p = sub.add_parser("verify", help="exact closeness report and analytic bound margins")
+    p = _add_command(sub, "verify", _cmd_verify, "exact closeness report and analytic bound margins", closeness)
     _add_graph_source(p)
-    p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--theta", type=int, help="threshold override (default: ceil(sqrt(2 m / epsilon)))")
-    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("bench", help="query-cost scaling over a family of graphs")
+    p = _add_command(sub, "bench", _cmd_bench, "query-cost scaling over a family of graphs", closeness, "exact")
     p.add_argument("--generate", metavar="SPEC", action="append", required=True)
-    p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--estimator", choices=sorted(ESTIMATORS), default="exact")
-    p.add_argument("--samples", type=int)
     p.add_argument("--plot-data", action="store_true", help="emit gnuplot-ready columns instead of CSV")
 
-    p = sub.add_parser("lb", help="hidden-clique budget experiment")
+    p = _add_command(sub, "lb", _cmd_lb, "hidden-clique budget experiment", "epsilon of the truncated sampler")
     p.add_argument("--generate", metavar="SPEC", required=True, help="base graph spec; a clique holding half the edges is planted")
-    p.add_argument("--epsilon", type=float, default=0.25, help="epsilon for the truncated sampler strategy")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--budgets", help="comma-separated query budgets (default: geometric sweep around n/sqrt(m))")
     p.add_argument("--strategies", help="comma-separated subset of: truncated-sampler,greedy-pairs,blind-guess")
-    p.add_argument("--seed", type=int)
     p.add_argument("--plot-data", action="store_true")
 
-    p = sub.add_parser("gen", help="write a generated graph as an edge-list file")
+    p = _add_command(sub, "gen", _cmd_gen, "write a generated graph as an edge-list file")
     p.add_argument("--generate", metavar="SPEC", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="FILE", required=True)
     return parser
 
 
 def _cmd_sample(args) -> int:
-    epsilon = check_epsilon(args.epsilon)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    seed = _resolve_seed(args)
-    g, source = _load_graph(args, seed)
-    oracle = QueryOracle(g, seed=seed)
-    config_echo = _config(args, "sample", "count", "estimator", "samples", "reps", "reuse_estimate",
-                          source=source, epsilon=epsilon, seed=seed, **_graph_summary(g))
+    g, source = _load_graph(args)
+    oracle = QueryOracle(g, seed=args.seed)
+    config_echo = _config(args, "sample", "count", "estimator", "samples", "reps", "reuse_estimate", "epsilon",
+                          "seed", source=source, **_graph_summary(g))
     est = None
     any_failure = False
     for _ in range(args.count):
         if est is None or not args.reuse_estimate:
             est = estimate_edges_amplified(oracle, args.estimator, args.samples, args.reps)
-        cfg = SamplerConfig.for_graph(g.n, est.m_hat, epsilon)
+        cfg = SamplerConfig.for_graph(g.n, est.m_hat, args.epsilon)
         report = sample_edge_almost_uniformly(oracle, cfg)
         line = {
             "attempts": report.attempts_used,
@@ -201,16 +206,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    seed = _resolve_seed(args)
-    g, source = _load_graph(args, seed)
-    oracle = QueryOracle(g, seed=seed)
+    g, source = _load_graph(args)
+    oracle = QueryOracle(g, seed=args.seed)
     est = estimate_edges_amplified(oracle, args.estimator, args.samples, args.reps)
     _emit(
         {
             "m_hat": est.m_hat,
             "method": est.method,
             "queries": est.queries_used.as_dict(),
-            "config": _config(args, "estimate", "estimator", "samples", "reps", source=source, seed=seed,
+            "config": _config(args, "estimate", "estimator", "samples", "reps", "seed", source=source,
                               **_graph_summary(g)),
         }
     )
@@ -218,27 +222,25 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    epsilon = check_epsilon(args.epsilon)
-    seed = _resolve_seed(args)
-    g, source = _load_graph(args, seed)
+    g, source = _load_graph(args)
     if g.m_dir == 0:
         raise UsageError("graph has no edges; nothing to verify")
-    theta = args.theta if args.theta is not None else threshold_for(float(g.m_dir), epsilon)
+    theta = args.theta if args.theta is not None else threshold_for(float(g.m_dir), args.epsilon)
     if theta < 1:
         raise UsageError(f"--theta must be >= 1, got {theta}")
     dist = attempt_distribution(g, theta)
     report = {
         "theta": theta,
         "success_prob": dist.success_prob,
-        "bounds": check_attempt_bounds(dist, epsilon).as_dict(),
-        "config": _config(args, "verify", source=source, epsilon=epsilon, theta=theta, seed=seed, **_graph_summary(g)),
+        "bounds": check_attempt_bounds(dist, args.epsilon).as_dict(),
+        "config": _config(args, "verify", "epsilon", "seed", source=source, theta=theta, **_graph_summary(g)),
     }
     if dist.success_prob > 0:
         closeness = conditional_closeness(dist)
         report["closeness"] = {
             "max_ratio_dev": closeness.max_ratio_dev,
             "tv_distance": closeness.tv_distance,
-            "pointwise_ok": closeness.pointwise_ok(epsilon),
+            "pointwise_ok": closeness.pointwise_ok(args.epsilon),
         }
     else:
         report["closeness"] = None
@@ -247,10 +249,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    epsilon = check_epsilon(args.epsilon)
-    seed = _resolve_seed(args)
     result = run_scaling(
-        args.generate, epsilon, args.trials, seed, args.estimator, args.samples
+        args.generate, args.epsilon, args.trials, args.seed, args.estimator, args.samples
     )
     rows = sorted(result.runs, key=lambda r: (r.cost_scale, r.spec))
     columns = ("cost_scale", "mean_queries", "stddev_queries") if args.plot_data else \
@@ -260,8 +260,8 @@ def _cmd_bench(args) -> int:
         {
             "slope": result.slope,
             "intercept": result.intercept,
-            "config": _config(args, "bench", "trials", "estimator", "samples", specs=list(args.generate),
-                              epsilon=epsilon, seed=seed),
+            "config": _config(args, "bench", "trials", "estimator", "samples", "epsilon", "seed",
+                              specs=list(args.generate)),
         },
         stream=sys.stderr,
     )
@@ -272,8 +272,6 @@ _LB_STRATEGIES = {s.name: type(s) for s in DEFAULT_STRATEGIES}
 
 
 def _cmd_lb(args) -> int:
-    epsilon = check_epsilon(args.epsilon)
-    seed = _resolve_seed(args)
     budgets = None
     if args.budgets:
         try:
@@ -285,11 +283,11 @@ def _cmd_lb(args) -> int:
     if unknown:
         raise UsageError(f"unknown strategies {unknown}; choose from {sorted(_LB_STRATEGIES)}")
     strategies = [
-        cls(epsilon) if cls is TruncatedSamplerStrategy else cls()
+        cls(args.epsilon) if cls is TruncatedSamplerStrategy else cls()
         for cls in map(_LB_STRATEGIES.get, names)
     ]
     runs = run_lower_bound(
-        args.generate, strategies, budgets, args.trials, seed=seed, base_seed=seed
+        args.generate, strategies, budgets, args.trials, seed=args.seed, base_seed=args.seed
     )
     rows = [{**vars(r), "witness_envelope": min(1.0, 4.0 * r.k * r.budget / r.n)}
             for r in sorted(runs, key=lambda r: (r.strategy, r.budget))]
@@ -301,8 +299,8 @@ def _cmd_lb(args) -> int:
             "rows": len(rows),
             "k": rows[0]["k"] if rows else None,
             "e_k_over_m": rows[0]["e_k_dir"] / rows[0]["m_dir"] if rows else None,
-            "config": _config(args, "lb", "trials", base_spec=args.generate, epsilon=epsilon, budgets=budgets,
-                              strategies=[s.name for s in strategies], seed=seed),
+            "config": _config(args, "lb", "trials", "epsilon", "seed", base_spec=args.generate, budgets=budgets,
+                              strategies=[s.name for s in strategies]),
         },
         stream=sys.stderr,
     )
@@ -310,40 +308,34 @@ def _cmd_lb(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
-    g = generate(args.generate, seed=seed)
+    g = generate(args.generate, seed=args.seed)
     write_edge_list(g, args.out)
     _emit(
         {
             "out": args.out,
-            "config": _config(args, "gen", spec=args.generate, seed=seed),
+            "config": _config(args, "gen", "seed", spec=args.generate),
             **_graph_summary(g),
         }
     )
     return EXIT_OK
 
 
-_COMMANDS = {
-    "sample": _cmd_sample,
-    "estimate": _cmd_estimate,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-    "lb": _cmd_lb,
-    "gen": _cmd_gen,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if hasattr(args, "epsilon"):
+            check_epsilon(args.epsilon)
+        args.seed = _resolve_seed(args.seed)
+        return args.run(args)
     # Only read_edge_list lets GraphConstructionError out; generate() re-raises ValueError.
     except (OSError, GraphConstructionError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an array too large to allocate, e.g. from --samples
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

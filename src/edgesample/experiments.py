@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -78,8 +79,8 @@ def empirical_distribution(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if (theta is None) == (config is None):
         raise ValueError("give exactly one of theta or config")
-    # a theta-mode run never gives up
-    theta, q, fallback = (theta, sys.maxsize, False) if config is None else _plan(config, g.n)
+    # a theta-mode run never gives up; attempt_distribution rejects a theta below 1
+    theta, q, fallback = (operator.index(theta), sys.maxsize, False) if config is None else _plan(config, g.n)
     if not fallback:
         dist = attempt_distribution(g, theta)
         if dist.success_prob == 0:  # theta mode would never end, config mode only fail

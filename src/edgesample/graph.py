@@ -81,12 +81,6 @@ class Graph:
         """Directed edge count: the degree sum (twice the undirected count)."""
         return len(self._t)
 
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex neighbor tuples in fixed order (derived, built per call)."""
-        o, t = self._o, self._t
-        return tuple(tuple(t[o[v]:o[v + 1]]) for v in range(self.n))
-
     def degree(self, v: int) -> int:
         o = self._o
         return o[v + 1] - o[v]

@@ -23,7 +23,7 @@ distribution of outcomes and query counts (``_runs``): by ``_kernel`` in
 numpy blocks where ``oracle.bulk_graph`` allows it and the call expects
 ``_SCALAR`` attempts or more, else by ``_attempts`` through the oracle's
 methods. Both draw from the seeded ``random.Random`` only, so a run
-replays bit-for-bit.
+replays bit-for-bit. A single attempt is a run of ``SamplerConfig(theta, 1)``.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ def attempt_budget(n: int, m_hat: float, epsilon: float) -> int:
     return max(1, math.ceil(10.0 * n / ((1.0 - epsilon) * math.sqrt(epsilon * m_hat))))
 
 
-def check_epsilon(epsilon: float) -> float:
-    """Return epsilon if it lies strictly inside (0, 0.5), else raise ValueError."""
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon lies strictly inside (0, 0.5)."""
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie strictly inside (0, 0.5), got {epsilon}")
-    return epsilon
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,13 @@ class SamplerConfig:
     q: int
 
     def __post_init__(self):
-        if self.theta < 1 or self.q < 1:
+        # operator.index rejects floats and stores numpy integers as Python
+        # ints, whose bit_length the method loop calls
+        theta, q = operator.index(self.theta), operator.index(self.q)
+        if theta < 1 or q < 1:
             raise ValueError("theta and q must be >= 1")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def for_graph(cls, n: int, m_hat: float, epsilon: float) -> "SamplerConfig":
@@ -261,7 +265,8 @@ def _runs(
     call expects at least ``_SCALAR`` attempts and n theta fits the
     kernel's one draw (at most 2^63, always so at theta = n), else one at
     a time."""
-    theta = oracle.n if fallback else _theta(theta)
+    if fallback:
+        theta = oracle.n
     graph = bulk_graph(oracle)
     if graph is not None and graph.n * theta <= 1 << 63 and runs * _per_run(graph, theta, q, fallback) >= _SCALAR:
         *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
@@ -269,19 +274,6 @@ def _runs(
         return columns
     rows = [(*(e or (-1, -1)), k) for e, k in (_attempts(oracle, theta, q, rng, fallback) for _ in range(runs))]
     return list(np.array(rows, np.int64).reshape(-1, 3).T)
-
-
-def _theta(theta: int) -> int:
-    theta = operator.index(theta)
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    return theta
-
-
-def mixture_attempt(oracle: QueryOracle, theta: int) -> DirectedEdge | None:
-    """Fair coin between the light and heavy tracks, through the oracle's
-    methods, which ``_runs`` would also take for a call this small."""
-    return _attempts(oracle, _theta(theta), 1, oracle.rng)[0]
 
 
 def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:
@@ -317,6 +309,9 @@ def sample_degree_proportional_vertex(
     return (report.outcome.origin if oracle.rng.random() < 0.5 else report.outcome.target), report
 
 
+MAX_FAILURES = 100  # failed runs in a row after which weighted_expectation gives up
+
+
 @dataclass
 class WeightedExpectation:
     """Monte Carlo mean of an edge weight under the sampling distribution."""
@@ -333,31 +328,30 @@ def weighted_expectation(
     config: SamplerConfig,
     weight: Mapping[tuple[int, int], float] | Callable[[DirectedEdge], float],
     samples: int,
-    max_failures_per_draw: int = 100,
 ) -> WeightedExpectation:
     """Average an edge weight over ``samples`` successful draws.
 
     The sampling distribution is pointwise eps-close to uniform, so the
     limit of the mean is within eps * |uniform mean| of the uniform mean.
-    Raises RuntimeError if one draw fails ``max_failures_per_draw`` times
-    in a row. The draws are pooled runs (``_runs``).
+    Raises RuntimeError if one draw fails ``MAX_FAILURES`` times in a row.
+    The draws are pooled runs (``_runs``).
     """
-    if samples < 1 or max_failures_per_draw < 1:
-        raise ValueError("samples and max_failures_per_draw must be >= 1")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     weight_fn = weight if callable(weight) else weight.__getitem__
     before = oracle.counts.copy()
     theta, q, fallback = _plan(config, oracle.n)
     weights: list[float] = []
     failures = streak = 0
     while len(weights) < samples:
-        # if every run fails, this stops after max_failures_per_draw runs
-        chunk = min(samples - len(weights), max(max_failures_per_draw, len(weights)))
+        # if every run fails, this stops after MAX_FAILURES runs
+        chunk = min(samples - len(weights), max(MAX_FAILURES, len(weights)))
         origins, targets, _ = _runs(oracle, theta, q, chunk, oracle.rng, fallback)
         failures += int((origins < 0).sum())
         for origin, target in zip(origins.tolist(), targets.tolist()):
             streak = 0 if origin >= 0 else streak + 1
-            if streak == max_failures_per_draw:
-                raise RuntimeError(f"a draw failed {max_failures_per_draw} consecutive times")
+            if streak == MAX_FAILURES:
+                raise RuntimeError(f"a draw failed {MAX_FAILURES} consecutive times")
             if origin >= 0:
                 weights.append(float(weight_fn(DirectedEdge(origin, target))))
     mean = math.fsum(weights) / samples

@@ -47,6 +47,11 @@ SUITE_SPECS = [
 ]
 
 
+def adjacency(g) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex neighbor tuples of g, each in its fixed order."""
+    return tuple(g.neighbors(v) for v in range(g.n))
+
+
 def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
     parent = list(range(n))
 

@@ -51,8 +51,8 @@ def test_enumeration_matches_closed_form_spot():
         for theta in (1, 2, 3, 5, 8):
             a = attempt_distribution(g, theta)
             b = enumerate_attempt_distribution(g, theta)
-            assert a.per_edge == b.per_edge
-            assert a.success_prob == b.success_prob
+            assert a.per_edge == b
+            assert a.success_prob == sum(b.values(), Fraction(0))
 
 
 def test_light_track_enumeration_values():
@@ -226,6 +226,10 @@ def test_empirical_rejects_bad_arguments():
         empirical_distribution(star(5), trials=0, seed=0, theta=3)
     with pytest.raises(ValueError):
         empirical_distribution(star(5), trials=10, seed=0)  # neither theta nor config
+    with pytest.raises(ValueError, match="theta"):
+        empirical_distribution(star(5), trials=10, seed=0, theta=0)
+    with pytest.raises(TypeError):
+        empirical_distribution(star(5), trials=10, seed=0, theta=2.5)
 
 
 def test_empirical_rejects_theta_where_no_attempt_succeeds():

@@ -79,7 +79,7 @@ def brute_force_per_edge(g, theta):
 def test_closed_form_matches_brute_force_and_enumeration(case):
     g, theta = case
     dist = attempt_distribution(g, theta)
-    assert dist.per_edge == enumerate_attempt_distribution(g, theta).per_edge
+    assert dist.per_edge == enumerate_attempt_distribution(g, theta)
     assert verify_attempt_bounds(g, theta, 0.25).all_passed
 
     per_edge = brute_force_per_edge(g, theta)

@@ -72,6 +72,28 @@ def test_zero_samples_is_usage_error_for_every_estimator(capsys):
             assert "sample count must be >= 1" in err
 
 
+@pytest.mark.parametrize("env_seed, argv, message", [
+    ("abc", "estimate --generate star:5", "EDGE_SAMPLER_SEED must be an integer"),
+    ("-7", "sample --generate star:20 --count 2", "EDGE_SAMPLER_SEED must be >= 0"),
+    (None, "sample --generate star:20 --seed -7 --count 2", "--seed must be >= 0"),
+    (None, "sample --generate er:100,0.1 --seed -1", "--seed must be >= 0"),
+    (None, "sample --generate star:5 --seed 1 --count 0", "--count must be >= 1"),
+    (None, "verify --generate star:5 --seed 1 --theta 0", "--theta must be >= 1"),
+    (None, "lb --generate er:40,0.1 --seed 1 --budgets 1,x", "--budgets must be comma-separated integers"),
+    (None, "bench --generate star:5 --seed 1 --trials 29", "at least 30 trials"),
+    # 8 PB of samples exceeds any address space, so numpy refuses before allocating
+    (None, f"estimate --generate er:1000,0.01 --seed 1 --samples {10**15}", "out of memory"),
+])
+def test_usage_errors_exit_two_with_one_line(capsys, monkeypatch, env_seed, argv, message):
+    if env_seed is None:
+        monkeypatch.delenv("EDGE_SAMPLER_SEED", raising=False)
+    else:
+        monkeypatch.setenv("EDGE_SAMPLER_SEED", env_seed)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_exactly_one_graph_source(capsys):
     code, _, err = run_cli(capsys, "sample", "--epsilon", "0.25")
     assert code == 2

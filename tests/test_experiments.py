@@ -20,6 +20,8 @@ from edgesample.experiments import (
 )
 from edgesample.generators import erdos_renyi, generate, path
 
+from conftest import adjacency
+
 
 def test_clique_size_reaches_half_the_edges():
     for spec, seed in [("er:100,0.1", 1), ("er:400,0.02", 2), ("path:30", 0), ("star:17", 0)]:
@@ -40,7 +42,7 @@ def test_planted_union_concatenates_base_and_clique_rows():
         union, clique_ids = planted_union(base, k)
         union.validate()
         assert clique_ids == frozenset(range(base.n, base.n + k))
-        assert union.adjacency[: base.n] == base.adjacency
+        assert adjacency(union)[: base.n] == adjacency(base)
         assert all(union.neighbors(c) == tuple(sorted(clique_ids - {c})) for c in clique_ids)
         # base's edges in their order, then the clique's pairs ascending: clique_union relabels this array
         edges = np.concatenate([base.edge_array(), np.column_stack(np.triu_indices(k, 1)) + base.n])

@@ -23,6 +23,8 @@ from edgesample.experiments import planted_union
 from edgesample.graph import MAX_VERTICES, SHORT_ROW
 from edgesample.generators import _sample_distinct, clique_union, erdos_renyi, generate
 
+from conftest import adjacency
+
 # ---------------------------------------------------------------------------
 # The references: the loop implementations, as they were
 # ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ def outcome(build, edges, n):
         g = build(edges, n)
     except (GraphConstructionError, OverflowError) as exc:
         return type(exc), str(exc)
-    return g if isinstance(g, tuple) else g.adjacency
+    return g if isinstance(g, tuple) else adjacency(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,25 +160,25 @@ def outcome(build, edges, n):
 @example(case=([], 3))
 def test_csr_graph_matches_reference(case):
     edges, n = case
-    adjacency = reference_build(edges, n)
-    sets = [frozenset(a) for a in adjacency]
+    ref = reference_build(edges, n)
+    sets = [frozenset(a) for a in ref]
     for source in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
         g = build_graph(source, n)
         g.validate()
-        assert g.n == n and g.m_dir == sum(map(len, adjacency))
-        assert g.adjacency == adjacency
-        assert g.degrees() == [len(a) for a in adjacency]
+        assert g.n == n and g.m_dir == sum(map(len, ref))
+        assert adjacency(g) == ref
+        assert g.degrees() == [len(a) for a in ref]
         for v in range(n):
-            d = len(adjacency[v])
+            d = len(ref[v])
             assert g.degree(v) == d
-            assert g.neighbors(v) == adjacency[v]
-            assert [g.neighbor(v, i) for i in range(1, d + 2)] == [*adjacency[v], None]
+            assert g.neighbors(v) == ref[v]
+            assert [g.neighbor(v, i) for i in range(1, d + 2)] == [*ref[v], None]
             with pytest.raises(ValueError):
                 g.neighbor(v, 0)
             assert [g.has_edge(v, w) for w in range(n)] == [w in sets[v] for w in range(n)]
-        assert list(g.directed_edges()) == reference_directed(adjacency)
-        assert list(g.undirected_edges()) == reference_undirected(adjacency)
-        assert g.edge_array().tolist() == [list(e) for e in reference_undirected(adjacency)]
+        assert list(g.directed_edges()) == reference_directed(ref)
+        assert list(g.undirected_edges()) == reference_undirected(ref)
+        assert g.edge_array().tolist() == [list(e) for e in reference_undirected(ref)]
 
 
 @st.composite
@@ -253,7 +255,7 @@ def test_sample_distinct_matches_reference(n_total, data, seed):
 
 @pytest.mark.parametrize("n, p, seed", [(1, 0.5, 0), (2, 1.0, 1), (60, 0.2, 3), (300, 0.05, 4), (2000, 0.006, 3)])
 def test_erdos_renyi_matches_reference(n, p, seed):
-    assert erdos_renyi(n, p, seed).adjacency == reference_erdos_renyi(n, p, seed)
+    assert adjacency(erdos_renyi(n, p, seed)) == reference_erdos_renyi(n, p, seed)
 
 
 ER_DIGESTS = {  # sha256 of the offsets and targets bytes, as the generator first wrote them
@@ -305,9 +307,9 @@ def test_sample_distinct_trims_an_overshoot(seed):
 @pytest.mark.parametrize("spec, k, seed", [("path:4", 3, 6), ("star:8", 1, 2), ("er:30,0.2", 5, 5), ("er:200,0.05", 20, 4)])
 def test_clique_union_matches_reference(spec, k, seed):
     base = generate(spec, seed)
-    assert clique_union(base, k, seed + 1).adjacency == reference_clique_union(base.adjacency, k, seed + 1)
-    assert generate(f"clique_union:{spec},{k}", seed).adjacency == reference_clique_union(
-        base.adjacency, k, seed + 1
+    assert adjacency(clique_union(base, k, seed + 1)) == reference_clique_union(adjacency(base), k, seed + 1)
+    assert adjacency(generate(f"clique_union:{spec},{k}", seed)) == reference_clique_union(
+        adjacency(base), k, seed + 1
     )
 
 

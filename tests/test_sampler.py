@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from edgesample import (
     SamplerConfig,
     attempt_distribution,
     build_graph,
-    mixture_attempt,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
     weighted_expectation,
@@ -65,13 +65,32 @@ def test_config_validation():
             SamplerConfig(theta=theta, q=q)
 
 
+@pytest.mark.parametrize("field", ["theta", "q"])
+def test_config_takes_integers_only(field):
+    # a float fails at construction, not later inside a draw; a numpy
+    # integer is stored as a Python int, whose bit_length the method loop calls
+    def config(value):
+        return SamplerConfig(**{"theta": 3, "q": 4, field: value})
+
+    with pytest.raises(TypeError):
+        config(2.5)
+    for zero in (0, np.int64(0)):
+        with pytest.raises(ValueError, match="theta and q"):
+            config(zero)
+    cfg = config(np.int64(5))
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 5
+    report = sample_edge_almost_uniformly(QueryOracle(star(5), seed=1), cfg)
+    assert report.config is cfg and report.attempts_used >= 1
+
+
 def _mixture_edges(g, theta, seed, trials=20000):
     """``trials`` mixture attempts on ``g``; checks the success rate is
     within 5 SE of the closed form and every returned edge has positive
     closed-form probability. Returns the successes and the distribution."""
     dist = attempt_distribution(g, theta)
     o = QueryOracle(g, seed=seed)
-    edges = [e for e in (mixture_attempt(o, theta) for _ in range(trials)) if e is not None]
+    one_attempt = SamplerConfig(theta, 1)
+    edges = [e for e in (sample_edge_almost_uniformly(o, one_attempt).outcome for _ in range(trials)) if e is not None]
     p = float(dist.success_prob)
     assert abs(len(edges) / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
     assert all(dist.per_edge[e] > 0 for e in edges)
@@ -113,7 +132,7 @@ def test_per_attempt_query_caps():
     o = QueryOracle(g, seed=7)
     for _ in range(500):
         before = o.counts.copy()
-        mixture_attempt(o, 4)
+        sample_edge_almost_uniformly(o, SamplerConfig(4, 1))
         delta = o.counts - before
         assert delta.total <= 5
         assert delta.vertex == 1
@@ -235,16 +254,18 @@ def test_weighted_expectation_mapping_weights():
 
 
 def test_weighted_expectation_abort_on_hopeless_graph():
-    g = build_graph([(0, 1)], 50)
-    cfg = SamplerConfig(theta=8, q=1)
-    o = QueryOracle(g, seed=20)
-    with pytest.raises(RuntimeError, match="consecutive"):
-        weighted_expectation(o, cfg, lambda e: 1.0, samples=5, max_failures_per_draw=3)
+    # K_4 at theta 2: every vertex heavy, so every run fails and the abort
+    # comes after exactly 100 one-attempt runs, one vertex query each
+    cfg = SamplerConfig(theta=2, q=1)
+    o = QueryOracle(clique(4), seed=20)
+    with pytest.raises(RuntimeError, match="100 consecutive"):
+        weighted_expectation(o, cfg, lambda e: 1.0, samples=5)
+    assert o.counts.vertex == 100
 
 
 def test_theta_below_one_is_rejected():
     o = QueryOracle(path(3), seed=22)
     for theta in (0, -1):
         with pytest.raises(ValueError, match="theta"):
-            mixture_attempt(o, theta)
+            sample_edge_almost_uniformly(o, SamplerConfig(theta, 1))
     assert o.counts.total == 0

@@ -33,7 +33,6 @@ from edgesample import (
     SamplerConfig,
     attempt_distribution,
     estimate_edges,
-    mixture_attempt,
     sample_edge_almost_uniformly,
 )
 from edgesample.estimate import _degree_sum_mc
@@ -204,7 +203,7 @@ def test_single_attempts_match_reference(g, data, seed, budget):
     theta = data.draw(st.integers(1, g.n + 2))
     got, want = both(
         g, seed, budget, False,
-        lambda o, rng: [mixture_attempt(o, theta) for _ in range(20)],
+        lambda o, rng: [sample_edge_almost_uniformly(o, SamplerConfig(theta, 1)).outcome for _ in range(20)],
         lambda o, rng: [ref_mixture(o, theta, rng) for _ in range(20)],
     )
     assert got == want
@@ -322,10 +321,10 @@ class CountingOracle(QueryOracle):
 @pytest.mark.parametrize("call, reference_call", [
     (lambda o: [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG)) for _ in range(5)],
      lambda o: [ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, o.rng) for _ in range(5)]),
-    (lambda o: [mixture_attempt(o, HUBS_CONFIG.theta) for _ in range(50)],
+    (lambda o: [sample_edge_almost_uniformly(o, SamplerConfig(HUBS_CONFIG.theta, 1)).outcome for _ in range(50)],
      lambda o: [ref_mixture(o, HUBS_CONFIG.theta, o.rng) for _ in range(50)]),
     (lambda o: estimate_edges(o, "degree-sum-mc").m_hat, lambda o: ref_degree_sum(o, None)),
-], ids=["run", "mixture_attempt", "degree_sum"])
+], ids=["run", "single_attempt", "degree_sum"])
 def test_subclassed_oracle_sees_every_query(call, reference_call):
     for seed in range(5):
         counting, reference = CountingOracle(HUBS, seed=seed), ReferenceOracle(HUBS, seed)
@@ -371,7 +370,7 @@ def test_small_calls_on_a_plain_oracle_take_the_method_loop():
     # as a subclassed one and never builds its numpy generator.
     def calls(o):
         return (
-            [mixture_attempt(o, STAR_CONFIG.theta) for _ in range(20)],
+            [sample_edge_almost_uniformly(o, SamplerConfig(STAR_CONFIG.theta, 1)).outcome for _ in range(20)],
             [report_tuple(sample_edge_almost_uniformly(o, STAR_CONFIG)) for _ in range(5)],
         )
 
