@@ -9,7 +9,7 @@ neighbor sampling would under-weight.
 
 from collections import Counter
 
-from edgesample import QueryOracle, SamplerConfig, estimate_edges, sample_edge_almost_uniformly
+from edgesample import QueryOracle, SamplerConfig, estimate_edges_amplified, sample_edge_almost_uniformly
 from edgesample.generators import generate
 
 # A lopsided graph: one hub with 40 spokes plus a sparse random part.
@@ -19,7 +19,7 @@ print(f"graph: n={g.n}, directed edges m={g.m_dir}, max degree {max(g.degrees())
 oracle = QueryOracle(g, seed=2)
 
 # Estimate the edge count through the oracle, then configure the sampler.
-est = estimate_edges(oracle, "degree-sum-mc", samples=200)
+est = estimate_edges_amplified(oracle, "degree-sum-mc", samples=200)
 cfg = SamplerConfig.for_graph(g.n, est.m_hat, epsilon=0.1)
 print(f"estimated m_hat={est.m_hat:.0f} (true {g.m_dir}), theta={cfg.theta}, "
       f"attempt budget q={cfg.q}")

@@ -7,22 +7,20 @@ generators  : deterministic test-graph generators and the ``kind:args`` grammar
 oracle      : the four metered query types with per-type counters
 estimate    : pluggable directed-edge-count estimators with median boosting
 sampler     : the light/heavy mixture sampler, fallback, and derived samplers
-analytic    : degree partition, exact attempt distributions held per vertex, closeness
+analytic    : exact attempt distributions held per heavy vertex, closeness, bounds
 experiments : Monte Carlo scoring, query-cost scaling, hidden-clique budgets
 cli         : ``edgesample`` command-line front end
 """
 
 from .analytic import (
     ClosenessReport,
-    DegreePartition,
     attempt_distribution,
     conditional_closeness,
     enumerate_attempt_distribution,
-    partition,
     verify_attempt_bounds,
     vertex_return_distribution,
 )
-from .estimate import EdgeEstimate, estimate_edges, estimate_edges_amplified
+from .estimate import EdgeEstimate, estimate_edges_amplified
 from .experiments import empirical_distribution
 from .graph import (
     DirectedEdge,
@@ -45,7 +43,6 @@ from .sampler import (
 __all__ = [
     "BudgetExceeded",
     "ClosenessReport",
-    "DegreePartition",
     "DirectedEdge",
     "EdgeEstimate",
     "Graph",
@@ -60,9 +57,7 @@ __all__ = [
     "conditional_closeness",
     "empirical_distribution",
     "enumerate_attempt_distribution",
-    "estimate_edges",
     "estimate_edges_amplified",
-    "partition",
     "read_edge_list",
     "sample_degree_proportional_vertex",
     "sample_edge_almost_uniformly",

@@ -11,14 +11,15 @@ Two independent routes to the same distribution keep each other honest:
   and tallies outcome weights into a per-edge dict, which must equal the
   closed form's ``per_edge``.
 
-Both rest on the light/heavy ``partition`` of the vertices at theta, a
-boolean mask over the degree array. The closed form depends only on an
-edge's origin, so it is held per heavy vertex: d_L comes from one
-reduction over the heavy rows of the CSR arrays alone. The directed edges
-fall into a few classes keyed by the ratio d_L(v)/d(v) of their origin in
-lowest terms (1/1 for a light origin). Success probability, closeness to
-uniform and the bound margins are integer sums over those classes, each
-over one common denominator, and exact at every graph size.
+A vertex is light at theta when d(v) <= theta and heavy otherwise;
+``attempt_distribution`` finds the heavy ones with one boolean mask over
+the degree array. The closed form depends only on an edge's origin, so
+it is held per heavy vertex: d_L comes from one reduction over the heavy
+rows of the CSR arrays alone. The directed edges fall into a few classes
+keyed by the ratio d_L(v)/d(v) of their origin in lowest terms (1/1 for
+a light origin). Success probability, closeness to uniform and the
+bound margins are integer sums over those classes, each over one common
+denominator, and exact at every graph size.
 """
 
 from __future__ import annotations
@@ -31,31 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import DirectedEdge, Graph
-
-
-@dataclass(frozen=True, eq=False)
-class DegreePartition:
-    """Vertices split by the degree threshold theta.
-
-    A vertex is light when d(v) <= theta, heavy otherwise; a directed edge
-    inherits the label of its origin. ``heavy`` is the boolean mask over
-    vertex ids. e_light + e_heavy = m_dir.
-    """
-
-    theta: int
-    heavy: np.ndarray
-    e_light: int
-    e_heavy: int
-
-
-def partition(g: Graph, theta: int) -> DegreePartition:
-    """Split vertices into light (d <= theta) and heavy (d > theta)."""
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    deg = np.diff(g.offsets)
-    heavy = deg > theta
-    e_heavy = int(deg[heavy].sum())
-    return DegreePartition(theta, heavy, g.m_dir - e_heavy, e_heavy)
+from .sampler import SamplerConfig, _plan
 
 
 def _reduced(a: int, b: int) -> tuple[int, int]:
@@ -65,23 +42,27 @@ def _reduced(a: int, b: int) -> tuple[int, int]:
 class ClosedFormDistribution:
     """The closed-form distribution of one mixture attempt, held per origin vertex.
 
-    An edge out of v has probability ``unit * a / b``: unit = 1/(2 n theta),
-    and a/b is 1/1 for a light v and d_L(v)/d(v) in lowest terms for a
-    heavy v (``heavy`` maps heavy v to the pair (d_L(v), d(v))). ``pairs``
-    maps each ratio (a, b) to its directed-edge count; the integer
-    ``weight`` is success_prob / unit. ``per_edge`` is derived from these
-    when read.
+    ``heavy`` maps each heavy v (d(v) > theta) to the pair (d_L(v), d(v));
+    every other vertex is light, and a directed edge inherits the label of
+    its origin: e_heavy sums d over the heavy vertices, e_light = m_dir -
+    e_heavy. An edge out of v has probability ``unit * a / b``: unit =
+    1/(2 n theta), and a/b is 1/1 for a light v and d_L(v)/d(v) in lowest
+    terms for a heavy v. ``pairs`` maps each ratio (a, b) to its
+    directed-edge count; the integer ``weight`` is success_prob / unit.
+    ``per_edge`` is derived from these when read.
     """
 
-    def __init__(self, g: Graph, part: DegreePartition, heavy: dict[int, tuple[int, int]]):
-        self.graph, self.theta, self.partition, self.heavy = g, part.theta, part, heavy
-        pairs = {(1, 1): part.e_light}
+    def __init__(self, g: Graph, theta: int, heavy: dict[int, tuple[int, int]]):
+        self.graph, self.theta, self.heavy = g, theta, heavy
+        self.e_heavy = sum(d for _, d in heavy.values())
+        self.e_light = g.m_dir - self.e_heavy
+        pairs = {(1, 1): self.e_light}
         for dl, d in heavy.values():
             key = _reduced(dl, d)
             pairs[key] = pairs.get(key, 0) + d
         self.pairs = pairs
-        self.weight = part.e_light + sum(dl for dl, _ in heavy.values())
-        self.success_prob = Fraction(self.weight, 2 * g.n * part.theta)
+        self.weight = self.e_light + sum(dl for dl, _ in heavy.values())
+        self.success_prob = Fraction(self.weight, 2 * g.n * theta)
 
     def _expand(self, value: dict[tuple[int, int], Fraction]) -> dict[DirectedEdge, Fraction]:
         """Give every directed edge the value of its origin's ratio pair."""
@@ -107,17 +88,19 @@ class ClosedFormDistribution:
 
 def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     """Closed-form distribution of one fair light/heavy mixture attempt."""
-    part = partition(g, theta)
-    ids = np.flatnonzero(part.heavy)
-    o = g.offsets
-    starts, deg = o[ids], o[ids + 1] - o[ids]
+    if theta < 1:
+        raise ValueError(f"theta must be >= 1, got {theta}")
+    deg = np.diff(g.offsets)
+    is_heavy = deg > theta
+    ids = np.flatnonzero(is_heavy)
+    starts, deg = g.offsets[ids], deg[ids]
     # Gather the heavy rows' targets back to back; row k starts at firsts[k].
     # reduceat needs every row nonempty, which holds as d > theta >= 1.
     firsts = np.cumsum(deg) - deg
-    rows = g.targets[np.arange(part.e_heavy) + np.repeat(starts - firsts, deg)]
-    d_light = np.add.reduceat(~part.heavy[rows], firsts, dtype=np.int64)
+    rows = g.targets[np.arange(deg.sum()) + np.repeat(starts - firsts, deg)]
+    d_light = np.add.reduceat(~is_heavy[rows], firsts, dtype=np.int64)
     heavy = dict(zip(ids.tolist(), zip(d_light.tolist(), deg.tolist())))
-    return ClosedFormDistribution(g, part, heavy)
+    return ClosedFormDistribution(g, theta, heavy)
 
 
 def enumerate_attempt_distribution(g: Graph, theta: int) -> dict[DirectedEdge, Fraction]:
@@ -282,7 +265,7 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    g, theta, part, heavy = dist.graph, dist.theta, dist.partition, dist.heavy
+    g, theta, heavy = dist.graph, dist.theta, dist.heavy
     m, nt, t2 = g.m_dir, g.n * theta, theta * theta
     report = AttemptBoundsReport(theta=theta, epsilon=epsilon)
     check = report.checks.append
@@ -290,11 +273,11 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
     # A track alone succeeds with twice its units of 1/(2 n theta): over n theta.
     heavy_units = sum(dl for dl, _ in heavy.values())
     light = dist.weight - heavy_units
-    check(BoundCheck("light_success_equals_e_light_over_n_theta", True, light == part.e_light,
-                     Fraction(light - part.e_light, nt), f"success={light / nt:.6g}"))
+    check(BoundCheck("light_success_equals_e_light_over_n_theta", True, light == dist.e_light,
+                     Fraction(light - dist.e_light, nt), f"success={light / nt:.6g}"))
 
     den = nt * t2
-    hi, up, lo = heavy_units * t2, part.e_heavy * t2, part.e_heavy * (t2 - m)
+    hi, up, lo = heavy_units * t2, dist.e_heavy * t2, dist.e_heavy * (t2 - m)
     check(BoundCheck("heavy_success_within_interval", True, lo <= hi <= up, Fraction(min(hi - lo, up - hi), den),
                      f"success={hi / den:.6g} in [{lo / den:.6g}, {up / den:.6g}]"))
 
@@ -313,18 +296,15 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
     return report
 
 
-def run_failure_probability(g: Graph, config) -> float:
+def run_failure_probability(g: Graph, config: SamplerConfig) -> float:
     """Exact failure probability of one full sampling run on a known graph.
 
-    Uses the attempt success probability of whichever track the run takes:
-    (1 - s)^q on the mixture path, (1 - m/n^2)^n on the fallback path.
+    Uses the attempt success probability of whichever track ``_plan`` gives
+    the run: (1 - s)^q on the mixture path, (1 - m/n^2)^n on the fallback
+    path, whose attempts have no coin and theta = n.
     """
-    if config.q > g.n:
-        per_attempt = g.m_dir / (g.n * g.n)
-        budget = g.n
-    else:
-        per_attempt = float(attempt_distribution(g, config.theta).success_prob)
-        budget = config.q
+    theta, budget, fallback = _plan(config, g.n)
+    per_attempt = g.m_dir / (g.n * theta) if fallback else float(attempt_distribution(g, theta).success_prob)
     if per_attempt >= 1.0:
         return 0.0
     return math.exp(budget * math.log1p(-per_attempt))

@@ -15,6 +15,7 @@ Exit status: 0 success, 1 a sampling run ended in Failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -100,12 +101,14 @@ def _config(args, command: str, *flags: str, **resolved) -> dict:
 
 
 def _table(rows: list[dict], columns, plot_data: bool) -> None:
-    """CSV with a header line, or space-separated columns under a ``#`` header
-    for ``--plot-data``; floats print with 12 significant digits."""
-    sep = " " if plot_data else ","
-    print(("# " if plot_data else "") + sep.join(columns))
-    for row in rows:
-        print(sep.join(f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c]) for c in columns))
+    """CSV with a header line, a field holding a comma (an ``er:n,p`` spec) quoted,
+    or space-separated columns under a ``#`` header for ``--plot-data``; floats
+    print with 12 significant digits."""
+    cells = [[f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c]) for c in columns] for row in rows]
+    if plot_data:
+        print("\n".join(" ".join(line) for line in [["#", *columns], *cells]))
+    else:
+        csv.writer(sys.stdout, lineterminator="\n").writerows([columns, *cells])
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "lb", _cmd_lb, "hidden-clique budget experiment", "epsilon of the truncated sampler")
     p.add_argument("--generate", metavar="SPEC", required=True, help="base graph spec; a clique holding half the edges is planted")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--budgets", help="comma-separated query budgets (default: geometric sweep around n/sqrt(m))")
+    p.add_argument("--budgets", help="comma-separated distinct query budgets (default: geometric sweep around n/sqrt(m))")
     p.add_argument("--strategies", help="comma-separated subset of: truncated-sampler,greedy-pairs,blind-guess")
     p.add_argument("--plot-data", action="store_true")
 

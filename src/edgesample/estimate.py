@@ -17,8 +17,9 @@ here. Two built-ins:
   ``integers(n, size=s)`` only when s > pilot_s), the degrees come from
   one gather, and the queries are charged once.
 
-``estimate_edges_amplified`` takes the median of an odd number of
-independent runs, driving the failure probability down exponentially.
+``estimate_edges_amplified`` is the entry point: it takes the median of
+an odd number r of independent runs (one by default), driving the
+failure probability down exponentially in r.
 """
 
 from __future__ import annotations
@@ -73,15 +74,6 @@ ESTIMATORS = {
     "exact": _exact,
     "degree-sum-mc": _degree_sum_mc,
 }
-
-
-def estimate_edges(
-    oracle: QueryOracle, estimator: str = "degree-sum-mc", samples: int | None = None
-) -> EdgeEstimate:
-    """Run one estimator pass; see module docstring for the built-ins."""
-    estimate = estimate_edges_amplified(oracle, estimator, samples)
-    estimate.method = estimator
-    return estimate
 
 
 def estimate_edges_amplified(

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import attempt_distribution
-from .estimate import estimate_edges
+from .estimate import estimate_edges_amplified
 from .generators import generate, planted_union
 from .graph import DirectedEdge, Graph, RelabeledView
 from .oracle import BudgetExceeded, QueryOracle
@@ -172,7 +172,7 @@ def run_scaling(
         failures = 0
         for t in range(trials):
             oracle = QueryOracle(g, seed=master.getrandbits(63))
-            est = estimate_edges(oracle, estimator, samples)
+            est = estimate_edges_amplified(oracle, estimator, samples)
             cfg = SamplerConfig.for_graph(g.n, est.m_hat, epsilon)
             report = sample_edge_almost_uniformly(oracle, cfg)
             if report.outcome is None:
@@ -279,9 +279,9 @@ DEFAULT_STRATEGIES = (TruncatedSamplerStrategy(), GreedyPairStrategy(), BlindGue
 
 
 def default_budgets(n: int, m_dir: int) -> list[int]:
-    """Geometric sweep bracketing the n / sqrt(m) transition."""
+    """Geometric sweep bracketing the n / sqrt(m) transition, as sorted distinct budgets."""
     base = n / math.sqrt(m_dir)
-    return [max(1, math.ceil(base * f)) for f in (0.01, 0.1, 1.0, 10.0)]
+    return sorted({max(1, math.ceil(base * f)) for f in (0.01, 0.1, 1.0, 10.0)})
 
 
 @dataclass
@@ -324,6 +324,9 @@ def run_lower_bound(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if budgets is not None and any(b < 0 for b in budgets):
         raise ValueError(f"budgets must be >= 0, got {budgets}")
+    for what, values in (("budgets", budgets or []), ("strategies", [s.name for s in strategies])):
+        if len(set(values)) < len(values):  # a repeat would print its cells twice, with other draws
+            raise ValueError(f"{what} must be distinct, got {values}")
     base = generate(base_spec, seed=base_seed)
     k = clique_size_for(base)
     union, _ = planted_union(base, k)

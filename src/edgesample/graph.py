@@ -82,6 +82,8 @@ class Graph:
         return len(self._t)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:  # a memoryview would wrap a negative id
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
         o = self._o
         return o[v + 1] - o[v]
 
@@ -89,11 +91,15 @@ class Graph:
         return np.diff(self.offsets).tolist()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
         o = self._o
         return tuple(self._t[o[v]:o[v + 1]])
 
     def neighbor(self, v: int, i: int) -> int | None:
         """The i-th neighbor of v (1-based); None when i exceeds d(v)."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
         o = self._o
         start = o[v]
         if i > o[v + 1] - start:

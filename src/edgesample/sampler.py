@@ -260,13 +260,11 @@ def _runs(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> list[np.ndarray]:
     """``runs`` runs of up to q mixture attempts (fallback attempts with
-    ``fallback``, at theta = n) as [origins, targets, used], origin -1
-    on a failure: pooled in ``_kernel`` where ``bulk_graph`` allows, the
-    call expects at least ``_SCALAR`` attempts and n theta fits the
-    kernel's one draw (at most 2^63, always so at theta = n), else one at
-    a time."""
-    if fallback:
-        theta = oracle.n
+    ``fallback``, whose theta ``_plan`` sets to n) as [origins, targets,
+    used], origin -1 on a failure: pooled in ``_kernel`` where
+    ``bulk_graph`` allows, the call expects at least ``_SCALAR`` attempts
+    and n theta fits the kernel's one draw (at most 2^63, always so at
+    theta = n), else one at a time."""
     graph = bulk_graph(oracle)
     if graph is not None and graph.n * theta <= 1 << 63 and runs * _per_run(graph, theta, q, fallback) >= _SCALAR:
         *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
@@ -277,8 +275,8 @@ def _runs(
 
 
 def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:
-    """A run's (theta, attempts, fallback): q mixture attempts, or n fallback attempts when q > n."""
-    return (config.theta, n, True) if config.q > n else (config.theta, config.q, False)
+    """A run's (theta, attempts, fallback): q mixture attempts at theta, or n fallback ones at theta = n if q > n."""
+    return (n, n, True) if config.q > n else (config.theta, config.q, False)
 
 
 def sample_edge_almost_uniformly(

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from edgesample import (
     QueryOracle,
     SamplerConfig,
@@ -21,8 +19,7 @@ from edgesample import (
     conditional_closeness,
     empirical_distribution,
     enumerate_attempt_distribution,
-    estimate_edges,
-    partition,
+    estimate_edges_amplified,
     sample_edge_almost_uniformly,
     vertex_return_distribution,
     weighted_expectation,
@@ -50,7 +47,7 @@ def test_criterion_01_light_edge_uniformity(catalog_graphs):
     checked = 0
     for label, g in catalog_graphs:
         for theta in THETAS:
-            part = partition(g, theta)
+            part = attempt_distribution(g, theta)
             per_call = Fraction(1, g.n * theta)
             expected = {
                 e: per_call
@@ -75,9 +72,9 @@ def test_criterion_02_heavy_edge_closed_form(catalog_graphs):
     checked = 0
     for label, g in catalog_graphs:
         for theta in THETAS:
-            part = partition(g, theta)
+            part = attempt_distribution(g, theta)
             expected: dict = {}
-            for v in np.flatnonzero(part.heavy).tolist():
+            for v in part.heavy:
                 dl = sum(1 for w in g.neighbors(v) if g.degree(w) <= theta)
                 if dl == 0:
                     continue
@@ -91,9 +88,8 @@ def test_criterion_02_heavy_edge_closed_form(catalog_graphs):
             lower = upper * (1 - Fraction(g.m_dir, theta * theta))
             assert lower <= success <= upper, f"{label} theta={theta}: interval violated"
             # ground-truth anchor: full sample-space walk equals the closed form
-            a = attempt_distribution(g, theta)
             b = enumerate_attempt_distribution(g, theta)
-            assert a.per_edge == b and a.success_prob == sum(b.values(), Fraction(0))
+            assert part.per_edge == b and part.success_prob == sum(b.values(), Fraction(0))
             checked += 1
     _criterion(
         2,
@@ -145,7 +141,7 @@ def test_criterion_04_failure_probability(suite_graphs):
     worst_observed = 0.0
     for label, g in suite_graphs:
         oracle = QueryOracle(g, seed=9000)
-        est = estimate_edges(oracle, "exact")
+        est = estimate_edges_amplified(oracle, "exact")
         cfg = SamplerConfig.for_graph(g.n, est.m_hat, eps)
         analytic = run_failure_probability(g, cfg)
         assert analytic < 1 / 3, f"{label}: analytic failure {analytic:.3g}"

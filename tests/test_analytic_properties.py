@@ -26,7 +26,7 @@ from edgesample import (
     verify_attempt_bounds,
     vertex_return_distribution,
 )
-from edgesample.analytic import ClosedFormDistribution, check_attempt_bounds, partition
+from edgesample.analytic import ClosedFormDistribution, check_attempt_bounds
 from edgesample.generators import clique, path, star
 from edgesample.sampler import threshold_for
 
@@ -128,16 +128,16 @@ def test_hub_clique_exercises_heavy_edge_factor():
 
 def reference_bounds(dist, epsilon):
     """(name, applicable, passed, margin, note) of each bound check, in Fractions."""
-    g, theta, part = dist.graph, dist.theta, dist.partition
+    g, theta = dist.graph, dist.theta
     light_degrees = {v: dl for v, (dl, _) in dist.heavy.items()}
     n, m, eps = g.n, g.m_dir, Fraction(epsilon)
     unit = Fraction(1, 2 * n * theta)
-    success = unit * (part.e_light + sum(light_degrees.values()))
-    light_sum = 2 * unit * part.e_light
-    light_formula = Fraction(part.e_light, n * theta)
+    success = unit * (dist.e_light + sum(light_degrees.values()))
+    light_sum = 2 * unit * dist.e_light
+    light_formula = Fraction(dist.e_light, n * theta)
     heavy_sum = 2 * unit * sum(light_degrees.values())
     factor = 1 - Fraction(m, theta * theta)
-    upper = Fraction(part.e_heavy, n * theta)
+    upper = Fraction(dist.e_heavy, n * theta)
     lower = upper * factor
     dominance = min((dl - factor * g.degree(v) for v, dl in light_degrees.items()), default=None)
     applicable = eps * theta * theta >= 2 * m
@@ -216,7 +216,7 @@ def test_light_degree_dominance_can_fail(d_light, passed):
     # at theta 5: the factor is 1 - 20/25 = 1/5 and the center has d = 10,
     # so the margin is d_L - 2.
     g = star(10)
-    dist = ClosedFormDistribution(g, partition(g, 5), {0: (d_light, 10)})
+    dist = ClosedFormDistribution(g, 5, {0: (d_light, 10)})
     check = assert_bounds_match_reference(dist, 0.25).checks[2]
     assert (check.passed, check.margin) == (passed, Fraction(d_light - 2))
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -80,6 +82,8 @@ def test_zero_samples_is_usage_error_for_every_estimator(capsys):
     (None, "sample --generate star:5 --seed 1 --count 0", "--count must be >= 1"),
     (None, "verify --generate star:5 --seed 1 --theta 0", "--theta must be >= 1"),
     (None, "lb --generate er:40,0.1 --seed 1 --budgets 1,x", "--budgets must be comma-separated integers"),
+    (None, "lb --generate er:40,0.1 --seed 1 --budgets 3,3", "budgets must be distinct"),
+    (None, "lb --generate er:40,0.1 --seed 1 --strategies blind-guess,blind-guess", "strategies must be distinct"),
     (None, "bench --generate star:5 --seed 1 --trials 29", "at least 30 trials"),
     # 8 PB of samples exceeds any address space, so numpy refuses before allocating
     (None, f"estimate --generate er:1000,0.01 --seed 1 --samples {10**15}", "out of memory"),
@@ -152,13 +156,13 @@ def test_verify_builds_one_distribution(capsys, monkeypatch):
     from edgesample import analytic
 
     calls = []
-    real = analytic.partition
+    real = analytic.ClosedFormDistribution
 
-    def counting_partition(g, theta):
+    def counting_distribution(g, theta, heavy):
         calls.append(theta)
-        return real(g, theta)
+        return real(g, theta, heavy)
 
-    monkeypatch.setattr(analytic, "partition", counting_partition)
+    monkeypatch.setattr(analytic, "ClosedFormDistribution", counting_distribution)
     code, out, _ = run_cli(capsys, "verify", "--generate", "star:12", "--theta", "4", "--seed", "1")
     assert code == 0
     assert json.loads(out)["bounds"]["all_passed"] is True
@@ -243,9 +247,9 @@ def test_bench_csv_and_summary(capsys):
         "--trials", "40", "--seed", "2",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("spec,n,m_dir,epsilon,trials,mean_queries")
-    assert len(lines) == 3
+    assert out.startswith("spec,n,m_dir,epsilon,trials,mean_queries")
+    rows = list(csv.DictReader(io.StringIO(out)))  # a spec's comma is quoted, not a field break
+    assert [(r["spec"], r["n"]) for r in rows] == [("er:128,0.125", "128"), ("er:256,0.0625", "256")]
     summary = json.loads(err)
     assert "slope" in summary and summary["config"]["trials"] == 40
 
@@ -269,9 +273,12 @@ def test_lb_csv_and_summary(capsys):
         "--budgets", "1,10", "--strategies", "blind-guess,greedy-pairs",
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("base_spec,n,m_dir,k,e_k_dir,budget,strategy")
-    assert len(lines) == 5  # header + 2 strategies x 2 budgets
+    assert out.startswith("base_spec,n,m_dir,k,e_k_dir,budget,strategy")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4  # 2 strategies x 2 budgets
+    assert all(r["base_spec"] == "er:80,0.1" and None not in r for r in rows)
+    pairs = {(r["strategy"], r["budget"]) for r in rows}
+    assert pairs == {(s, b) for s in ("blind-guess", "greedy-pairs") for b in ("1", "10")}
     summary = json.loads(err)
     assert summary["config"]["strategies"] == ["blind-guess", "greedy-pairs"]
     assert summary["e_k_over_m"] >= 0.5

@@ -107,7 +107,7 @@ GOLDEN = [
             'spec,n,m_dir,epsilon,trials,mean_queries,stddev_queries,failure_rate,cost_scale\n'
             'path:20,20,38,0.25,30,15.7333333333,12.3042901281,0.1,6.48885684523\n'
             'star:20,21,40,0.25,30,21.4666666667,14.3567250986,0.233333333333,6.64078308635\n'
-            'er:60,0.1,60,324,0.25,30,20.6666666667,23.0554886211,0,6.66666666667\n'
+            '"er:60,0.1",60,324,0.25,30,20.6666666667,23.0554886211,0,6.66666666667\n'
         ),
         (
             '{"config": {"command": "bench", "epsilon": 0.25, "estimator": "exact", '
@@ -138,15 +138,15 @@ GOLDEN = [
         (
             'base_spec,n,m_dir,k,e_k_dir,budget,strategy,trials,clique_hit_rate,witness_rate,retu'
             'rn_rate,tv_lower_estimate,witness_envelope\n'
-            'er:40,0.1,54,340,14,182,0,blind-guess,20,0.1,0,1,0.4,0\n'
-            'er:40,0.1,54,340,14,182,3,blind-guess,20,0,0,1,0.5,1\n'
-            'er:40,0.1,54,340,14,182,30,blind-guess,20,0,0,1,0.5,1\n'
-            'er:40,0.1,54,340,14,182,0,greedy-pairs,20,0,0,0,0.5,0\n'
-            'er:40,0.1,54,340,14,182,3,greedy-pairs,20,0,0.2,0,0.5,1\n'
-            'er:40,0.1,54,340,14,182,30,greedy-pairs,20,0.684210526316,0.95,0.95,0,1\n'
-            'er:40,0.1,54,340,14,182,0,truncated-sampler,20,0,0,0,0.5,0\n'
-            'er:40,0.1,54,340,14,182,3,truncated-sampler,20,0.6,0.2,0.25,0,1\n'
-            'er:40,0.1,54,340,14,182,30,truncated-sampler,20,0.470588235294,0.75,0.85,0.029411764'
+            '"er:40,0.1",54,340,14,182,0,blind-guess,20,0.1,0,1,0.4,0\n'
+            '"er:40,0.1",54,340,14,182,3,blind-guess,20,0,0,1,0.5,1\n'
+            '"er:40,0.1",54,340,14,182,30,blind-guess,20,0,0,1,0.5,1\n'
+            '"er:40,0.1",54,340,14,182,0,greedy-pairs,20,0,0,0,0.5,0\n'
+            '"er:40,0.1",54,340,14,182,3,greedy-pairs,20,0,0.2,0,0.5,1\n'
+            '"er:40,0.1",54,340,14,182,30,greedy-pairs,20,0.684210526316,0.95,0.95,0,1\n'
+            '"er:40,0.1",54,340,14,182,0,truncated-sampler,20,0,0,0,0.5,0\n'
+            '"er:40,0.1",54,340,14,182,3,truncated-sampler,20,0.6,0.2,0.25,0,1\n'
+            '"er:40,0.1",54,340,14,182,30,truncated-sampler,20,0.470588235294,0.75,0.85,0.029411764'
             '7059,1\n'
         ),
         (

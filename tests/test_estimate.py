@@ -1,12 +1,12 @@
 import pytest
 
-from edgesample import QueryOracle, build_graph, estimate_edges, estimate_edges_amplified
+from edgesample import QueryOracle, build_graph, estimate_edges_amplified
 from edgesample.generators import clique, erdos_renyi, path
 
 
 def test_exact_estimator_is_free():
     o = QueryOracle(path(3), seed=0)
-    est = estimate_edges(o, "exact")
+    est = estimate_edges_amplified(o, "exact")
     assert est.m_hat == 4.0
     assert est.queries_used.total == 0
     assert o.counts.total == 0
@@ -17,7 +17,7 @@ def test_degree_sum_on_regular_graph_has_zero_variance():
     g = clique(6)  # 5-regular
     for seed in range(5):
         o = QueryOracle(g, seed=seed)
-        est = estimate_edges(o, "degree-sum-mc", samples=4)
+        est = estimate_edges_amplified(o, "degree-sum-mc", samples=4)
         assert est.m_hat == 1.5 * 6 * 5
         assert est.queries_used.vertex == 4
         assert est.queries_used.degree == 4
@@ -29,7 +29,7 @@ def test_degree_sum_lands_in_contract_interval():
     hits = 0
     for seed in range(100):
         o = QueryOracle(g, seed=seed)
-        est = estimate_edges(o, "degree-sum-mc", samples=10**5)
+        est = estimate_edges_amplified(o, "degree-sum-mc", samples=10**5)
         if g.m_dir <= est.m_hat <= 2 * g.m_dir:
             hits += 1
     assert hits >= 95
@@ -38,7 +38,7 @@ def test_degree_sum_lands_in_contract_interval():
 def test_default_sample_count_scales_with_pilot():
     g = erdos_renyi(400, 0.05, seed=3)
     o = QueryOracle(g, seed=5)
-    est = estimate_edges(o, "degree-sum-mc")
+    est = estimate_edges_amplified(o, "degree-sum-mc")
     assert est.m_hat > 0
     # pilot pass of ceil(sqrt(n)) plus the main pass, each costing 2 queries per sample
     assert est.queries_used.total >= 2 * 20
@@ -81,20 +81,20 @@ def test_sample_count_must_be_positive():
     for estimator in ("degree-sum-mc", "exact"):
         for bad in (0, -1):
             with pytest.raises(ValueError, match="sample count"):
-                estimate_edges(o, estimator, samples=bad)
+                estimate_edges_amplified(o, estimator, samples=bad)
     assert o.counts.total == 0
 
 
 def test_empty_graph_rejected():
     o = QueryOracle(build_graph([], 5), seed=0)
     with pytest.raises(ValueError):
-        estimate_edges(o, "exact")
+        estimate_edges_amplified(o, "exact")
 
 
 def test_unknown_estimator_rejected():
     o = QueryOracle(path(3), seed=0)
     with pytest.raises(ValueError, match="unknown estimator"):
-        estimate_edges(o, "gr08")
+        estimate_edges_amplified(o, "gr08")
 
 
 def test_median_amplification_boosts_success_probability():

@@ -58,6 +58,9 @@ def test_default_budgets_bracket_the_transition():
     assert budgets == sorted(budgets)
     assert budgets[0] >= 1
     assert budgets[-1] == math.ceil(10 * 2000 / math.sqrt(40000))
+    # n / sqrt(m) near 5.7, as on the union of the README's er:800,0.02 (n 914,
+    # m_dir 25576): factors 0.01 and 0.1 both give budget 1, listed once
+    assert default_budgets(685, 14262) == default_budgets(914, 25576) == [1, 6, 58]
 
 
 def test_scaling_needs_enough_trials():

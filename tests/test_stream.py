@@ -32,7 +32,7 @@ from edgesample import (
     QueryOracle,
     SamplerConfig,
     attempt_distribution,
-    estimate_edges,
+    estimate_edges_amplified,
     sample_edge_almost_uniformly,
 )
 from edgesample.estimate import _degree_sum_mc
@@ -216,7 +216,7 @@ def test_degree_sum_estimate_matches_reference(g, samples, seed, budget):
         return
     got, want = both(
         g, seed, budget, False,
-        lambda o, rng: estimate_edges(o, "degree-sum-mc", samples).m_hat,
+        lambda o, rng: estimate_edges_amplified(o, "degree-sum-mc", samples).m_hat,
         lambda o, rng: ref_degree_sum(o, samples),
     )
     assert got == want
@@ -239,7 +239,7 @@ def test_estimate_and_run_match_reference_at_size(separate_rng):
 
     got, want = both(
         g, 2024, None, separate_rng,
-        draws(lambda o: estimate_edges(o, "degree-sum-mc").m_hat,
+        draws(lambda o: estimate_edges_amplified(o, "degree-sum-mc").m_hat,
               lambda o, cfg, rng: report_tuple(sample_edge_almost_uniformly(o, cfg, rng))),
         draws(lambda o: ref_degree_sum(o, None),
               lambda o, cfg, rng: ref_run(o, cfg.theta, cfg.q, rng)),
@@ -267,7 +267,7 @@ def test_plain_unbudgeted_oracle_never_calls_its_methods():
         o = no_methods(QueryOracle(HUBS, seed=seed))
         rng = random.Random(seed + 1) if separate_rng else o.rng
         result = (
-            estimate_edges(o, "degree-sum-mc").m_hat,
+            estimate_edges_amplified(o, "degree-sum-mc").m_hat,
             [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng)) for _ in range(5)],
             [column.tolist() for column in _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, 20, rng)],
         )
@@ -323,7 +323,7 @@ class CountingOracle(QueryOracle):
      lambda o: [ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, o.rng) for _ in range(5)]),
     (lambda o: [sample_edge_almost_uniformly(o, SamplerConfig(HUBS_CONFIG.theta, 1)).outcome for _ in range(50)],
      lambda o: [ref_mixture(o, HUBS_CONFIG.theta, o.rng) for _ in range(50)]),
-    (lambda o: estimate_edges(o, "degree-sum-mc").m_hat, lambda o: ref_degree_sum(o, None)),
+    (lambda o: estimate_edges_amplified(o, "degree-sum-mc").m_hat, lambda o: ref_degree_sum(o, None)),
 ], ids=["run", "single_attempt", "degree_sum"])
 def test_subclassed_oracle_sees_every_query(call, reference_call):
     for seed in range(5):
@@ -340,7 +340,7 @@ def test_relabeled_view_matches_reference():
     for seed in range(3):
         got, want = both(
             view, seed, None, False,
-            lambda o, rng: (estimate_edges(o, "degree-sum-mc").m_hat,
+            lambda o, rng: (estimate_edges_amplified(o, "degree-sum-mc").m_hat,
                             report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng))),
             lambda o, rng: (ref_degree_sum(o, None), ref_run(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, rng)),
             library_oracle=QueryOracle,
@@ -577,7 +577,7 @@ def test_degree_sum_estimate_replays_both_passes_from_its_draws(g, main_fits):
     pilot_s = math.ceil(n / math.sqrt(n))
     for seed in range(20):
         oracle, twin = QueryOracle(g, seed=seed), QueryOracle(g, seed=seed)
-        m_hat = estimate_edges(oracle, "degree-sum-mc").m_hat
+        m_hat = estimate_edges_amplified(oracle, "degree-sum-mc").m_hat
         gen = twin._generator(twin.rng)
         degrees = [g.degree(v) for v in gen.integers(n, size=2 * pilot_s).tolist()]
         pilot = max(1.0, 1.5 * n * sum(degrees[:pilot_s]) / pilot_s)
