@@ -20,28 +20,36 @@ def path(n: int) -> Graph:
     """Path on n vertices, edges (i, i+1)."""
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    return build_graph([(i, i + 1) for i in range(n - 1)], n)
+    return build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return build_graph([(i, (i + 1) % n) for i in range(n)], n)
+    return build_graph(np.column_stack([np.arange(n), np.arange(1, n + 1) % n]), n)
 
 
 def star(leaves: int) -> Graph:
     """Star with center 0 and ids 1..leaves as leaves."""
     if leaves < 1:
         raise ValueError(f"star needs >= 1 leaf, got {leaves}")
-    return build_graph([(0, i) for i in range(1, leaves + 1)], leaves + 1)
+    return core_leaves(1, leaves)
 
 
 def clique(k: int) -> Graph:
     """Complete graph on k vertices."""
     if k < 1:
         raise ValueError(f"clique needs k >= 1, got {k}")
-    return build_graph(np.column_stack(np.triu_indices(k, 1)), k)
+    return core_leaves(k, 0)
+
+
+def core_leaves(core: int, leaves: int) -> Graph:
+    """K_core whose vertex u owns the pendant leaves core + u * leaves + 0..leaves-1."""
+    if core < 1 or leaves < 0:
+        raise ValueError(f"core_leaves needs core >= 1 and leaves >= 0, got {core}, {leaves}")
+    hubs = np.column_stack([np.repeat(np.arange(core), leaves), np.arange(core, core * (leaves + 1))])
+    return build_graph(np.concatenate([np.column_stack(np.triu_indices(core, 1)), hubs]), core * (leaves + 1))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -110,20 +118,17 @@ def clique_union(base: Graph, k: int, seed: int) -> Graph:
 def generate(spec: str, seed: int = 0) -> Graph:
     """Build a graph from a ``kind:args`` spec string.
 
-    Kinds: ``path:n``, ``cycle:n``, ``star:leaves``, ``clique:k``,
+    Kinds: ``path:n``, ``cycle:n``, ``star:leaves``, ``clique:k``, ``core_leaves:h,L``,
     ``er:n,p`` (alias ``erdos_renyi``), and ``clique_union:<base spec>,k``.
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     try:
-        if kind == "path":
-            return path(int(rest))
-        if kind == "cycle":
-            return cycle(int(rest))
-        if kind == "star":
-            return star(int(rest))
-        if kind == "clique":
-            return clique(int(rest))
+        if kind in ("path", "cycle", "star", "clique"):
+            return {"path": path, "cycle": cycle, "star": star, "clique": clique}[kind](int(rest))
+        if kind == "core_leaves":
+            core, leaves = rest.split(",")
+            return core_leaves(int(core), int(leaves))
         if kind in ("er", "erdos_renyi"):
             n_str, p_str = rest.split(",")
             return erdos_renyi(int(n_str), float(p_str), seed)

@@ -2,7 +2,8 @@
 
 ``suite_graphs`` is the fixed verification suite used by the closeness,
 failure-probability, and derived-sampler tests: paths, stars, cycles, cliques,
-clique-unions, and seeded Erdős–Rényi graphs up to n = 2000.
+a clique with pendant leaves, clique-unions, and seeded Erdős–Rényi graphs
+up to n = 2000.
 
 ``small_catalog`` is the exhaustive-enumeration family: every connected
 labeled graph on up to 5 vertices, plus named and seeded connected graphs
@@ -34,6 +35,7 @@ SUITE_SPECS = [
     ("clique:4", 11),
     ("clique:8", 11),
     ("clique:20", 11),
+    ("core_leaves:3,40", 11),  # hubs of degree 42, heavy at eps = 0.45 (theta = 34)
     ("clique_union:path:4,3", 11),
     ("clique_union:star:8,4", 12),
     ("clique_union:er:50,0.1,6", 13),

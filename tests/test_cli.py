@@ -140,6 +140,39 @@ def test_malformed_graph_file_is_data_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("n 3\n0 1\n# c\n1 0\n# after\n", ":4", "duplicate edge (1, 0)"),
+        ("0 1\n\n2 2\n", ":3", "self-loop (2, 2)"),
+        ("n 3\n0 1\n1 7\n", ":3", "edge (1, 7) out of range for n=3"),
+        ("n -2\n", "", "vertex count must be nonnegative, got -2"),
+    ],
+)
+def test_refused_graph_file_names_file_and_line(capsys, tmp_path, text, where, message):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--graph", str(bad), "--seed", "1")
+    assert (code, out) == (3, "")
+    assert err == f"i/o error: {bad}{where}: {message}\n"
+
+
+def test_verify_reads_a_written_graph_as_generated(capsys, tmp_path):
+    spec = "clique_union:core_leaves:20,5000,30"  # about 100k edges; the 20 hubs are heavy
+    out_file = tmp_path / "g.edges"
+    code, out, _ = run_cli(capsys, "gen", "--generate", spec, "--seed", "4", "--out", str(out_file))
+    assert code == 0 and json.loads(out)["m_undirected"] == 100_625
+    reports = []
+    for source in (["--graph", str(out_file)], ["--generate", spec]):
+        code, out, _ = run_cli(capsys, "verify", *source, "--seed", "4")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["config"].pop("source") == f"file:{out_file}"
+    assert reports[1]["config"].pop("source") == spec
+    assert reports[0] == reports[1]
+    assert reports[0]["closeness"]["max_ratio_dev"] > 0
+
+
 def test_verify_star_theta3(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--generate", "star:5", "--theta", "3", "--seed", "1"

@@ -246,3 +246,57 @@ def test_generator_spec_errors():
     for bad in ["nope:3", "er:10", "path:x", "clique_union:3", "cycle:2"]:
         with pytest.raises(ValueError):
             generate(bad, seed=0)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_non_utf8_byte_is_named_at_its_line(tmp_path, newline):
+    # The bad byte lies past the first 8 KiB: a reader that decodes chunks
+    # ahead of the lines it hands out would blame an earlier line.
+    target = tmp_path / "g.edges"
+    good = "".join(f"{i} {i + 1}{newline}" for i in range(2000))
+    target.write_bytes(good.encode() + b"5 \xff" + newline.encode())
+    assert len(good) > 8192
+    with pytest.raises(GraphConstructionError, match=f"{target}:2001: 'utf-8' codec can't decode byte 0xff in position {len(good) + 2}"):
+        read_edge_list(str(target))
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_edge_list_roundtrip_on_a_relabeled_union(tmp_path, header):
+    g = generate("clique_union:er:300,0.05,12", seed=3)
+    target = tmp_path / "g.edges"
+    write_edge_list(g, str(target))
+    if not header:
+        target.write_text(target.read_text().split("\n", 1)[1])
+    h = read_edge_list(str(target))
+    assert h.n == g.n  # vertex n - 1 has edges, so max id + 1 = n without the header too
+    assert h.edge_array().tolist() == g.edge_array().tolist()
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("n 3\n# c\n0 1\n\n1 2\n1 0\n# after\n\n", 6, "duplicate edge (1, 0)"),
+        ("0 1\n  \n2 2\n", 3, "self-loop (2, 2)"),
+        ("n 3\n0 1\nn 3\n", 3, "second 'n' header 'n 3'"),
+        ("# one\n# two\nn 3\n0 1\n1 7\n", 5, "edge (1, 7) out of range for n=3"),
+    ],
+)
+def test_refused_edges_are_named_at_their_line(tmp_path, text, line, message):
+    target = tmp_path / "g.edges"
+    target.write_text(text)
+    with pytest.raises(GraphConstructionError) as err:
+        read_edge_list(str(target))
+    assert str(err.value) == f"{target}:{line}: {message}"
+
+
+def test_small_generators_build_their_edge_lists():
+    assert adjacency(generate("path:5")) == adjacency(build_graph([(0, 1), (1, 2), (2, 3), (3, 4)], 5))
+    assert adjacency(generate("cycle:4")) == adjacency(build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], 4))
+    assert adjacency(generate("star:3")) == adjacency(build_graph([(0, 1), (0, 2), (0, 3)], 4))
+    assert generate("path:1").m_dir == 0
+    g = generate("core_leaves:3,2")
+    assert adjacency(g) == adjacency(build_graph([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (2, 8)], 9))
+    assert generate("core_leaves:1,0").n == 1 and generate("core_leaves:4,0").m_dir == 12
+    for bad in ["core_leaves:0,3", "core_leaves:2,-1", "core_leaves:3"]:
+        with pytest.raises(ValueError, match="bad generator spec"):
+            generate(bad)

@@ -2,11 +2,13 @@
 
 The references below are the loop implementations the CSR core replaced:
 ``build_graph`` appending each edge to two Python lists behind a set of
-seen pairs, ``_sample_distinct`` deduplicating with a Python set, and
-``clique_union``/``erdos_renyi`` building Python edge lists. Both sides
+seen pairs, ``_sample_distinct`` deduplicating with a Python set,
+``clique_union``/``erdos_renyi`` building Python edge lists, and
+``read_edge_list``'s line loop before its two-token fast path. Both sides
 get the same input and must agree on every query, on the order of every
-edge listing, on the exception raised for a bad edge list, and, for the
-generators, on the graph and the random-generator state afterwards.
+edge listing, on the exception raised for a bad edge list or file, and,
+for the generators, on the graph and the random-generator state afterwards.
+``build_graph`` must also give one outcome whatever form the edges take.
 """
 
 import hashlib
@@ -18,9 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgesample import GraphConstructionError, RelabeledView, build_graph, cli
+from edgesample import GraphConstructionError, RelabeledView, build_graph, cli, read_edge_list
 from edgesample.experiments import planted_union
-from edgesample.graph import MAX_VERTICES, SHORT_ROW
+from edgesample.graph import HEADER_SLACK, MAX_VERTICES, SHORT_ROW
 from edgesample.generators import _sample_distinct, clique_union, erdos_renyi, generate
 
 from conftest import adjacency
@@ -145,11 +147,12 @@ def hostile_edge_lists(draw):
     return edges, n
 
 
-def outcome(build, edges, n):
-    """The adjacency built, or the type and message of the error raised."""
+def outcome(build, *args):
+    """The adjacency built, or the type and message of the error raised
+    (numpy's ValueError for ragged rows included)."""
     try:
-        g = build(edges, n)
-    except (GraphConstructionError, OverflowError) as exc:
+        g = build(*args)
+    except Exception as exc:
         return type(exc), str(exc)
     return g if isinstance(g, tuple) else adjacency(g)
 
@@ -335,3 +338,147 @@ def test_vertex_ids_beyond_int64_fail_cleanly(tmp_path, capsys):
     huge.write_text("n 3\n0 1\n99999999999999999999999 2\n")
     assert cli.main(["verify", "--graph", str(huge), "--seed", "1"]) == cli.EXIT_IO
     assert "edge (99999999999999999999999, 2) out of range for n=3" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Input forms: one graph, or one error, whatever form the edges take
+# ---------------------------------------------------------------------------
+
+
+def ids_as(rows, convert):
+    """Each id of each tuple row through ``convert``; other rows as they are."""
+    return [tuple(map(convert, r)) if isinstance(r, tuple) else r for r in rows]
+
+
+@st.composite
+def misshapen(draw):
+    """Edge lists, simple or hostile, with a row of the wrong length or a
+    bare id spliced in, or every row cut to one id or grown to three."""
+    edges, n = draw(st.one_of(simple_edge_lists(), hostile_edge_lists()))
+    kind = draw(st.sampled_from(["none", "short", "long", "scalar", "all short", "all long"]))
+    if kind == "all short":
+        return [(u,) for u, _ in edges], n
+    if kind == "all long":
+        return [(u, v, u) for u, v in edges], n
+    if kind != "none":
+        bad = {"short": (0,), "long": (0, 1, 2), "scalar": draw(st.integers(0, n + 1))}[kind]
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return edges, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(misshapen())
+@example(case=([0, 1], 2))  # bare ids: np.fromiter would copy each into both fields
+@example(case=([(0, 1), 1], 3))
+@example(case=([], 0))
+def test_every_input_form_builds_the_same_graph(case):
+    edges, n = case
+    want = outcome(build_graph, edges, n)
+    forms = {
+        "list of lists": [list(r) if isinstance(r, tuple) else r for r in edges],
+        "tuple of tuples": tuple(edges),
+    }
+    if all(-(2**63) <= x < 2**63 for r in edges if isinstance(r, tuple) for x in r):
+        forms["numpy int64 ids"] = ids_as(edges, np.int64)
+        forms["numpy int32 ids"] = ids_as(edges, lambda x: np.int32(x) if -(2**31) <= x < 2**31 else x)
+        forms["bool ids"] = ids_as(edges, lambda x: bool(x) if x in (0, 1) else x)
+        forms["numpy bool ids"] = ids_as(edges, lambda x: np.bool_(x) if x in (0, 1) else x)
+        if all(isinstance(r, tuple) and len(r) == 2 for r in edges):
+            forms["(k, 2) array"] = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    for name, form in forms.items():
+        assert outcome(build_graph, form, n) == want, name
+
+
+def test_misshapen_rows_keep_their_errors():
+    cases = [
+        ([(1,), (2,)], 3, GraphConstructionError, "edges must be (u, v) pairs, got an array of shape (2, 1)"),
+        ([(0, 1, 2)], 3, GraphConstructionError, "edges must be (u, v) pairs, got an array of shape (1, 3)"),
+        ([0, 1], 2, GraphConstructionError, "edges must be (u, v) pairs, got an array of shape (2,)"),
+    ]
+    for edges, n, kind, message in cases:
+        for form in (edges, [list(r) if isinstance(r, tuple) else r for r in edges]):
+            assert outcome(build_graph, form, n) == (kind, message)
+    for ragged in ([(0, 1), (1, 2, 0)], [(0, 1), 2], [(0, 1), (2,)]):
+        with pytest.raises(ValueError) as numpy_error:
+            np.asarray(ragged, dtype=np.int64)
+        assert "inhomogeneous" in str(numpy_error.value)
+        assert outcome(build_graph, ragged, 3) == (ValueError, str(numpy_error.value))
+
+
+# ---------------------------------------------------------------------------
+# Edge-list files: the same graph, or the same error at the same line
+# ---------------------------------------------------------------------------
+
+
+def reference_read(path):
+    """The parser before the two-token fast path, remembering each edge's
+    line so that an edge ``build_graph`` refuses is named where it stands."""
+    edges, lines, n, lineno = [], [], None, 0
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if parts[0] == "n":
+                    if len(parts) != 2:
+                        raise GraphConstructionError(f"{path}:{lineno}: malformed header {line!r}")
+                    if n is not None:
+                        raise GraphConstructionError(f"{path}:{lineno}: second 'n' header {line!r}")
+                    n = int(parts[1])
+                    continue
+                if len(parts) != 2:
+                    raise GraphConstructionError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+                edges.append((int(parts[0]), int(parts[1])))
+                lines.append(lineno)
+        except GraphConstructionError:
+            raise
+        except ValueError as exc:
+            raise GraphConstructionError(f"{path}:{lineno}: {exc}") from exc
+    named = "header names" if n is not None else "ids name"
+    if n is None:
+        n = max((max(u, v) for u, v in edges), default=-1) + 1
+    if MAX_VERTICES >= n > 2 * len(edges) + HEADER_SLACK:
+        raise GraphConstructionError(f"{path}: {named} {n} vertices, over 2 x {len(edges)} edges + {HEADER_SLACK}")
+    if n < 0:
+        raise GraphConstructionError(f"{path}: vertex count must be nonnegative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphConstructionError(f"{path}: vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
+    seen = set()
+    for (u, v), lineno in zip(edges, lines):
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphConstructionError(f"{path}:{lineno}: edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphConstructionError(f"{path}:{lineno}: self-loop ({u}, {v})")
+        if (min(u, v), max(u, v)) in seen:
+            raise GraphConstructionError(f"{path}:{lineno}: duplicate edge ({u}, {v})")
+        seen.add((min(u, v), max(u, v)))
+    return reference_build(edges, n)
+
+
+SMALL_IDS = st.integers(-1, 7).map(str)
+ANY_IDS = st.one_of(SMALL_IDS, st.sampled_from(["99999999999999999999999", "x", "nan", "1_0", "+3"]))
+QUIET_LINES = ["", "   ", "# a comment", "#1 2", "  # 3 4", "n 6", "n 12"]
+ODD_LINES = ["n -3", "n", "n 1 2", "n1 2", "1 2 3", "7", "n 99999999999999999999"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: edges of small ids among comments, blank lines and
+    headers, or, in half the files, odd tokens and malformed lines too."""
+    odd = draw(st.booleans())
+    ids = ANY_IDS if odd else SMALL_IDS
+    edge = st.tuples(ids, ids, st.sampled_from([" ", "\t", "  "])).map(lambda t: f"{t[0]}{t[2]}{t[1]}")
+    other = st.sampled_from(QUIET_LINES + ODD_LINES if odd else QUIET_LINES)
+    lines = draw(st.lists(st.one_of(edge, edge, edge, other.map(lambda line: f" {line}" if line else line)), max_size=14))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+@example(text="n 4\n# c\n0 1\n\n1 2\n1 0\n")  # a duplicate on line 6, past three edgeless lines
+def test_read_edge_list_matches_reference(tmp_path_factory, text):
+    target = tmp_path_factory.mktemp("edges") / "g.edges"
+    target.write_bytes(text.encode())
+    assert outcome(read_edge_list, str(target)) == outcome(reference_read, str(target))
