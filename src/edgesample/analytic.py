@@ -5,7 +5,8 @@ Two independent routes to the same distribution keep each other honest:
 * ``attempt_distribution`` evaluates the closed form of one mixture
   attempt: a light edge is returned with probability 1/(2 n theta); a
   heavy edge (v, w) with probability d_L(v) / (2 n theta d(v)), where
-  d_L(v) counts v's light neighbors.
+  d_L(v) counts v's light neighbors. The sampler's fallback attempt is the
+  light track at theta = n (all light) without the coin: twice this at n.
 * ``enumerate_attempt_distribution`` walks the attempt's full sample
   space (coin x start vertex x slot index x neighbor pick) step by step
   and tallies outcome weights into a per-edge dict, which must equal the
@@ -140,24 +141,6 @@ def enumerate_track_distributions(g: Graph, theta: int) -> tuple[dict[DirectedEd
     return light, heavy
 
 
-def enumerate_fallback_distribution(g: Graph) -> dict[DirectedEdge, Fraction]:
-    """Exhaustive per-edge probabilities of one uniform-slot fallback attempt.
-
-    Start vertex u and slot i are both uniform on [n]; the attempt returns
-    (u, i-th neighbor) when i <= d(u). Every directed edge lands on exactly
-    one (u, i) outcome, so each has probability 1/n^2.
-    """
-    out: dict[DirectedEdge, Fraction] = {}
-    w = Fraction(1, g.n * g.n)
-    for u in range(g.n):
-        for i in range(1, g.n + 1):
-            v = g.neighbor(u, i)
-            if v is not None:
-                e = DirectedEdge(u, v)
-                out[e] = out.get(e, Fraction(0)) + w
-    return out
-
-
 @dataclass
 class ClosenessReport:
     """How far the conditional returned-edge distribution is from uniform."""
@@ -270,9 +253,11 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
     report = AttemptBoundsReport(theta=theta, epsilon=epsilon)
     check = report.checks.append
 
-    # A track alone succeeds with twice its units of 1/(2 n theta): over n theta.
+    # A track alone succeeds with twice its units of 1/(2 n theta): over n theta. The light
+    # units are counted from the degrees, so a record that leaves out a heavy vertex fails.
+    deg = np.diff(g.offsets)
+    light = int(deg.sum(where=deg <= theta))
     heavy_units = sum(dl for dl, _ in heavy.values())
-    light = dist.weight - heavy_units
     check(BoundCheck("light_success_equals_e_light_over_n_theta", True, light == dist.e_light,
                      Fraction(light - dist.e_light, nt), f"success={light / nt:.6g}"))
 
@@ -299,12 +284,10 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
 def run_failure_probability(g: Graph, config: SamplerConfig) -> float:
     """Exact failure probability of one full sampling run on a known graph.
 
-    Uses the attempt success probability of whichever track ``_plan`` gives
-    the run: (1 - s)^q on the mixture path, (1 - m/n^2)^n on the fallback
-    path, whose attempts have no coin and theta = n.
+    (1 - s)^q for the q attempts ``_plan`` gives the run, s the success
+    probability of one. A fallback attempt is the light track at theta = n,
+    where every vertex is light, without the coin: twice the mixture's s.
     """
     theta, budget, fallback = _plan(config, g.n)
-    per_attempt = g.m_dir / (g.n * theta) if fallback else float(attempt_distribution(g, theta).success_prob)
-    if per_attempt >= 1.0:
-        return 0.0
+    per_attempt = float((1 + fallback) * attempt_distribution(g, theta).success_prob)  # <= 1 - 1/n: log1p stays finite
     return math.exp(budget * math.log1p(-per_attempt))

@@ -70,10 +70,11 @@ def empirical_distribution(
     one succeeds (the conditional distribution). With ``config`` given,
     each trial is a full budgeted sampling run and failed runs are counted
     separately. The chi-square statistic and the max standardized count
-    deviation are computed against ``reference`` (default: the analytic
-    conditional distribution for the mode in use). The trials are pooled
-    runs (``sampler._runs``). Raises ValueError before drawing when the
-    mixture attempt of either mode can never succeed.
+    deviation are computed against ``reference`` (default: the conditional
+    of ``attempt_distribution`` at the run's theta, theta = n on a fallback
+    run, whose light-track attempts have no coin). The trials are pooled
+    runs (``sampler._runs``). Raises ValueError before drawing when no
+    attempt of the mode in use can succeed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -81,14 +82,11 @@ def empirical_distribution(
         raise ValueError("give exactly one of theta or config")
     # a theta-mode run never gives up; attempt_distribution rejects a theta below 1
     theta, q, fallback = (operator.index(theta), sys.maxsize, False) if config is None else _plan(config, g.n)
-    if not fallback:
-        dist = attempt_distribution(g, theta)
-        if dist.success_prob == 0:  # theta mode would never end, config mode only fail
-            raise ValueError(f"no attempt can succeed at theta={dist.theta}")
-        if reference is None:
-            reference = dist.conditional()
-    elif reference is None:
-        reference = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
+    dist = attempt_distribution(g, theta)  # the fallback's law is this one's at theta = n, without the coin
+    if dist.success_prob == 0:  # theta mode would never end, config mode only fail
+        raise ValueError(f"no attempt can succeed at theta={dist.theta}")
+    if reference is None:
+        reference = dist.conditional()
 
     oracle = QueryOracle(g, seed=seed)
     origins, targets, _ = _runs(oracle, theta, q, trials, oracle.rng, fallback)

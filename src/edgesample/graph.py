@@ -238,7 +238,7 @@ class RelabeledView:
     empty): ``witnessed`` is set by a ``degree`` or ``neighbor`` query on a
     marked id, or a ``has_edge`` on two distinct marked ids. A vertex query
     returning a marked id is no witness, nor is a query the budget refuses:
-    an oracle calls one of these methods per query, after charging it.
+    an oracle calls one of these methods per query, past its budget check.
     """
 
     def __init__(self, base: Graph, perm: Sequence[int] | np.ndarray | random.Random):

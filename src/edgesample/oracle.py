@@ -9,8 +9,8 @@ Four query types, each bumping its own counter exactly once per call:
 4. ``pair(v, w)``: whether (v, w) is an edge. Provided for the
    budget-vs-accuracy experiments; the sampler itself never calls it.
 
-The vertex count ``n`` is public knowledge and free. Out-of-range vertex
-ids are programmer errors (IndexError), not query failures.
+The vertex count ``n`` is public knowledge and free. An out-of-range id
+is a programmer error (IndexError, uncharged), not a query failure.
 """
 
 from __future__ import annotations
@@ -119,27 +119,25 @@ class QueryOracle:
         return r
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self._n:
-            raise IndexError(f"vertex {v} out of range for n={self._n}")
         c = self.counts
         if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
             raise BudgetExceeded(f"query budget {self.budget} exhausted")
+        d = self.graph.degree(v)
         c.degree += 1
-        return self.graph.degree(v)
+        return d
 
     def neighbor(self, v: int, i: int) -> int | None:
-        if not 0 <= v < self._n:
-            raise IndexError(f"vertex {v} out of range for n={self._n}")
-        if i < 1:
+        if i < 1:  # refused before the graph sees v, so a view reveals and marks nothing
             raise ValueError(f"neighbor index must be >= 1, got {i}")
         c = self.counts
         if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
             raise BudgetExceeded(f"query budget {self.budget} exhausted")
+        w = self.graph.neighbor(v, i)
         c.neighbor += 1
-        return self.graph.neighbor(v, i)
+        return w
 
     def pair(self, v: int, w: int) -> bool:
-        for x in (v, w):
+        for x in (v, w):  # has_edge answers False for an id out of range
             if not 0 <= x < self._n:
                 raise IndexError(f"vertex {x} out of range for n={self._n}")
         c = self.counts

@@ -23,11 +23,7 @@ from edgesample import (
     vertex_return_distribution,
     weighted_expectation,
 )
-from edgesample.analytic import (
-    enumerate_fallback_distribution,
-    enumerate_track_distributions,
-    run_failure_probability,
-)
+from edgesample.analytic import enumerate_track_distributions, run_failure_probability
 from edgesample.experiments import clique_size_for, planted_union, run_lower_bound, run_scaling
 from edgesample.generators import generate
 from edgesample.sampler import threshold_for
@@ -273,11 +269,14 @@ def test_criterion_09_lower_bound_phenomenon():
 
 
 def test_criterion_10_fallback_exactness(catalog_graphs):
+    # the fallback attempt is the light track at theta = n (every vertex light) without the coin
     for label, g in catalog_graphs:
-        d = enumerate_fallback_distribution(g)
+        light, heavy = enumerate_track_distributions(g, g.n)
         per = Fraction(1, g.n * g.n)
-        assert set(d.values()) == {per}, f"{label}: fallback probabilities not all 1/n^2"
-        assert len(d) == g.m_dir, f"{label}: fallback support incomplete"
+        assert light == {e: per for e in g.directed_edges()}, f"{label}: fallback probabilities not all 1/n^2"
+        assert heavy == {}, f"{label}: a vertex is heavy at theta = n"
+        closed = attempt_distribution(g, g.n).per_edge
+        assert light == {e: 2 * p for e, p in closed.items()}, f"{label}: fallback is not the closed form x 2"
     _criterion(
         10,
         "fallback attempt puts exactly 1/n^2 on every directed edge (uniform conditional)",

@@ -14,11 +14,7 @@ from edgesample import (
     verify_attempt_bounds,
     vertex_return_distribution,
 )
-from edgesample.analytic import (
-    enumerate_fallback_distribution,
-    enumerate_track_distributions,
-    run_failure_probability,
-)
+from edgesample.analytic import enumerate_track_distributions, run_failure_probability
 from edgesample.generators import clique, erdos_renyi, path, star
 
 DOUBLE_STAR = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
@@ -149,10 +145,12 @@ def test_eq1_margins_on_heavy_graphs():
 
 
 def test_fallback_enumeration_uniform():
+    # the fallback attempt is the light track at theta = n, where every vertex is light
     for g in (path(4), star(5), clique(4)):
-        d = enumerate_fallback_distribution(g)
-        assert set(d.values()) == {Fraction(1, g.n * g.n)}
-        assert len(d) == g.m_dir
+        light, heavy = enumerate_track_distributions(g, g.n)
+        assert light == {e: Fraction(1, g.n * g.n) for e in g.directed_edges()}
+        assert heavy == {}
+        assert light == {e: 2 * p for e, p in attempt_distribution(g, g.n).per_edge.items()}
 
 
 def test_run_failure_probability_paths():
@@ -212,6 +210,18 @@ def test_empirical_full_run_mode():
     assert sum(rep.counts.values()) == 300 - rep.failures
 
 
+def test_empirical_fallback_mode_is_uniform():
+    g = path(30)
+    cfg = SamplerConfig.for_graph(g.n, float(g.m_dir), 0.25)
+    assert cfg.q > g.n  # every trial is a fallback run
+    uniform = {e: Fraction(1, g.m_dir) for e in g.directed_edges()}
+    assert attempt_distribution(g, g.n).conditional() == uniform  # the default reference
+    rep = empirical_distribution(g, trials=4000, seed=8, config=cfg)
+    assert rep.off_support == 0
+    assert rep.p_value >= 0.01
+    assert rep == empirical_distribution(g, trials=4000, seed=8, config=cfg, reference=uniform)
+
+
 def test_chi_square_rejects_wrong_reference():
     # sampler draws from the skewed double-star conditional; testing those
     # frequencies against a uniform reference must fail decisively
@@ -250,3 +260,6 @@ def test_empirical_config_mode_rejects_theta_where_no_attempt_succeeds(monkeypat
     cfg = SamplerConfig(theta=2, q=4)
     with pytest.raises(ValueError, match="no attempt can succeed at theta=2"):
         empirical_distribution(clique(4), trials=20000, seed=0, config=cfg)
+    fallback = SamplerConfig.for_graph(5, 1.0, 0.25)  # q > n = 5 on an edgeless graph
+    with pytest.raises(ValueError, match="no attempt can succeed at theta=5"):
+        empirical_distribution(build_graph([], 5), trials=20000, seed=0, config=fallback)

@@ -133,7 +133,7 @@ def reference_bounds(dist, epsilon):
     n, m, eps = g.n, g.m_dir, Fraction(epsilon)
     unit = Fraction(1, 2 * n * theta)
     success = unit * (dist.e_light + sum(light_degrees.values()))
-    light_sum = 2 * unit * dist.e_light
+    light_sum = Fraction(sum(d for d in g.degrees() if d <= theta), n * theta)  # from the graph, not the record
     light_formula = Fraction(dist.e_light, n * theta)
     heavy_sum = 2 * unit * sum(light_degrees.values())
     factor = 1 - Fraction(m, theta * theta)
@@ -219,6 +219,16 @@ def test_light_degree_dominance_can_fail(d_light, passed):
     dist = ClosedFormDistribution(g, 5, {0: (d_light, 10)})
     check = assert_bounds_match_reference(dist, 0.25).checks[2]
     assert (check.passed, check.margin) == (passed, Fraction(d_light - 2))
+
+
+def test_light_success_check_can_fail():
+    # star(5) at theta 3: the center (d = 5) is heavy, so the light track
+    # covers the 5 leaf edges. A record that leaves the center out of
+    # ``heavy`` claims e_light = 10, and the check counts 5 from the degrees.
+    dist = ClosedFormDistribution(star(5), 3, {})
+    check = assert_bounds_match_reference(dist, 0.25).checks[0]
+    assert check.name == "light_success_equals_e_light_over_n_theta"
+    assert (check.passed, check.margin) == (False, Fraction(5 - 10, 6 * 3))
 
 
 def test_vertex_return_distribution_exact_beyond_int64():

@@ -214,6 +214,24 @@ GOLDEN = [
             '13 14\n'
         ),
     ),
+    (
+        "sample --generate path:300 --estimator exact --seed 1 --count 2",
+        0,
+        (
+            '{"attempts": 46, "config": {"command": "sample", "count": 2, "epsilon": 0.25, '
+            '"estimator": "exact", "m_directed": 598, "m_undirected": 299, "n": 300, "reps": 1, '
+            '"reuse_estimate": false, "samples": null, "seed": 1, "source": "path:300"}, '
+            '"edge": [238, 237], "fallback": true, "m_hat": 598.0, "q": 328, "queries": {"degree": 0, '
+            '"neighbor": 46, "pair": 0, "total": 92, "vertex": 46}, "theta": 70}\n'
+            '{"attempts": 83, "config": {"command": "sample", "count": 2, "epsilon": 0.25, '
+            '"estimator": "exact", "m_directed": 598, "m_undirected": 299, "n": 300, "reps": 1, '
+            '"reuse_estimate": false, "samples": null, "seed": 1, "source": "path:300"}, '
+            '"edge": [275, 276], "fallback": true, "m_hat": 598.0, "q": 328, "queries": {"degree": 0, '
+            '"neighbor": 83, "pair": 0, "total": 166, "vertex": 83}, "theta": 70}\n'
+        ),
+        "",
+        None,
+    ),
 ]
 
 

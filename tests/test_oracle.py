@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from edgesample import BudgetExceeded, QueryCounts, QueryOracle, build_graph
+from edgesample import BudgetExceeded, QueryCounts, QueryOracle, RelabeledView, build_graph
 from edgesample.generators import erdos_renyi, path, star
 
 
@@ -55,13 +56,23 @@ def test_pair_answers():
 
 
 def test_out_of_range_is_programmer_error():
-    o = QueryOracle(path(3), seed=0)
-    with pytest.raises(IndexError):
-        o.degree(3)
-    with pytest.raises(IndexError):
-        o.neighbor(-1, 1)
-    with pytest.raises(IndexError):
-        o.pair(0, 99)
+    # a refused id or index is not charged, and a view reveals and witnesses nothing for it
+    view = RelabeledView(path(3), random.Random(0))
+    view.marked = range(3)
+    for graph in (path(3), view):
+        o = QueryOracle(graph, seed=0)
+        with pytest.raises(IndexError):
+            o.degree(3)
+        with pytest.raises(IndexError):
+            o.neighbor(-1, 1)
+        with pytest.raises(ValueError):
+            o.neighbor(0, 0)
+        with pytest.raises(IndexError):
+            o.pair(0, 99)
+        assert o.counts.total == 0
+        with pytest.raises(BudgetExceeded):  # the budget is checked before the id
+            QueryOracle(graph, seed=0, budget=0).degree(3)
+    assert not view.witnessed and not view._old
 
 
 def test_random_vertex_uniformity():
