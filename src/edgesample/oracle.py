@@ -80,8 +80,8 @@ class QueryOracle:
     its bit length cached, so it returns the same vertex from the same
     generator state.
 
-    The numpy kernels may bypass the four methods; ``bulk_graph`` says
-    when. Everything else goes through the methods.
+    The bulk paths may bypass the four methods; ``bulk_graph`` says when.
+    Everything else goes through the methods.
     """
 
     def __init__(self, graph, seed: int | random.Random | None = None, budget: int | None = None):
@@ -91,7 +91,7 @@ class QueryOracle:
         self.budget = budget
         self._n = graph.n
         self._n_bits = graph.n.bit_length()
-        self._gen = None  # the kernels' generator, built on first use
+        self._gen = None  # the numpy paths' generator, built on first use
 
     def _generator(self, rng: random.Random) -> np.random.Generator:
         """The oracle's PCG64 generator, its state set from 256 bits of ``rng``."""
@@ -148,17 +148,17 @@ class QueryOracle:
 
 
 def bulk_graph(oracle: QueryOracle) -> Graph | None:
-    """The CSR graph the numpy kernels may read directly, charging in bulk.
+    """The CSR graph the bulk paths may read directly, charging in bulk.
 
-    The kernels (``sampler._kernel`` and the degree-sum estimate) draw from
-    ``oracle._generator(rng)``, read the CSR arrays, and add to
-    ``oracle.counts`` once per call exactly what the method loop would
-    charge. Only a plain ``QueryOracle`` (no subclass, whose methods may
-    observe each query) without a budget (so ``BudgetExceeded`` fires at
-    the same query) over a nonempty ``Graph`` (not a view) qualifies;
-    otherwise None, and every query goes through the oracle's methods.
-    The two paths draw different streams from one seed, with the same
-    distribution of outcomes and query counts.
+    The bulk paths (``sampler._kernel``, ``sampler._walk`` and the
+    degree-sum estimate) read the CSR arrays and add to ``oracle.counts``
+    once per call exactly what the method loop would charge. The numpy ones
+    draw from ``oracle._generator(rng)``, the walk from ``rng`` itself: other
+    streams from one seed, with the same law of outcomes and query counts.
+    Only a plain ``QueryOracle`` (no subclass, whose methods may observe each
+    query) without a budget (so ``BudgetExceeded`` fires at the same query)
+    over a nonempty ``Graph`` (not a view) qualifies; otherwise None, and
+    every query goes through the oracle's methods.
     """
     if type(oracle) is QueryOracle and oracle.budget is None and type(oracle.graph) is Graph and oracle._n:
         return oracle.graph

@@ -18,12 +18,11 @@ n it reverts to n fallback attempts: a uniform vertex and a uniform slot
 in [n], no coin, no degree query. Each returns any directed edge with
 probability 1/n^2, so the fallback is exactly uniform, if slower per success.
 
-Runs, the fallback's included, are made in one of two ways with the same
-distribution of outcomes and query counts (``_runs``): by ``_kernel`` in
-numpy blocks where ``oracle.bulk_graph`` allows it and the call expects
-``_SCALAR`` attempts or more, else by ``_attempts`` through the oracle's
-methods. Both draw from the seeded ``random.Random`` only, so a run
-replays bit-for-bit. A single attempt is a run of ``SamplerConfig(theta, 1)``.
+Runs (fallback runs too) take one of three paths with one law of outcomes
+and query counts (``_runs``): over an ``oracle.bulk_graph``, ``_kernel``'s
+numpy blocks for pooled calls and ``_walk`` for the rest, else ``_attempts``
+through the oracle's methods. All draw from the seeded ``random.Random``
+only, so runs replay bit-for-bit; one attempt is a run of ``SamplerConfig(theta, 1)``.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -97,8 +97,8 @@ class SampleReport:
     used_fallback: bool = False
 
 
-_NARROW = 64  # the most walk steps a block takes in Python; numpy's split wins above 50-70
-_SCALAR = 32  # calls expecting fewer attempts take the method loop, which is cheaper there
+_WALK = 150  # kernel attempts (20-30 ns each) that cost what one walked run costs (3-5 us)
+_BLOCK = 2500  # kernel attempts that cost what a block's fixed numpy work costs (60-90 us)
 
 
 def _attempts(
@@ -110,8 +110,8 @@ def _attempts(
     fails if heavy (d(u) > theta), and a uniform slot j in [theta] of u,
     which fails if empty. The light track returns (u, v) for the slot's
     occupant v; the heavy track fails unless v is heavy, and returns (v, w)
-    for a uniform neighbor w of v. ``1 + r`` with ``r`` drawn by
-    ``getrandbits(k)`` rejection below ``x`` is ``rng.randint(1, x)``.
+    for a uniform neighbor w of v. The slot, ``1 + r`` with ``r`` drawn by
+    ``getrandbits(k)`` rejection below theta, is ``rng.randint(1, theta)``.
     With ``fallback`` an attempt is the fallback's (see the module
     docstring): theta = n is given, and there is no coin and no degree query.
     """
@@ -134,12 +134,48 @@ def _attempts(
         dv = degree(v)
         if dv <= theta:
             continue
-        kv = dv.bit_length()
-        i = getrandbits(kv)
-        while i >= dv:
-            i = getrandbits(kv)
-        return DirectedEdge(v, neighbor(v, i + 1)), attempt
+        return DirectedEdge(v, neighbor(v, rng.randrange(dv) + 1)), attempt
     return None, limit
+
+
+def _walk(
+    graph: Graph, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
+) -> tuple[list, QueryCounts]:
+    """``runs`` runs of up to ``q`` attempts, skipping to the attempts that
+    reach an edge slot: (rows of origin, target, attempts used; the queries).
+
+    A slot is proposed with chance p = m_dir / (n theta) per attempt
+    (``_runs`` keeps 2^-64 < p <= 1): a geometric gap, then slot r - o[x] of a
+    uniform directed edge r out of x. Thinning the proposals past slot theta
+    into empty slots leaves each heavy start and occupied slot at its chance
+    1/(n theta) per attempt, so outcomes, attempts and charges have the law
+    of ``_attempts`` (README, "Performance"), up to ``random()``'s 2^-53 grid.
+    """
+    o, t, m, p = graph._o, graph._t, graph.m_dir, graph.m_dir / (graph.n * theta)
+    log_miss = math.log1p(-p) if p < 1 else -math.inf  # log(1 - p); every gap is 1 at p = 1
+    random, randrange, log = rng.random, rng.randrange, math.log
+    rows, heavy_starts, heavy_hits, picks = [], 0, 0, 0
+    for _ in range(runs):
+        at = 0
+        while (at := at + 1 + int(log(1.0 - random()) / log_miss)) <= q:  # the next attempt that proposes
+            r = randrange(m)
+            x = bisect_right(o, r) - 1
+            if r - o[x] >= theta or o[x + 1] - o[x] > theta:  # thinned into an empty slot, or a heavy start
+                heavy_starts += r - o[x] < theta
+                continue
+            v = t[r]
+            if fallback or random() < 0.5:
+                rows.append((x, v, at))
+                break
+            heavy_hits += 1
+            if o[v + 1] - o[v] > theta:
+                picks += 1
+                rows.append((v, t[o[v] + randrange(o[v + 1] - o[v])], at))
+                break
+        else:
+            rows.append((-1, -1, q))
+    attempts = sum(row[2] for row in rows)
+    return rows, QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
 
 
 def _per_run(graph: Graph, theta: int, q: int, fallback: bool) -> int:
@@ -153,61 +189,26 @@ def _kernel(
     """``runs`` runs of up to ``q`` attempts: one stream of i.i.d. attempts
     split at each win and after q failures in a row.
 
-    A block holds ``runs`` times ``_per_run`` attempts, at most 1 << 16. It
-    makes one bounded draw ``w = gen.integers(n * theta, size)`` and splits
-    it by ``divmod(w, theta)`` into vertices u and slots j, a bijection of
-    [n theta] onto [n] x [theta], so u and j are uniform and independent
-    (``_runs`` keeps n theta <= 2^63). Its candidates are the occupied slots
-    and the heavy starts; only a hit on a light start needs a coin, and only
-    a heavy-track win a pick. A narrow block (candidates plus runs that can
-    give up in it at most ``_NARROW``, as in a single run) is walked in
-    Python: a ``gen.random()`` coin per hit and a ``gen.integers(d(v))``
-    pick per heavy-track win, in attempt order up to the last run the call
-    needs. A wide block (pooled runs) draws one coin array, splits it into
-    runs in numpy and draws one pick array. A walk step costs about 1 us
-    and the split 40-60 us a block more than a short walk, so they cross
-    near 50-70 steps, where the fixed cutoff sits. The walked runs collect
-    in one list, made into arrays once: before a wide block or at the end.
-    With ``fallback`` an attempt is the fallback's: theta = n, no coin, no
-    degree query. Returns each run's edge (-1, -1 on a failure)
-    and attempts, and the queries the method loop would charge.
+    A block holds ``runs`` times ``_per_run`` attempts, at least ``_BLOCK``
+    (its fixed cost, so few runs left rarely need another) and at most
+    1 << 16. One draw ``w = gen.integers(n * theta, size)`` splits by
+    ``divmod(w, theta)`` into vertices u and slots j, a bijection of [n
+    theta] onto [n] x [theta] (``_runs`` keeps n theta <= 2^63); one coin
+    array and one pick array serve the whole block. With ``fallback`` an
+    attempt is the fallback's: theta = n, no coin, no degree query. Returns
+    each run's edge (-1, -1 on a failure) and attempts, and the queries the
+    method loop would charge.
     """
-    offsets, targets, n, ends, o, t = graph.offsets, graph.targets, graph.n, graph.offsets[1:], graph._o, graph._t
-    per_run = _per_run(graph, theta, q, fallback)
-    out, rows = [], []  # rows: the narrow blocks' runs since the last wide block
+    offsets, targets, n, ends = graph.offsets, graph.targets, graph.n, graph.offsets[1:]
+    out, per_run = [], _per_run(graph, theta, q, fallback)
     done = carry = attempts = heavy_starts = heavy_hits = picks = 0
     while done < runs:
         left = runs - done
-        size = min(1 << 16, left * per_run, left * q - carry)  # 1 << 16 bounds the memory
+        size = min(1 << 16, max(left * per_run, _BLOCK), left * q - carry)  # 1 << 16 bounds the memory
         u, j = np.divmod(gen.integers(n * theta, size=size), theta)
         start = offsets[u]
         du = ends[u] - start
         cand = (j < du).nonzero()[0]  # the occupied slots and every heavy start
-        if len(cand) + size // q <= _NARROW:
-            last = -1 - carry  # the index before the open run's first attempt
-            for c, x, y in [*zip(cand.tolist(), u[cand].tolist(), j[cand].tolist()), (size, 0, 0)]:
-                fails = min((c - last - 1) // q, left)  # the runs that give up before attempt c
-                rows += [(-1, -1, q)] * fails
-                last, left = last + fails * q, left - fails
-                if not left or c == size:
-                    break
-                s = o[x]
-                if o[x + 1] - s > theta:
-                    heavy_starts += 1
-                    continue
-                v = t[s + y]
-                if not (fallback or gen.random() < 0.5):  # the heavy track
-                    heavy_hits += 1
-                    x, s = v, o[v]
-                    if o[v + 1] - s <= theta:
-                        continue
-                    picks += 1
-                    v = t[s + gen.integers(o[v + 1] - s)]
-                rows.append((x, v, c - last))
-                last, left = c, left - 1
-            attempts += size if left else last + 1
-            done, carry = runs - left, size - 1 - last
-            continue
         heavy = du[cand] > theta
         hit = cand[~heavy]
         v = targets[start[hit] + j[hit]]
@@ -242,36 +243,35 @@ def _kernel(
             runs_o, runs_t = np.full((2, len(used)), -1)
             runs_o[win_at[:kept]], runs_t[win_at[:kept]] = origin, target
             origin, target = runs_o, runs_t
-        if rows:
-            out.append(np.array(rows, np.int64).reshape(-1, 3).T)
-            rows = []
         out.append((origin, target, used))
         done += len(used)
         attempts += consumed
         heavy_starts += int(np.count_nonzero(heavy[: cand.searchsorted(consumed)]))
         heavy_hits += int(np.count_nonzero(~light[: hit.searchsorted(consumed)]))
     counts = QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
-    if rows:
-        out.append(np.array(rows, np.int64).reshape(-1, 3).T)
     return (*(out[0] if len(out) == 1 else map(np.concatenate, zip(*out))), counts)
 
 
 def _runs(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> list[np.ndarray]:
-    """``runs`` runs of up to q mixture attempts (fallback attempts with
-    ``fallback``, whose theta ``_plan`` sets to n) as [origins, targets,
-    used], origin -1 on a failure: pooled in ``_kernel`` where
-    ``bulk_graph`` allows, the call expects at least ``_SCALAR`` attempts
-    and n theta fits the kernel's one draw (at most 2^63, always so at
-    theta = n), else one at a time."""
+    """``runs`` runs of up to q mixture attempts (fallback ones, theta = n, with
+    ``fallback``) as [origins, targets, used], origin -1 on a failure. Over a
+    ``bulk_graph``, ``_kernel`` pools them if a block (``_BLOCK``) and its
+    attempts cost less than walking them (``_WALK`` a run, in kernel attempts),
+    ``_walk`` the rest where p = m_dir / (n theta) is in (2^-64, 1], ``_attempts`` any other call."""
     graph = bulk_graph(oracle)
-    if graph is not None and graph.n * theta <= 1 << 63 and runs * _per_run(graph, theta, q, fallback) >= _SCALAR:
+    pooled = graph is not None and runs * (_WALK - _per_run(graph, theta, q, fallback)) > _BLOCK
+    if pooled and graph.n * theta <= 1 << 63:
         *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
         oracle.counts = oracle.counts + counts
         return columns
-    rows = [(*(e or (-1, -1)), k) for e, k in (_attempts(oracle, theta, q, rng, fallback) for _ in range(runs))]
-    return list(np.array(rows, np.int64).reshape(-1, 3).T)
+    if graph is not None and 0 < graph.m_dir <= graph.n * theta < graph.m_dir << 64:  # 2^-64 < p <= 1
+        rows, counts = _walk(graph, theta, q, runs, rng, fallback)
+        oracle.counts = oracle.counts + counts
+    else:
+        rows = [(*(e or (-1, -1)), k) for e, k in (_attempts(oracle, theta, q, rng, fallback) for _ in range(runs))]
+    return [np.array(column, np.int64) for column in zip(*rows)]
 
 
 def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:

@@ -18,50 +18,50 @@ GOLDEN = [
         "sample --generate er:300,0.05 --seed 5 --count 3",
         0,
         (
-            '{"attempts": 24, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '{"attempts": 19, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 4564, "m_undirected": 2282, "n": 300, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 5, '
-            '"source": "er:300,0.05"}, "edge": [206, 84], "fallback": false, "m_hat": 5850.0, '
-            '"q": 105, "queries": {"degree": 25, "neighbor": 24, "pair": 0, "total": 73, '
-            '"vertex": 24}, "theta": 217}\n'
-            '{"attempts": 14, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '"source": "er:300,0.05"}, "edge": [286, 16], "fallback": false, "m_hat": 5850.0, '
+            '"q": 105, "queries": {"degree": 19, "neighbor": 19, "pair": 0, "total": 57, '
+            '"vertex": 19}, "theta": 217}\n'
+            '{"attempts": 10, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 4564, "m_undirected": 2282, "n": 300, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 5, '
-            '"source": "er:300,0.05"}, "edge": [24, 294], "fallback": false, "m_hat": 6637.5, '
-            '"q": 99, "queries": {"degree": 14, "neighbor": 14, "pair": 0, "total": 42, '
-            '"vertex": 14}, "theta": 231}\n'
-            '{"attempts": 3, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '"source": "er:300,0.05"}, "edge": [117, 144], "fallback": false, "m_hat": 5625.0, '
+            '"q": 107, "queries": {"degree": 12, "neighbor": 10, "pair": 0, "total": 32, '
+            '"vertex": 10}, "theta": 213}\n'
+            '{"attempts": 2, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 4564, "m_undirected": 2282, "n": 300, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 5, '
-            '"source": "er:300,0.05"}, "edge": [293, 197], "fallback": false, "m_hat": 7762.5, '
-            '"q": 91, "queries": {"degree": 3, "neighbor": 3, "pair": 0, "total": 9, '
-            '"vertex": 3}, "theta": 250}\n'
+            '"source": "er:300,0.05"}, "edge": [239, 232], "fallback": false, "m_hat": 5962.5, '
+            '"q": 104, "queries": {"degree": 2, "neighbor": 2, "pair": 0, "total": 6, '
+            '"vertex": 2}, "theta": 219}\n'
         ),
         "",
         None,
     ),
     (
         "sample --generate clique_union:er:300,0.05,40 --seed 2 --count 3",
-        0,
+        1,
         (
-            '{"attempts": 6, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '{"attempts": 95, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 6054, "m_undirected": 3027, "n": 340, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 2, '
-            '"source": "clique_union:er:300,0.05,40"}, "edge": [18, 22], "fallback": false, '
-            '"m_hat": 9180.0, "q": 95, "queries": {"degree": 6, "neighbor": 6, "pair": 0, '
-            '"total": 18, "vertex": 6}, "theta": 271}\n'
-            '{"attempts": 2, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '"source": "clique_union:er:300,0.05,40"}, "failure": true, "fallback": false, '
+            '"m_hat": 9180.0, "q": 95, "queries": {"degree": 98, "neighbor": 95, "pair": 0, '
+            '"total": 288, "vertex": 95}, "theta": 271}\n'
+            '{"attempts": 41, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 6054, "m_undirected": 3027, "n": 340, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 2, '
-            '"source": "clique_union:er:300,0.05,40"}, "edge": [118, 281], "fallback": false, '
-            '"m_hat": 7522.5, "q": 105, "queries": {"degree": 2, "neighbor": 2, "pair": 0, '
-            '"total": 6, "vertex": 2}, "theta": 246}\n'
-            '{"attempts": 34, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '"source": "clique_union:er:300,0.05,40"}, "edge": [13, 257], "fallback": false, '
+            '"m_hat": 8797.5, "q": 97, "queries": {"degree": 42, "neighbor": 41, "pair": 0, '
+            '"total": 124, "vertex": 41}, "theta": 266}\n'
+            '{"attempts": 3, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 6054, "m_undirected": 3027, "n": 340, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 2, '
-            '"source": "clique_union:er:300,0.05,40"}, "edge": [250, 160], "fallback": false, '
-            '"m_hat": 8542.5, "q": 99, "queries": {"degree": 35, "neighbor": 34, "pair": 0, '
-            '"total": 103, "vertex": 34}, "theta": 262}\n'
+            '"source": "clique_union:er:300,0.05,40"}, "edge": [80, 126], "fallback": false, '
+            '"m_hat": 8032.5, "q": 102, "queries": {"degree": 3, "neighbor": 3, "pair": 0, '
+            '"total": 9, "vertex": 3}, "theta": 254}\n'
         ),
         "",
         None,
@@ -105,14 +105,14 @@ GOLDEN = [
         0,
         (
             'spec,n,m_dir,epsilon,trials,mean_queries,stddev_queries,failure_rate,cost_scale\n'
-            'path:20,20,38,0.25,30,15.7333333333,12.3042901281,0.1,6.48885684523\n'
-            'star:20,21,40,0.25,30,21.4666666667,14.3567250986,0.233333333333,6.64078308635\n'
-            '"er:60,0.1",60,324,0.25,30,20.6666666667,23.0554886211,0,6.66666666667\n'
+            'path:20,20,38,0.25,30,19.9333333333,13.180625512,0.166666666667,6.48885684523\n'
+            'star:20,21,40,0.25,30,19.2,13.7559684016,0.133333333333,6.64078308635\n'
+            '"er:60,0.1",60,324,0.25,30,20.6666666667,24.6594584062,0,6.66666666667\n'
         ),
         (
             '{"config": {"command": "bench", "epsilon": 0.25, "estimator": "exact", '
             '"samples": null, "seed": 1, "specs": ["path:20", "star:20", "er:60,0.1"], '
-            '"trials": 30}, "intercept": -18.274730123, "slope": 11.2491321512}\n'
+            '"trials": 30}, "intercept": 2.40957864193, "slope": 0.308649323946}\n'
         ),
         None,
     ),
@@ -121,14 +121,14 @@ GOLDEN = [
         0,
         (
             '# cost_scale mean_queries stddev_queries\n'
-            '6.48885684523 15.7333333333 12.3042901281\n'
-            '6.64078308635 21.4666666667 14.3567250986\n'
-            '6.66666666667 20.6666666667 23.0554886211\n'
+            '6.48885684523 19.9333333333 13.180625512\n'
+            '6.64078308635 19.2 13.7559684016\n'
+            '6.66666666667 20.6666666667 24.6594584062\n'
         ),
         (
             '{"config": {"command": "bench", "epsilon": 0.25, "estimator": "exact", '
             '"samples": null, "seed": 1, "specs": ["path:20", "star:20", "er:60,0.1"], '
-            '"trials": 30}, "intercept": -18.274730123, "slope": 11.2491321512}\n'
+            '"trials": 30}, "intercept": 2.40957864193, "slope": 0.308649323946}\n'
         ),
         None,
     ),
@@ -218,16 +218,18 @@ GOLDEN = [
         "sample --generate path:300 --estimator exact --seed 1 --count 2",
         0,
         (
-            '{"attempts": 46, "config": {"command": "sample", "count": 2, "epsilon": 0.25, '
+            '{"attempts": 22, "config": {"command": "sample", "count": 2, "epsilon": 0.25, '
             '"estimator": "exact", "m_directed": 598, "m_undirected": 299, "n": 300, "reps": 1, '
             '"reuse_estimate": false, "samples": null, "seed": 1, "source": "path:300"}, '
-            '"edge": [238, 237], "fallback": true, "m_hat": 598.0, "q": 328, "queries": {"degree": 0, '
-            '"neighbor": 46, "pair": 0, "total": 92, "vertex": 46}, "theta": 70}\n'
-            '{"attempts": 83, "config": {"command": "sample", "count": 2, "epsilon": 0.25, '
+            '"edge": [32, 33], "fallback": true, "m_hat": 598.0, "q": 328, '
+            '"queries": {"degree": 0, "neighbor": 22, "pair": 0, "total": 44, "vertex": 22}, '
+            '"theta": 70}\n'
+            '{"attempts": 45, "config": {"command": "sample", "count": 2, "epsilon": 0.25, '
             '"estimator": "exact", "m_directed": 598, "m_undirected": 299, "n": 300, "reps": 1, '
             '"reuse_estimate": false, "samples": null, "seed": 1, "source": "path:300"}, '
-            '"edge": [275, 276], "fallback": true, "m_hat": 598.0, "q": 328, "queries": {"degree": 0, '
-            '"neighbor": 83, "pair": 0, "total": 166, "vertex": 83}, "theta": 70}\n'
+            '"edge": [254, 253], "fallback": true, "m_hat": 598.0, "q": 328, '
+            '"queries": {"degree": 0, "neighbor": 45, "pair": 0, "total": 90, "vertex": 45}, '
+            '"theta": 70}\n'
         ),
         "",
         None,

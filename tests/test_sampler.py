@@ -95,7 +95,7 @@ def _mixture_edges(g, theta, seed, trials=20000):
     assert abs(len(edges) / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
     assert all(dist.per_edge[e] > 0 for e in edges)
     assert o.counts.pair == 0
-    assert o._gen is None  # single attempts take the method loop, not the numpy kernel
+    assert o._gen is None  # single attempts take the walk, not the numpy kernel
     return edges, dist
 
 

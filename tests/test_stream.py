@@ -1,4 +1,4 @@
-"""The samplers' two paths against literal references.
+"""The samplers' three paths against literal references.
 
 The method loop (every oracle but a plain unbudgeted one) draws vertices,
 slots and neighbour indices by inline ``getrandbits`` rejection. The
@@ -9,10 +9,13 @@ seeds and must agree on the outcome, the attempts used, every query
 counter, the query at which a budget runs out, and the generator states
 afterwards.
 
-On a plain unbudgeted oracle the numpy kernel draws blocks of attempts
-instead. Its outcomes, attempts and query counts must equal the scalar
-rule applied, attempt by attempt, to the numbers it drew (replayed from a
-copy of its generator), and their distribution must match the exact one.
+A plain unbudgeted oracle takes one of two other paths, each drawing
+other numbers. Pooled calls take the numpy kernel, which draws blocks of
+attempts; the rest take the walk, which skips to the attempts that reach
+an edge slot. Each path's outcomes, attempts and query counts must equal
+the scalar rule applied, attempt by attempt, to the numbers it drew
+(replayed from a copy of its generator), and their distribution must
+match the exact one.
 """
 
 import copy
@@ -20,6 +23,7 @@ import math
 import random
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from itertools import combinations, count
 
 import numpy as np
@@ -36,9 +40,10 @@ from edgesample import (
     sample_edge_almost_uniformly,
 )
 from edgesample.estimate import _degree_sum_mc
-from edgesample.generators import star
+from edgesample.generators import erdos_renyi, path, star
 from edgesample.graph import RelabeledView, build_graph
-from edgesample.sampler import _NARROW, _kernel, _runs
+from edgesample import sampler
+from edgesample.sampler import _kernel, _runs, _walk
 
 # ---------------------------------------------------------------------------
 # The reference: one plain call per random draw, one oracle call per query
@@ -255,21 +260,24 @@ HUBS = hub_graph(5, 200)  # theta 128 at m_hat = m_dir: the five hubs are heavy
 HUBS_CONFIG = SamplerConfig(theta=128, q=200)
 
 
+def no_methods(oracle):
+    """The oracle, with its four query methods replaced by ones that fail the test."""
+    def refuse(*args):
+        raise AssertionError("a bulk path called an oracle method")
+
+    oracle.random_vertex = oracle.degree = oracle.neighbor = oracle.pair = refuse
+    return oracle
+
+
 def test_plain_unbudgeted_oracle_never_calls_its_methods():
-    def no_methods(oracle):
-        def refuse(*args):
-            raise AssertionError("a kernel called an oracle method")
-
-        oracle.random_vertex = oracle.degree = oracle.neighbor = refuse
-        return oracle
-
+    # 20 runs take the walk, 200 pooled runs the kernel (see the routing test below)
     def draws(seed, separate_rng):
         o = no_methods(QueryOracle(HUBS, seed=seed))
         rng = random.Random(seed + 1) if separate_rng else o.rng
         result = (
             estimate_edges_amplified(o, "degree-sum-mc").m_hat,
             [report_tuple(sample_edge_almost_uniformly(o, HUBS_CONFIG, rng)) for _ in range(5)],
-            [column.tolist() for column in _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, 20, rng)],
+            [column.tolist() for runs in (20, 200) for column in _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, runs, rng)],
         )
         return result, counts_of(o), o.rng.getstate(), rng.getstate()
 
@@ -280,18 +288,62 @@ def test_plain_unbudgeted_oracle_never_calls_its_methods():
             assert draws(seed, separate_rng) == first
 
 
+def test_pooled_calls_take_the_kernel_and_the_rest_the_walk(monkeypatch):
+    # HUBS at theta 128 expects 128 attempts a run: 20 runs cost less walked, 200 pooled in numpy
+    taken = []
+    for name in ("_kernel", "_walk"):
+        real = getattr(sampler, name)
+        monkeypatch.setattr(sampler, name, lambda *args, real=real, name=name: taken.append(name) or real(*args))
+    o = QueryOracle(HUBS, seed=1)
+    for runs in (1, 20, 200):
+        _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, runs, o.rng)
+    assert taken == ["_walk", "_walk", "_kernel"]
+
+
 @pytest.mark.parametrize("theta", [2**62, 2**64])
-def test_theta_past_the_kernels_draw_takes_the_method_loop(theta):
-    # n theta > 2^63 does not fit the kernel's one draw per block: a plain
-    # oracle then runs as a budgeted one does, and neither raises.
+def test_theta_past_the_kernels_draw_takes_the_walk(theta):
+    # n theta > 2^63 does not fit the kernel's one draw per block, but the
+    # walk's gaps do not depend on it: a plain oracle walks, a budgeted one
+    # takes the method loop, and both give up after q empty slots.
     cfg = SamplerConfig(theta=theta, q=40)
-    sides = []
-    for budget in (None, 10**6):
-        o = QueryOracle(star(50), seed=1, budget=budget)
-        report = sample_edge_almost_uniformly(o, cfg)
-        sides.append((report_tuple(report), counts_of(o), asdict(report.queries), o.rng.getstate()))
+    walked, looped = no_methods(QueryOracle(star(50), seed=1)), QueryOracle(star(50), seed=1, budget=10**6)
+    sides = [(report_tuple(r), counts_of(o), asdict(r.queries))
+             for o in (walked, looped) for r in [sample_edge_almost_uniformly(o, cfg)]]
     assert sides[0] == sides[1]
     assert sides[0][0] == (None, 40)
+    assert sides[0][1] == {"vertex": 40, "degree": 40, "neighbor": 40, "pair": 0}
+    assert walked._gen is None
+
+
+@pytest.mark.parametrize("g, theta", [
+    (build_graph([], 6), 3),  # edgeless: no slot to propose
+    (erdos_renyi(30, 0.3, 1), 1),  # m_dir > n theta: more than one proposal an attempt
+    (star(50), 10**400),  # p = m_dir / (n theta) is 0.0 as a float: no finite gap
+], ids=["edgeless", "m_dir above n theta", "p below 2^-64"])
+def test_graphs_the_walk_cannot_skip_take_the_method_loop(g, theta):
+    assert not 0 < g.m_dir <= g.n * theta < g.m_dir << 64
+    for seed in range(3):
+        for cfg in (SamplerConfig(theta, 1), SamplerConfig(theta, 7)):
+            plain, loop = QueryOracle(g, seed=seed), MethodLoopOracle(g, seed=seed)
+            calls = [[report_tuple(sample_edge_almost_uniformly(o, cfg)) for _ in range(5)] for o in (plain, loop)]
+            assert calls[0] == calls[1]
+            assert counts_of(plain) == counts_of(loop)
+            assert plain.rng.getstate() == loop.rng.getstate()
+            assert plain._gen is None
+
+
+def test_other_oracles_never_reach_the_walk_or_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a metered-by-method oracle reached a bulk path")
+
+    monkeypatch.setattr(sampler, "_walk", refuse)
+    monkeypatch.setattr(sampler, "_kernel", refuse)
+    view = RelabeledView(HUBS, random.Random(5).sample(range(HUBS.n), HUBS.n))
+    for o in (QueryOracle(HUBS, seed=1, budget=10**6), MethodLoopOracle(HUBS, seed=1), QueryOracle(view, seed=1)):
+        for runs in (1, 20, 200):
+            before = o.counts.vertex
+            origins, _, used = _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, runs, o.rng)
+            assert len(origins) == runs and o.counts.vertex - before == used.sum()
 
 
 class CountingOracle(QueryOracle):
@@ -364,22 +416,20 @@ def first_heavy_success_seed():
             return seed
 
 
-def test_small_calls_on_a_plain_oracle_take_the_method_loop():
-    # One attempt, or one run expecting 4 attempts, is cheaper through the
-    # methods than through a kernel block: a plain oracle then draws exactly
-    # as a subclassed one and never builds its numpy generator.
-    def calls(o):
-        return (
-            [sample_edge_almost_uniformly(o, SamplerConfig(STAR_CONFIG.theta, 1)).outcome for _ in range(20)],
-            [report_tuple(sample_edge_almost_uniformly(o, STAR_CONFIG)) for _ in range(5)],
-        )
-
-    for seed in range(5):
-        plain, loop = QueryOracle(STAR, seed=seed), MethodLoopOracle(STAR, seed=seed)
-        assert calls(plain) == calls(loop)
-        assert counts_of(plain) == counts_of(loop)
-        assert plain.rng.getstate() == loop.rng.getstate()
-        assert plain._gen is None
+def test_small_calls_on_a_plain_oracle_take_the_walk():
+    # Single attempts and single runs walk: no oracle method is called, the
+    # numpy generator is never built, and the outcomes keep the exact law.
+    dist = attempt_distribution(STAR, STAR_CONFIG.theta)
+    s, support = float(dist.success_prob), {e for e, p in dist.per_edge.items() if p > 0}
+    o = no_methods(QueryOracle(STAR, seed=3))
+    singles = [sample_edge_almost_uniformly(o, SamplerConfig(STAR_CONFIG.theta, 1)) for _ in range(4000)]
+    runs = [sample_edge_almost_uniformly(o, STAR_CONFIG) for _ in range(4000)]
+    assert o._gen is None
+    assert all(r.outcome in support for r in singles + runs if r.outcome is not None)
+    assert sum(r.attempts_used for r in singles + runs) == o.counts.vertex
+    for reports, p in ((singles, s), (runs, 1 - (1 - s) ** STAR_CONFIG.q)):
+        won = sum(r.outcome is not None for r in reports)
+        assert abs(won / len(reports) - p) < 4 * math.sqrt(p * (1 - p) / len(reports))
 
 
 def test_budget_cut_inside_heavy_attempt_matches_reference():
@@ -439,39 +489,23 @@ def scalar_runs(g, theta, q, runs, draws, fallback, events):
 
     ``draws`` yields the kernel's calls in order. A block starts with one
     ``integers(n * theta)`` draw, split into vertices and slots by
-    ``divmod(w, theta)``. A narrow one (at most ``_NARROW`` candidates,
-    occupied slots and heavy starts, plus runs that can give up in it) then
-    draws, in attempt order and up to the last run the call needs, a scalar
-    ``random()`` coin per occupied slot of a light start (mixture only) and
-    a scalar ``integers(d(v))`` pick right after each heavy-track win. A
-    wide one draws one coin array over all its occupied slots of light
-    starts (mixture only), then one pick array over the heavy-track wins it
-    keeps. Returns the runs as (edge or None, attempts used) and the query
-    counts; ``events`` gets each (kind of block, branch) taken.
+    ``divmod(w, theta)``, then draws one coin array over all its occupied
+    slots of light starts (mixture only), then one pick array over the
+    heavy-track wins it keeps. Returns the runs as (edge or None, attempts
+    used) and the query counts; ``events`` gets each branch taken.
     """
-    out, counts, used, kinds = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}, 0, []
-
-    def scalar(name, *args):
-        call, value = next(draws)
-        assert call == (name, args, {})
-        return value
-
+    out, counts, used = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}, 0
     while len(out) < runs:
         (name, (bound,), _), w = next(draws)
         assert (name, bound) == ("integers", g.n * theta)
         u, j = np.divmod(w, theta)
-        candidates = [i for i in range(len(u)) if j[i] < g.degree(u[i])]
-        kind = "narrow block" if len(candidates) + len(u) // q <= _NARROW else "wide block"
-        kinds.append(kind)
-        hits = [i for i in candidates if g.degree(u[i]) <= theta]
+        hits = [i for i in range(len(u)) if j[i] < g.degree(u[i]) <= theta]
         if fallback:
             coin = dict.fromkeys(hits, True)
-        elif kind == "wide block":
+        else:
             (name, (k,), _), coins = next(draws)
             assert (name, k) == ("random", len(hits))
             coin = dict(zip(hits, (coins < 0.5).tolist()))
-        else:
-            coin = None  # drawn one at a time, as the walk reaches each hit
         heavy_wins = []
         for i in range(len(u)):
             if len(out) == runs:
@@ -487,7 +521,7 @@ def scalar_runs(g, theta, q, runs, draws, fallback, events):
                 v = g.neighbor(int(u[i]), int(j[i]) + 1)
                 if v is None:
                     branch = "empty slot"
-                elif coin[i] if coin is not None else scalar("random") < 0.5:
+                elif coin[i]:
                     branch, edge = "light hit", (int(u[i]), v)
                 else:
                     counts["degree"] += 1
@@ -496,11 +530,8 @@ def scalar_runs(g, theta, q, runs, draws, fallback, events):
                     else:
                         counts["neighbor"] += 1
                         branch, edge = "heavy pick", (v, None)
-                        if kind == "narrow block":
-                            edge = (v, g.neighbor(v, scalar("integers", g.degree(v)) + 1))
-                        else:
-                            heavy_wins.append(len(out))
-            events.add((kind, branch))
+                        heavy_wins.append(len(out))
+            events.add(branch)
             if edge is not None or used == q:
                 out.append((edge, used))
                 used = 0
@@ -511,8 +542,6 @@ def scalar_runs(g, theta, q, runs, draws, fallback, events):
             for r, v, i in zip(heavy_wins, origins, picks.tolist()):
                 out[r] = ((v, g.neighbor(v, i + 1)), out[r][1])
     assert next(draws, None) is None, "the kernel drew numbers it did not use"
-    if "wide block" in kinds and "narrow block" in kinds[kinds.index("wide block"):]:
-        events.add("narrow blocks after wide ones")
     return out, counts
 
 
@@ -539,20 +568,18 @@ def test_kernel_matches_scalar_rule_on_its_draws(g, data, seed, runs, fallback):
     assert got == want
 
 
+KITE = build_graph([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6)], 7)  # at theta 2: centre 0 heavy, the rest light
+
+
 def test_kernel_replay_reaches_every_branch():
-    # At theta 2, centre 0 is heavy and the path 1-2-3 hanging off it light.
-    kite = build_graph([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6)], 7)
-    # 25 runs make narrow blocks only; 400 pooled runs make a wide block,
-    # then narrow ones for the last few runs when q leaves room for them.
+    # 25 runs make one block; 400 pooled runs several when q leaves room.
     events = set()
-    for g, theta in ((HUBS, 128), (STAR, 3), (kite, 2)):
+    for g, theta in ((HUBS, 128), (STAR, 3), (KITE, 2)):
         for seed in range(3):
             for runs, q in ((25, 40), (400, 40), (400, 1000)):
                 got, want = kernel_and_replay(g, theta, q, runs, seed, events=events)
                 assert got == want
-    branches = {"heavy start", "empty slot", "light hit", "heavy hit onto a light vertex", "heavy pick"}
-    kinds = {"narrow block", "wide block"}
-    assert events == {(kind, branch) for kind in kinds for branch in branches} | {"narrow blocks after wide ones"}
+    assert events == {"heavy start", "empty slot", "light hit", "heavy hit onto a light vertex", "heavy pick"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -588,6 +615,225 @@ def test_degree_sum_estimate_replays_both_passes_from_its_draws(g, main_fits):
         assert counts_of(oracle) == {"vertex": pilot_s + s, "degree": pilot_s + s, "neighbor": 0, "pair": 0}
         assert oracle.rng.getstate() == twin.rng.getstate()
         assert oracle._gen.bit_generator.state == gen.bit_generator.state  # it drew nothing more
+
+
+# ---------------------------------------------------------------------------
+# The walk against the scalar rule, on the numbers it drew
+# ---------------------------------------------------------------------------
+
+
+class RecordingRandom(random.Random):
+    """A ``random.Random`` that records every ``random()`` and ``getrandbits(k)`` it answers."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def random(self):
+        value = super().random()
+        self.calls.append(("random", value))
+        return value
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.calls.append((("getrandbits", k), value))
+        return value
+
+
+def scalar_walk(g, theta, q, runs, calls, fallback, events):
+    """The method loop's rule, attempt by attempt, on the walk's draws.
+
+    Each proposal starts with a ``random()`` that sets the gap to it,
+    ``1 + floor(log(1 - U) / log(1 - p))`` attempts with p = m_dir / (n
+    theta); the attempts it skips are empty slots. A proposal past q ends
+    the run. Otherwise ``getrandbits`` rejection picks a directed edge r,
+    read as slot r - o[x] of its origin x: past slot theta it is thinned
+    into an empty slot, else the attempt starts at x, with a ``random()``
+    coin on an occupied slot (mixture only) and a ``getrandbits`` pick after
+    a heavy-track hit on a heavy vertex. Returns the runs as (edge or None,
+    attempts used) and the query counts; ``events`` gets each (mode, branch).
+    """
+    draws = iter(calls)
+
+    def draw(name):
+        call, value = next(draws)
+        assert call == name
+        return value
+
+    def below(bound):
+        k = bound.bit_length()
+        value = draw(("getrandbits", k))
+        while value >= bound:
+            value = draw(("getrandbits", k))
+        return value
+
+    mode = "fallback" if fallback else "mixture"
+    origins = np.repeat(np.arange(g.n), np.diff(g.offsets)).tolist()
+    out, counts = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}
+
+    def charge(vertex, degree, neighbor):
+        counts["vertex"] += vertex
+        counts["degree"] += 0 if fallback else degree
+        counts["neighbor"] += neighbor
+
+    for _ in range(runs):
+        used, edge = 0, None
+        while edge is None:
+            u, p = draw("random"), g.m_dir / (g.n * theta)
+            gap = 1 if p == 1 else 1 + int(math.log(1.0 - u) / math.log1p(-p))
+            if used + gap > q:
+                charge(q - used, q - used, q - used)
+                used = q
+                events.add((mode, "q cut-off"))
+                break
+            charge(gap - 1, gap - 1, gap - 1)
+            used += gap
+            r = below(g.m_dir)
+            x = origins[r]
+            j = r - int(g.offsets[x])
+            if j >= theta:
+                branch = "thinned"
+                charge(1, 1, 1)
+            elif g.degree(x) > theta:
+                branch = "heavy start"
+                charge(1, 1, 0)
+            else:
+                charge(1, 1, 1)
+                v = g.neighbor(x, j + 1)
+                if fallback or draw("random") < 0.5:
+                    branch, edge = "light win", (x, v)
+                elif g.degree(v) <= theta:
+                    branch = "heavy-track miss"
+                    charge(0, 1, 0)
+                else:
+                    branch, edge = "heavy-track win", (v, g.neighbor(v, below(g.degree(v)) + 1))
+                    charge(0, 1, 1)
+            events.add((mode, branch))
+        out.append((edge, used))
+    assert next(draws, None) is None, "the walk drew numbers it did not use"
+    return out, counts
+
+
+def walk_and_replay(g, theta, q, runs, seed, fallback=False, events=None):
+    rng = RecordingRandom(seed)
+    rows, counts = _walk(g, theta, q, runs, rng, fallback)
+    got = [(None if o < 0 else (o, t), k) for o, t, k in rows]
+    want = scalar_walk(g, theta, q, runs, rng.calls, fallback, set() if events is None else events)
+    return (got, asdict(counts)), want
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data(), st.integers(0, 2**63), st.integers(1, 40), st.booleans())
+def test_walk_matches_scalar_rule_on_its_draws(g, data, seed, runs, fallback):
+    theta = g.n if fallback else data.draw(st.integers(1, g.n + 2))
+    if not 0 < g.m_dir <= g.n * theta:
+        return  # the walk's precondition; other graphs take the method loop
+    q = g.n if fallback else data.draw(st.one_of(st.integers(1, 2 * g.n + 1), st.just(sys.maxsize)))
+    if q == sys.maxsize and attempt_distribution(g, theta).success_prob == 0:
+        return  # a run that never gives up would never end
+    got, want = walk_and_replay(g, theta, q, runs, seed, fallback)
+    assert got == want
+
+
+def test_walk_replay_reaches_every_branch():
+    events = set()
+    for g, theta in ((HUBS, 128), (STAR, 3), (KITE, 2)):
+        for seed in range(3):
+            for q in (3, 1000):
+                got, want = walk_and_replay(g, theta, q, 200, seed, events=events)
+                assert got == want
+            got, want = walk_and_replay(g, g.n, g.n, 200, seed, fallback=True, events=events)
+            assert got == want
+    mixture = {"thinned", "heavy start", "light win", "heavy-track win", "heavy-track miss", "q cut-off"}
+    assert events == {("mixture", b) for b in mixture} | {("fallback", "light win"), ("fallback", "q cut-off")}
+
+
+# ---------------------------------------------------------------------------
+# The walk's distribution against the exact one
+# ---------------------------------------------------------------------------
+
+
+def cell(g, theta, e):
+    """Edges of a small graph one by one; else by heavy origin (or any light one) and whether the target is heavy."""
+    if g.m_dir <= 64:
+        return e
+    return (e[0] if g.degree(e[0]) > theta else -1, g.degree(e[1]) > theta)
+
+
+@pytest.mark.parametrize("g, theta, q, fallback, bins", [
+    (HUBS, 128, 200, False, [0, 8, 24, 48, 80, 120, 160, 199, 200]),
+    (KITE, 2, 4, False, [0, 1, 2, 3, 4]),
+    (path(30), 30, 30, True, [0, 2, 5, 10, 15, 22, 29, 30]),
+], ids=["hubs", "kite", "fallback"])
+def test_walk_law_matches_exact_values(g, theta, q, fallback, bins):
+    runs, rng = 20000, random.Random(11)
+    dist = attempt_distribution(g, theta)
+    s = dist.success_prob * (2 if fallback else 1)  # the fallback's attempt has no coin
+    rows, charges = [], []
+    for _ in range(runs):
+        (row,), counts = _walk(g, theta, q, 1, rng, fallback)
+        rows.append(row)
+        charges.append((counts.vertex, counts.degree, counts.neighbor))
+    origins, targets, used = map(np.array, zip(*rows))
+    # attempts used: geometric in s, truncated at q (a failed run uses all q)
+    cdf = [1 - (1 - float(s)) ** b if b < q else 1.0 for b in bins]
+    expected = runs * np.diff(cdf)
+    observed = np.histogram(used, bins=np.array(bins) + 0.5)[0]
+    assert observed.sum() == runs
+    assert np.abs((observed - expected) / np.sqrt(expected)).max() < 4, (observed.tolist(), expected.round().tolist())
+    failure = float((1 - s) ** q)
+    assert abs(np.mean(origins < 0) - failure) < 4 * math.sqrt(failure * (1 - failure) / runs)
+    # the returned edges: on the support, with the exact conditional frequencies per cell
+    conditional = dist.conditional()
+    wins = [(o, t) for o, t in zip(origins.tolist(), targets.tolist()) if o >= 0]
+    assert all(conditional.get(e, 0) > 0 for e in wins)
+    want, got = {}, {}
+    for e, p in conditional.items():
+        want[cell(g, theta, e)] = want.get(cell(g, theta, e), 0) + float(p)
+    for e in wins:
+        got[cell(g, theta, e)] = got.get(cell(g, theta, e), 0) + 1
+    for c, p in want.items():
+        assert abs(got.get(c, 0) / len(wins) - p) < 4 * math.sqrt(p * (1 - p) / len(wins)), c
+    # charges per run: by Wald's identity, E[attempts] times the charges of one attempt
+    n, heavy = g.n, dist.heavy
+    unit = Fraction(1, 2 * n * theta)
+    per_attempt = (
+        1,
+        0 if fallback else 1 + dist.e_light * unit,  # every degree query, plus the heavy track's on a hit
+        1 - Fraction(len(heavy), n) + sum(dl for dl, _ in heavy.values()) * unit,  # no slot on a heavy start; a pick
+    )
+    mean_attempts = (1 - (1 - s) ** q) / s
+    for k, per in enumerate(per_attempt):
+        column = np.array([c[k] for c in charges], float)
+        exact = float(mean_attempts * per)
+        assert abs(column.mean() - exact) <= 4 * column.std() / math.sqrt(runs), (k, column.mean(), exact)
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts the numbers it is asked for."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_walk_costs_a_few_draws_a_run_however_many_attempts_it_skips():
+    # The paper's run makes about 2 n theta / m_dir attempts; the walk draws
+    # only at the few that reach an edge slot. Per-attempt work would show
+    # up here as hundreds of draws a run, with no clock involved.
+    g = hub_graph(20, 3000)
+    cfg = SamplerConfig.for_graph(g.n, float(g.m_dir), 0.25)
+    o, rng = QueryOracle(g, seed=1), CountingRandom(2)
+    reports = [sample_edge_almost_uniformly(o, cfg, rng) for _ in range(500)]
+    attempts = sum(r.attempts_used for r in reports) / len(reports)
+    assert attempts > 800
+    assert rng.calls / len(reports) < 20, (rng.calls / len(reports), attempts)
 
 
 # ---------------------------------------------------------------------------
