@@ -15,7 +15,6 @@ is a programmer error (IndexError, uncharged), not a query failure.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, fields
 
@@ -32,8 +31,8 @@ class BudgetExceeded(RuntimeError):
 class QueryCounts:
     """Per-type query counters; merged across workers by addition.
 
-    The field list drives ``total``, ``+``, ``-``, ``copy`` and ``as_dict``,
-    so a new counter is declared only here.
+    ``total``, ``+``, ``-`` and ``copy`` name each field, twice as fast as a
+    ``map`` over the field list; a test checks them against that list.
     """
 
     vertex: int = 0
@@ -43,24 +42,20 @@ class QueryCounts:
 
     @property
     def total(self) -> int:
-        return sum(_values(self))
+        return self.vertex + self.degree + self.neighbor + self.pair
 
-    def __add__(self, other: "QueryCounts") -> "QueryCounts":
-        return QueryCounts(*map(operator.add, _values(self), _values(other)))
+    def __add__(self, o: "QueryCounts") -> "QueryCounts":
+        return QueryCounts(self.vertex + o.vertex, self.degree + o.degree, self.neighbor + o.neighbor, self.pair + o.pair)
 
-    def __sub__(self, other: "QueryCounts") -> "QueryCounts":
-        return QueryCounts(*map(operator.sub, _values(self), _values(other)))
+    def __sub__(self, o: "QueryCounts") -> "QueryCounts":
+        return QueryCounts(self.vertex - o.vertex, self.degree - o.degree, self.neighbor - o.neighbor, self.pair - o.pair)
 
     def copy(self) -> "QueryCounts":
-        return QueryCounts(*_values(self))
+        return QueryCounts(self.vertex, self.degree, self.neighbor, self.pair)
 
     def as_dict(self) -> dict[str, int]:
-        counts = dict(zip(_FIELDS, _values(self)))
+        counts = {f.name: getattr(self, f.name) for f in fields(self)}
         return {**counts, "total": sum(counts.values())}
-
-
-_FIELDS = tuple(f.name for f in fields(QueryCounts))
-_values = operator.attrgetter(*_FIELDS)  # the counters as a tuple, in field order
 
 
 class QueryOracle:

@@ -19,10 +19,11 @@ in [n], no coin, no degree query. Each returns any directed edge with
 probability 1/n^2, so the fallback is exactly uniform, if slower per success.
 
 Runs (fallback runs too) take one of three paths with one law of outcomes
-and query counts (``_runs``): over an ``oracle.bulk_graph``, ``_kernel``'s
-numpy blocks for pooled calls and ``_walk`` for the rest, else ``_attempts``
-through the oracle's methods. All draw from the seeded ``random.Random``
-only, so runs replay bit-for-bit; one attempt is a run of ``SamplerConfig(theta, 1)``.
+and query counts: over an ``oracle.bulk_graph``, ``_kernel``'s numpy blocks
+for pooled calls (``_runs``) and ``_walk`` for the rest, else ``_attempts``
+through the oracle's methods; ``_rows`` hands single runs the last two's
+Python rows and charge. All draw from the seeded ``random.Random`` only, so
+runs replay bit-for-bit; one attempt is a run of ``SamplerConfig(theta, 1)``.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _walk(
     reach an edge slot: (rows of origin, target, attempts used; the queries).
 
     A slot is proposed with chance p = m_dir / (n theta) per attempt
-    (``_runs`` keeps 2^-64 < p <= 1): a geometric gap, then slot r - o[x] of a
+    (``_rows`` keeps 2^-64 < p <= 1): a geometric gap, then slot r - o[x] of a
     uniform directed edge r out of x. Thinning the proposals past slot theta
     into empty slots leaves each heavy start and occupied slot at its chance
     1/(n theta) per attempt, so outcomes, attempts and charges have the law
@@ -252,26 +253,34 @@ def _kernel(
     return (*(out[0] if len(out) == 1 else map(np.concatenate, zip(*out))), counts)
 
 
+def _rows(
+    oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
+) -> tuple[list[tuple[int, int, int]], QueryCounts]:
+    """``runs`` runs as Python rows (origin, target, used; origin -1 on a failure) and the call's charge:
+    ``_walk``'s over a ``bulk_graph`` with 2^-64 < p = m_dir / (n theta) <= 1, else ``_attempts``' by the methods."""
+    graph = bulk_graph(oracle)
+    if graph is not None and 0 < graph.m_dir <= graph.n * theta < graph.m_dir << 64:
+        rows, counts = _walk(graph, theta, q, runs, rng, fallback)
+        oracle.counts = oracle.counts + counts
+        return rows, counts
+    before = oracle.counts.copy()
+    rows = [(*(e or (-1, -1)), k) for e, k in (_attempts(oracle, theta, q, rng, fallback) for _ in range(runs))]
+    return rows, oracle.counts - before
+
+
 def _runs(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> list[np.ndarray]:
-    """``runs`` runs of up to q mixture attempts (fallback ones, theta = n, with
-    ``fallback``) as [origins, targets, used], origin -1 on a failure. Over a
-    ``bulk_graph``, ``_kernel`` pools them if a block (``_BLOCK``) and its
-    attempts cost less than walking them (``_WALK`` a run, in kernel attempts),
-    ``_walk`` the rest where p = m_dir / (n theta) is in (2^-64, 1], ``_attempts`` any other call."""
+    """``runs`` runs of up to q mixture attempts (fallback ones, theta = n, with ``fallback``) as numpy
+    columns [origins, targets, used] for the pooled callers, origin -1 on a failure. Over a ``bulk_graph``,
+    ``_kernel`` pools them if a block (``_BLOCK``) and its attempts cost less than walking them (``_WALK``
+    a run, in kernel attempts); ``_rows`` makes the rest."""
     graph = bulk_graph(oracle)
-    pooled = graph is not None and runs * (_WALK - _per_run(graph, theta, q, fallback)) > _BLOCK
-    if pooled and graph.n * theta <= 1 << 63:
+    if graph is not None and graph.n * theta <= 1 << 63 and runs * (_WALK - _per_run(graph, theta, q, fallback)) > _BLOCK:
         *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
         oracle.counts = oracle.counts + counts
         return columns
-    if graph is not None and 0 < graph.m_dir <= graph.n * theta < graph.m_dir << 64:  # 2^-64 < p <= 1
-        rows, counts = _walk(graph, theta, q, runs, rng, fallback)
-        oracle.counts = oracle.counts + counts
-    else:
-        rows = [(*(e or (-1, -1)), k) for e, k in (_attempts(oracle, theta, q, rng, fallback) for _ in range(runs))]
-    return [np.array(column, np.int64) for column in zip(*rows)]
+    return [np.array(column, np.int64) for column in zip(*_rows(oracle, theta, q, runs, rng, fallback)[0])]
 
 
 def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:
@@ -282,25 +291,19 @@ def _plan(config: SamplerConfig, n: int) -> tuple[int, int, bool]:
 def sample_edge_almost_uniformly(
     oracle: QueryOracle, config: SamplerConfig, rng: random.Random | None = None
 ) -> SampleReport:
-    """One run of ``_runs``: up to q mixture attempts, or the fallback's n when q > n."""
+    """One run of ``_rows`` (one run never pools): up to q mixture attempts, or the fallback's n when q > n."""
     if oracle.n < 1:
         raise ValueError("graph has no vertices")
     theta, q, fallback = _plan(config, oracle.n)
-    before = oracle.counts.copy()
-    (origin,), (target,), (used,) = _runs(oracle, theta, q, 1, oracle.rng if rng is None else rng, fallback)
-    edge = DirectedEdge(int(origin), int(target)) if origin >= 0 else None
-    return SampleReport(edge, int(used), oracle.counts - before, config, fallback)
+    ((origin, target, used),), queries = _rows(oracle, theta, q, 1, oracle.rng if rng is None else rng, fallback)
+    return SampleReport(DirectedEdge(origin, target) if origin >= 0 else None, used, queries, config, fallback)
 
 
 def sample_degree_proportional_vertex(
     oracle: QueryOracle, config: SamplerConfig
 ) -> tuple[int | None, SampleReport]:
-    """Sample a vertex with probability close to d(v) / m_dir.
-
-    Samples an edge almost uniformly and returns either endpoint with
-    probability 1/2; v sits in d(v) directed edges as origin and d(v) as
-    target, so the exactly-uniform case lands on d(v)/m_dir.
-    """
+    """Sample a vertex with probability close to d(v) / m_dir: either endpoint, with probability
+    1/2, of an almost-uniform edge (v is the origin of d(v) directed edges and the target of d(v))."""
     report = sample_edge_almost_uniformly(oracle, config)
     if report.outcome is None:
         return None, report

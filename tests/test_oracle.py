@@ -1,7 +1,10 @@
 import math
 import random
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesample import BudgetExceeded, QueryCounts, QueryOracle, RelabeledView, build_graph
 from edgesample.generators import erdos_renyi, path, star
@@ -115,6 +118,21 @@ def test_counts_merge_by_addition():
         "total": 7,
     }
     assert (merged - b).as_dict() == a.as_dict()
+
+
+@given(st.data())
+def test_counts_arithmetic_covers_every_field(data):
+    # +, -, copy and total name each field by hand: a counter declared on
+    # QueryCounts but left out of one of them fails here
+    names = [f.name for f in fields(QueryCounts)]
+    a, b = (data.draw(st.fixed_dictionaries({k: st.integers(-2**70, 2**70) for k in names})) for _ in range(2))
+    x, y = QueryCounts(**a), QueryCounts(**b)
+    assert asdict(x + y) == {k: a[k] + b[k] for k in names}
+    assert asdict(x - y) == {k: a[k] - b[k] for k in names}
+    copied = x.copy()
+    assert copied is not x and asdict(copied) == a
+    assert x.total == sum(a.values())
+    assert x.as_dict() == {**a, "total": sum(a.values())}
 
 
 def test_budget_cuts_off_hard():

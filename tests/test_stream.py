@@ -43,7 +43,7 @@ from edgesample.estimate import _degree_sum_mc
 from edgesample.generators import erdos_renyi, path, star
 from edgesample.graph import RelabeledView, build_graph
 from edgesample import sampler
-from edgesample.sampler import _kernel, _runs, _walk
+from edgesample.sampler import _kernel, _plan, _runs, _walk
 
 # ---------------------------------------------------------------------------
 # The reference: one plain call per random draw, one oracle call per query
@@ -430,6 +430,48 @@ def test_small_calls_on_a_plain_oracle_take_the_walk():
     for reports, p in ((singles, s), (runs, 1 - (1 - s) ** STAR_CONFIG.q)):
         won = sum(r.outcome is not None for r in reports)
         assert abs(won / len(reports) - p) < 4 * math.sqrt(p * (1 - p) / len(reports))
+
+
+FALLBACK_CONFIG = SamplerConfig(theta=HUBS_CONFIG.theta, q=HUBS.n + 1)  # q > n: n fallback attempts
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: no_methods(QueryOracle(HUBS, seed=seed)),
+    lambda seed: QueryOracle(HUBS, seed=seed, budget=10**9),
+    lambda seed: MethodLoopOracle(HUBS, seed=seed),
+], ids=["walk", "budgeted", "subclassed"])
+@pytest.mark.parametrize("cfg", [HUBS_CONFIG, FALLBACK_CONFIG], ids=["mixture", "fallback"])
+def test_single_run_reports_its_row_and_its_charge(make, cfg):
+    # A single run reports its route's own Python row and charge: the row
+    # _runs makes from the same generator state, in plain ints, and queries
+    # equal to what the oracle's counters moved by.
+    theta, q, fallback = _plan(cfg, HUBS.n)
+    wins = 0
+    for seed in range(10):
+        o, pooled = make(seed), make(seed)
+        for _ in range(3):  # later runs start from nonzero counters
+            before = o.counts.copy()
+            report = sample_edge_almost_uniformly(o, cfg)
+            assert report.queries == o.counts - before and report.queries.total > 0
+            assert report.used_fallback == fallback
+            row = (*(report.outcome or (-1, -1)), report.attempts_used)
+            assert all(type(x) is int for x in row)
+            assert [column.tolist() for column in _runs(pooled, theta, q, 1, pooled.rng, fallback)] == [[x] for x in row]
+            assert pooled.counts == o.counts and pooled.rng.getstate() == o.rng.getstate()
+            wins += report.outcome is not None
+    assert wins > 0
+
+
+def test_a_walked_single_run_builds_no_numpy_array(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walked single run built a numpy array")
+
+    o = QueryOracle(HUBS, seed=1)
+    monkeypatch.setattr(sampler.np, "array", refuse)
+    reports = [sample_edge_almost_uniformly(o, cfg) for cfg in (HUBS_CONFIG, FALLBACK_CONFIG) for _ in range(200)]
+    monkeypatch.undo()
+    assert o._gen is None and sum(r.attempts_used for r in reports) == o.counts.vertex
+    assert 0 < sum(r.outcome is not None for r in reports) < len(reports)
 
 
 def test_budget_cut_inside_heavy_attempt_matches_reference():
