@@ -11,11 +11,11 @@ here. Two built-ins:
   inside [m, 2m] once the relative error of the average is under 1/3.
   Without a given s, a pilot pass of ceil(sqrt(n)) samples (sized for
   m_hat = n) sets s from its estimate. Where ``oracle.bulk_graph`` allows
-  it, the generator ``oracle._generator(oracle.rng)`` is seeded once and
-  draws ``integers(n, size=2 * pilot_s)``: the pilot reads the first
-  half, the main pass the first s of the second half (a new
-  ``integers(n, size=s)`` only when s > pilot_s), the degrees come from
-  one gather, and the queries are charged once.
+  it, each pass reads its vertices from the oracle's pool
+  (``oracle._vertices``: the pilot the next pilot_s ids, the main pass
+  the s after them), sums their degrees with one gather and one reduce,
+  and charges its queries once. One refill of the pool serves about ten
+  estimates.
 
 ``estimate_edges_amplified`` is the entry point: it takes the median of
 an odd number r of independent runs (one by default), driving the
@@ -47,17 +47,13 @@ def _exact(oracle: QueryOracle, samples: int | None) -> float:
 
 def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
     n, graph = oracle.n, bulk_graph(oracle)
-    pilot_s = 0 if samples else _sample_count(n, n)
+    s = samples or _sample_count(n, _degree_sum_mc(oracle, _sample_count(n, n)))
     if graph is None:
-        s = samples or _sample_count(n, _degree_sum_mc(oracle, pilot_s))
         return _scaled(n, sum(oracle.degree(oracle.random_vertex()) for _ in range(s)), s)
-    gen, o, ends = oracle._generator(oracle.rng), graph.offsets, graph.offsets[1:]
-    d = ends[u := gen.integers(n, size=samples or 2 * pilot_s)] - o[u]
-    if pilot_s:  # the pilot reads the draw's first half; the main pass its second, or a new draw
-        s = _sample_count(n, _scaled(n, int(np.add.reduce(d[:pilot_s])), pilot_s))
-        d = d[pilot_s:pilot_s + s] if s <= pilot_s else ends[u := gen.integers(n, size=s)] - o[u]
-    oracle.counts = oracle.counts + QueryCounts(pilot_s + len(d), pilot_s + len(d))
-    return _scaled(n, int(np.add.reduce(d)), len(d))
+    o, u, c = graph.offsets, oracle._vertices(s), oracle.counts
+    c.vertex += s
+    c.degree += s
+    return _scaled(n, int(np.add.reduce(o[1:][u] - o[u])), s)
 
 
 def _scaled(n: int, total: int, s: int) -> float:

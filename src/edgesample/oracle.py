@@ -22,6 +22,8 @@ import numpy as np
 
 from .graph import Graph
 
+VERTEX_BLOCK = 4096  # vertex ids one refill of the pool draws: about ten default estimates on 10^5 vertices
+
 
 class BudgetExceeded(RuntimeError):
     """A query was attempted past the oracle's hard query budget."""
@@ -76,8 +78,14 @@ class QueryOracle:
     generator state.
 
     The bulk paths may bypass the four methods; ``bulk_graph`` says when.
-    Everything else goes through the methods.
+    Everything else goes through the methods. The degree-sum estimate reads
+    its vertex ids from a pool (``_vertices``) that one reseed from ``rng``
+    fills for about ten estimates: the same seed and the same call sequence
+    give the same output, but rewinding ``rng`` does not rewind the pool.
     """
+
+    _pool = np.empty(0, dtype=np.int64)  # class defaults: building an oracle costs nothing more
+    _at = 0
 
     def __init__(self, graph, seed: int | random.Random | None = None, budget: int | None = None):
         self.graph = graph
@@ -95,6 +103,21 @@ class QueryOracle:
         state = {"state": rng.getrandbits(128), "inc": rng.getrandbits(128) | 1}
         self._gen.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
         return self._gen
+
+    def _vertices(self, k: int) -> np.ndarray:
+        """The pool's next k uniform vertex ids, uncharged.
+
+        A read past the pool's end drops the remainder, whatever its values, and
+        reads a new pool of ``max(k, VERTEX_BLOCK)`` ids: reads stay i.i.d. uniform.
+        The first pool holds 2k, a pilot and a main pass no longer than it, so an
+        oracle that makes one estimate draws what it needs, not a whole block.
+        """
+        at = self._at
+        if at + k > len(self._pool):
+            size = max(k, VERTEX_BLOCK) if len(self._pool) else 2 * k
+            self._pool, at = self._generator(self.rng).integers(self._n, size=size), 0
+        self._at = at + k
+        return self._pool[at:at + k]
 
     @property
     def n(self) -> int:
@@ -147,9 +170,10 @@ def bulk_graph(oracle: QueryOracle) -> Graph | None:
 
     The bulk paths (``sampler._kernel``, ``sampler._walk`` and the
     degree-sum estimate) read the CSR arrays and add to ``oracle.counts``
-    once per call exactly what the method loop would charge. The numpy ones
-    draw from ``oracle._generator(rng)``, the walk from ``rng`` itself: other
-    streams from one seed, with the same law of outcomes and query counts.
+    once per call exactly what the method loop would charge. The kernel draws
+    from ``oracle._generator(rng)``, the estimate from ``oracle._vertices``
+    (filled the same way), the walk from ``rng`` itself: other streams from
+    one seed, with the same law of outcomes and query counts.
     Only a plain ``QueryOracle`` (no subclass, whose methods may observe each
     query) without a budget (so ``BudgetExceeded`` fires at the same query)
     over a nonempty ``Graph`` (not a view) qualifies; otherwise None, and

@@ -30,12 +30,12 @@ GOLDEN = [
             '"source": "er:300,0.05"}, "edge": [117, 144], "fallback": false, "m_hat": 5625.0, '
             '"q": 107, "queries": {"degree": 12, "neighbor": 10, "pair": 0, "total": 32, '
             '"vertex": 10}, "theta": 213}\n'
-            '{"attempts": 2, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '{"attempts": 4, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 4564, "m_undirected": 2282, "n": 300, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 5, '
-            '"source": "er:300,0.05"}, "edge": [239, 232], "fallback": false, "m_hat": 5962.5, '
-            '"q": 104, "queries": {"degree": 2, "neighbor": 2, "pair": 0, "total": 6, '
-            '"vertex": 2}, "theta": 219}\n'
+            '"source": "er:300,0.05"}, "edge": [210, 295], "fallback": false, "m_hat": 7087.5, '
+            '"q": 96, "queries": {"degree": 4, "neighbor": 4, "pair": 0, "total": 12, '
+            '"vertex": 4}, "theta": 239}\n'
         ),
         "",
         None,
@@ -56,12 +56,12 @@ GOLDEN = [
             '"source": "clique_union:er:300,0.05,40"}, "edge": [13, 257], "fallback": false, '
             '"m_hat": 8797.5, "q": 97, "queries": {"degree": 42, "neighbor": 41, "pair": 0, '
             '"total": 124, "vertex": 41}, "theta": 266}\n'
-            '{"attempts": 3, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
+            '{"attempts": 34, "config": {"command": "sample", "count": 3, "epsilon": 0.25, '
             '"estimator": "degree-sum-mc", "m_directed": 6054, "m_undirected": 3027, "n": 340, '
             '"reps": 1, "reuse_estimate": false, "samples": null, "seed": 2, '
-            '"source": "clique_union:er:300,0.05,40"}, "edge": [80, 126], "fallback": false, '
-            '"m_hat": 8032.5, "q": 102, "queries": {"degree": 3, "neighbor": 3, "pair": 0, '
-            '"total": 9, "vertex": 3}, "theta": 254}\n'
+            '"source": "clique_union:er:300,0.05,40"}, "edge": [177, 219], "fallback": false, '
+            '"m_hat": 6502.5, "q": 113, "queries": {"degree": 34, "neighbor": 34, "pair": 0, '
+            '"total": 102, "vertex": 34}, "theta": 229}\n'
         ),
         "",
         None,

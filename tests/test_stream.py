@@ -15,7 +15,8 @@ attempts; the rest take the walk, which skips to the attempts that reach
 an edge slot. Each path's outcomes, attempts and query counts must equal
 the scalar rule applied, attempt by attempt, to the numbers it drew
 (replayed from a copy of its generator), and their distribution must
-match the exact one.
+match the exact one. The degree-sum estimate on such an oracle reads
+the oracle's vertex pool; it is replayed from a twin oracle's fills.
 """
 
 import copy
@@ -42,7 +43,8 @@ from edgesample import (
 from edgesample.estimate import _degree_sum_mc
 from edgesample.generators import erdos_renyi, path, star
 from edgesample.graph import RelabeledView, build_graph
-from edgesample import sampler
+from edgesample import oracle as oracle_module, sampler
+from edgesample.oracle import VERTEX_BLOCK
 from edgesample.sampler import _kernel, _plan, _runs, _walk
 
 # ---------------------------------------------------------------------------
@@ -637,26 +639,81 @@ def test_degree_sum_kernel_matches_scalar_sum_on_its_draws(g, samples, seed):
     assert oracle.rng.getstate() == twin.rng.getstate()
 
 
-@pytest.mark.parametrize("g, main_fits", [
-    (HUBS, True),  # mean degree about 2: s <= pilot_s
-    (build_graph([(2 * i, 2 * i + 1) for i in range(60)], 400), False),  # mean degree 0.3: s > pilot_s
-], ids=["main pass in the pilot's draw", "main pass draws again"])
-def test_degree_sum_estimate_replays_both_passes_from_its_draws(g, main_fits):
+def degree_sum_pass(g, ids):
+    """The scalar rule's pass over the given vertex ids: 1.5 n times their mean degree, at least 1."""
+    return max(1.0, 1.5 * g.n * sum(g.degree(v) for v in ids) / len(ids))
+
+
+@pytest.mark.parametrize("g", [
+    HUBS,  # mean degree about 2: s < pilot_s
+    build_graph([(2 * i, 2 * i + 1) for i in range(60)], 400),  # mean degree 0.3: s > pilot_s
+], ids=["main pass shorter than the pilot", "main pass longer than the pilot"])
+def test_degree_sum_estimate_replays_its_pool(g):
+    # A fill is twin._generator(twin.rng).integers(n, size=...): one 256-bit
+    # reseed of rng, for 2 pilot_s ids the first time and VERTEX_BLOCK after.
+    # The pilot reads the next pilot_s ids of the fill, the main pass the s
+    # after them; a pass that would run past the fill's end drops the
+    # remainder and reads from the start of a new fill.
     n = g.n
     pilot_s = math.ceil(n / math.sqrt(n))
-    for seed in range(20):
-        oracle, twin = QueryOracle(g, seed=seed), QueryOracle(g, seed=seed)
-        m_hat = estimate_edges_amplified(oracle, "degree-sum-mc").m_hat
-        gen = twin._generator(twin.rng)
-        degrees = [g.degree(v) for v in gen.integers(n, size=2 * pilot_s).tolist()]
-        pilot = max(1.0, 1.5 * n * sum(degrees[:pilot_s]) / pilot_s)
-        s = max(1, math.ceil(n / math.sqrt(pilot)))
-        assert (s <= pilot_s) is main_fits
-        main = degrees[pilot_s:pilot_s + s] if main_fits else [g.degree(v) for v in gen.integers(n, size=s).tolist()]
-        assert m_hat == max(1.0, 1.5 * n * sum(main) / s)
-        assert counts_of(oracle) == {"vertex": pilot_s + s, "degree": pilot_s + s, "neighbor": 0, "pair": 0}
-        assert oracle.rng.getstate() == twin.rng.getstate()
-        assert oracle._gen.bit_generator.state == gen.bit_generator.state  # it drew nothing more
+    crossed = set()
+    for seed in range(5):
+        oracle, twin, shadow = QueryOracle(g, seed=seed), QueryOracle(g, seed=seed), random.Random(seed)
+        pool, at = [], 0
+        for _ in range(300):  # several fills per seed
+            before, refills = oracle.rng.getstate(), 0
+            passes = []
+            for size in (pilot_s, None):
+                size = size or max(1, math.ceil(n / math.sqrt(passes[0])))
+                if at + size > len(pool):
+                    if at < len(pool):  # a nonempty remainder is dropped
+                        crossed.add(("pilot", "main")[len(passes)])
+                    fill = VERTEX_BLOCK if pool else 2 * pilot_s
+                    pool, at, refills = twin._generator(twin.rng).integers(n, size=fill).tolist(), 0, refills + 1
+                    shadow.getrandbits(128), shadow.getrandbits(128)
+                passes.append(degree_sum_pass(g, pool[at:at + size]))
+                at += size
+            counts = oracle.counts.copy()
+            assert estimate_edges_amplified(oracle, "degree-sum-mc").m_hat == passes[1]
+            charged = asdict(oracle.counts - counts)  # size is now the main pass's s
+            assert charged == {"vertex": pilot_s + size, "degree": pilot_s + size, "neighbor": 0, "pair": 0}
+            assert oracle.rng.getstate() == twin.rng.getstate() == shadow.getstate()
+            assert (oracle.rng.getstate() == before) is (refills == 0)  # a read within the fill draws nothing
+    assert crossed == {"pilot", "main"}  # both passes have crossed into a new fill
+
+
+@pytest.mark.parametrize("block", [VERTEX_BLOCK, 97])
+def test_pooled_vertex_reads_are_uniform_and_independent(monkeypatch, block):
+    # One oracle, 20,000 one-sample estimates: each reads one pooled id, across
+    # many fills at the smaller block. On star(9) the centre alone gives
+    # m_hat = 135. A pool that repeats its reads shows in the pair frequency.
+    monkeypatch.setattr(oracle_module, "VERTEX_BLOCK", block)
+    g, reads = star(9), 20000
+    o = QueryOracle(g, seed=11)
+    centre = [estimate_edges_amplified(o, "degree-sum-mc", samples=1).m_hat == 135.0 for _ in range(reads)]
+    pairs = [a and b for a, b in zip(centre[::2], centre[1::2])]
+    for hits, p in ((centre, 1 / 10), (pairs, 1 / 100)):
+        assert abs(sum(hits) / len(hits) - p) < 4 * math.sqrt(p * (1 - p) / len(hits))
+    assert o.counts.vertex == o.counts.degree == reads
+
+
+def test_estimates_share_their_vertex_fills(monkeypatch):
+    # An oracle's first estimate fills 2 pilot_s ids, what it needs. After it a
+    # fill serves several estimates: 25 default estimates on 66,020 vertices
+    # read about 10,000 ids, so they reseed about three times, not 25.
+    calls = []
+    real = QueryOracle._generator
+    monkeypatch.setattr(QueryOracle, "_generator", lambda self, rng: calls.append(1) or real(self, rng))
+    g = hub_graph(20, 3300)
+    o = no_methods(QueryOracle(g, seed=1))
+    estimate_edges_amplified(o, "degree-sum-mc")
+    assert len(calls) == 1 and len(o._pool) == 2 * math.ceil(g.n / math.sqrt(g.n))
+    calls.clear()
+    read = o.counts.vertex
+    for _ in range(25):
+        estimate_edges_amplified(o, "degree-sum-mc")
+    read = o.counts.vertex - read
+    assert 1 <= len(calls) <= math.ceil(read / VERTEX_BLOCK) + 1, (len(calls), read)
 
 
 # ---------------------------------------------------------------------------
