@@ -11,11 +11,11 @@ here. Two built-ins:
   inside [m, 2m] once the relative error of the average is under 1/3.
   Without a given s, a pilot pass of ceil(sqrt(n)) samples (sized for
   m_hat = n) sets s from its estimate. Where ``oracle.bulk_graph`` allows
-  it, each pass reads its vertices from the oracle's pool
-  (``oracle._vertices``: the pilot the next pilot_s ids, the main pass
-  the s after them), sums their degrees with one gather and one reduce,
-  and charges its queries once. One refill of the pool serves about ten
-  estimates.
+  it, each pass reads its degree sum off the oracle's pool
+  (``oracle._degree_sum``: the pilot the next pilot_s ids, the main pass
+  the s after them), two reads of the pool's prefix sums charged as one
+  vertex and one degree query an id. One refill of the pool serves about
+  ten estimates.
 
 ``estimate_edges_amplified`` is the entry point: it takes the median of
 an odd number r of independent runs (one by default), driving the
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .oracle import QueryCounts, QueryOracle, bulk_graph
 
@@ -46,14 +44,10 @@ def _exact(oracle: QueryOracle, samples: int | None) -> float:
 
 
 def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
-    n, graph = oracle.n, bulk_graph(oracle)
-    s = samples or _sample_count(n, _degree_sum_mc(oracle, _sample_count(n, n)))
-    if graph is None:
-        return _scaled(n, sum(oracle.degree(oracle.random_vertex()) for _ in range(s)), s)
-    o, u, c = graph.offsets, oracle._vertices(s), oracle.counts
-    c.vertex += s
-    c.degree += s
-    return _scaled(n, int(np.add.reduce(o[1:][u] - o[u])), s)
+    n, by_methods = oracle.n, lambda k: sum(oracle.degree(oracle.random_vertex()) for _ in range(k))
+    total = oracle._degree_sum if bulk_graph(oracle) is not None else by_methods
+    s = samples or _sample_count(n, _scaled(n, total(pilot := _sample_count(n, n)), pilot))
+    return _scaled(n, total(s), s)
 
 
 def _scaled(n: int, total: int, s: int) -> float:
@@ -82,7 +76,8 @@ def estimate_edges_amplified(
 
     If one run lands in [m, 2m] with probability p > 1/2, the median of r
     runs does so with probability >= 1 - exp(-2 r (p - 1/2)^2). The
-    arguments are checked and the counters copied once, for all r runs.
+    arguments are checked once, for all r runs, and the charge is read off
+    the two counters an estimator moves: vertex and degree queries.
     """
     if repetitions < 1 or repetitions % 2 == 0:
         raise ValueError(f"repetitions must be odd and >= 1, got {repetitions}")
@@ -96,6 +91,8 @@ def estimate_edges_amplified(
         raise ValueError(
             f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}"
         ) from None
-    before = oracle.counts.copy()
-    values = sorted(fn(oracle, samples) for _ in range(repetitions))
-    return EdgeEstimate(values[repetitions // 2], oracle.counts - before, f"{estimator}-median-{repetitions}")
+    vertex, degree = oracle.counts.vertex, oracle.counts.degree
+    estimates = (fn(oracle, samples) for _ in range(repetitions))
+    m_hat = next(estimates) if repetitions == 1 else sorted(estimates)[repetitions // 2]
+    c = oracle.counts
+    return EdgeEstimate(m_hat, QueryCounts(c.vertex - vertex, c.degree - degree), f"{estimator}-median-{repetitions}")

@@ -16,6 +16,8 @@ is a programmer error (IndexError, uncharged), not a query failure.
 from __future__ import annotations
 
 import random
+import threading
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,6 +25,8 @@ import numpy as np
 from .graph import Graph
 
 VERTEX_BLOCK = 4096  # vertex ids one refill of the pool draws: about ten default estimates on 10^5 vertices
+
+_threads = threading.local()  # each thread's PCG64 generator, built on its first _generator call
 
 
 class BudgetExceeded(RuntimeError):
@@ -79,12 +83,12 @@ class QueryOracle:
 
     The bulk paths may bypass the four methods; ``bulk_graph`` says when.
     Everything else goes through the methods. The degree-sum estimate reads
-    its vertex ids from a pool (``_vertices``) that one reseed from ``rng``
+    its degree sums from a pool (``_degree_sum``) that one reseed from ``rng``
     fills for about ten estimates: the same seed and the same call sequence
     give the same output, but rewinding ``rng`` does not rewind the pool.
     """
 
-    _pool = np.empty(0, dtype=np.int64)  # class defaults: building an oracle costs nothing more
+    _sums = array("q")  # class defaults: building an oracle costs nothing more
     _at = 0
 
     def __init__(self, graph, seed: int | random.Random | None = None, budget: int | None = None):
@@ -94,30 +98,37 @@ class QueryOracle:
         self.budget = budget
         self._n = graph.n
         self._n_bits = graph.n.bit_length()
-        self._gen = None  # the numpy paths' generator, built on first use
 
     def _generator(self, rng: random.Random) -> np.random.Generator:
-        """The oracle's PCG64 generator, its state set from 256 bits of ``rng``."""
-        if self._gen is None:
-            self._gen = np.random.Generator(np.random.PCG64(0))
+        """The calling thread's PCG64 generator, its state set from 256 bits of ``rng``: one
+        generator a thread, so each caller draws all it needs before the next call."""
+        gen = getattr(_threads, "gen", None)
+        if gen is None:
+            gen = _threads.gen = np.random.Generator(np.random.PCG64(0))
         state = {"state": rng.getrandbits(128), "inc": rng.getrandbits(128) | 1}
-        self._gen.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-        return self._gen
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        return gen
 
-    def _vertices(self, k: int) -> np.ndarray:
-        """The pool's next k uniform vertex ids, uncharged.
+    def _degree_sum(self, k: int) -> int:
+        """The summed degrees of the pool's next k uniform vertex ids, charged as k vertex and k degree queries.
 
-        A read past the pool's end drops the remainder, whatever its values, and
-        reads a new pool of ``max(k, VERTEX_BLOCK)`` ids: reads stay i.i.d. uniform.
-        The first pool holds 2k, a pilot and a main pass no longer than it, so an
-        oracle that makes one estimate draws what it needs, not a whole block.
+        A fill draws ids once and keeps their degrees' prefix sums c as an int64
+        ``array`` (read as Python ints, and picklable), so a read is c[at + k] - c[at].
+        A read past the fill's end drops the remainder, whatever its values, and
+        reads a new fill of ``max(k, VERTEX_BLOCK)`` ids: reads stay i.i.d. uniform.
+        The first fill holds 2k, a pilot and a main pass no longer than it, so an
+        oracle that makes one estimate draws what it needs. It reads the CSR
+        offsets, so only the oracles ``bulk_graph`` accepts may call it.
         """
-        at = self._at
-        if at + k > len(self._pool):
-            size = max(k, VERTEX_BLOCK) if len(self._pool) else 2 * k
-            self._pool, at = self._generator(self.rng).integers(self._n, size=size), 0
+        at, c = self._at, self._sums
+        if at + k >= len(c):
+            u = self._generator(self.rng).integers(self._n, size=max(k, VERTEX_BLOCK) if c else 2 * k)
+            o, at = self.graph.offsets, 0
+            self._sums = c = array("q", np.concatenate(([0], np.cumsum(o[1:][u] - o[u]))).tobytes())
         self._at = at + k
-        return self._pool[at:at + k]
+        self.counts.vertex += k
+        self.counts.degree += k
+        return c[at + k] - c[at]
 
     @property
     def n(self) -> int:
@@ -171,9 +182,9 @@ def bulk_graph(oracle: QueryOracle) -> Graph | None:
     The bulk paths (``sampler._kernel``, ``sampler._walk`` and the
     degree-sum estimate) read the CSR arrays and add to ``oracle.counts``
     once per call exactly what the method loop would charge. The kernel draws
-    from ``oracle._generator(rng)``, the estimate from ``oracle._vertices``
-    (filled the same way), the walk from ``rng`` itself: other streams from
-    one seed, with the same law of outcomes and query counts.
+    from ``oracle._generator(rng)``, the estimate reads ``oracle._degree_sum``
+    (its fills drawn the same way), the walk draws from ``rng`` itself: other
+    streams from one seed, with the same law of outcomes and query counts.
     Only a plain ``QueryOracle`` (no subclass, whose methods may observe each
     query) without a budget (so ``BudgetExceeded`` fires at the same query)
     over a nonempty ``Graph`` (not a view) qualifies; otherwise None, and

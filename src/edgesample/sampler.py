@@ -154,12 +154,14 @@ def _walk(
     """
     o, t, m, p = graph._o, graph._t, graph.m_dir, graph.m_dir / (graph.n * theta)
     log_miss = math.log1p(-p) if p < 1 else -math.inf  # log(1 - p); every gap is 1 at p = 1
-    random, randrange, log = rng.random, rng.randrange, math.log
+    random, getrandbits, log, m_bits = rng.random, rng.getrandbits, math.log, m.bit_length()
     rows, heavy_starts, heavy_hits, picks = [], 0, 0, 0
     for _ in range(runs):
         at = 0
         while (at := at + 1 + int(log(1.0 - random()) / log_miss)) <= q:  # the next attempt that proposes
-            r = randrange(m)
+            r = getrandbits(m_bits)
+            while r >= m:
+                r = getrandbits(m_bits)
             x = bisect_right(o, r) - 1
             if r - o[x] >= theta or o[x + 1] - o[x] > theta:  # thinned into an empty slot, or a heavy start
                 heavy_starts += r - o[x] < theta
@@ -169,9 +171,12 @@ def _walk(
                 rows.append((x, v, at))
                 break
             heavy_hits += 1
-            if o[v + 1] - o[v] > theta:
+            if (dv := o[v + 1] - o[v]) > theta:
                 picks += 1
-                rows.append((v, t[o[v] + randrange(o[v + 1] - o[v])], at))
+                i = getrandbits(k := dv.bit_length())
+                while i >= dv:
+                    i = getrandbits(k)
+                rows.append((v, t[o[v] + i], at))
                 break
         else:
             rows.append((-1, -1, q))

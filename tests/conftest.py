@@ -9,6 +9,9 @@ up to n = 2000.
 labeled graph on up to 5 vertices, plus named and seeded connected graphs
 on 6..8 vertices (full isomorphism enumeration at n = 6..8 is out of reach
 for a seconds-scale suite, so those sizes are covered by a fixed catalog).
+
+``no_generator`` makes an oracle fail the test if anything draws from its
+numpy generator, which only the kernel and the estimate's pool do.
 """
 
 from __future__ import annotations
@@ -52,6 +55,16 @@ SUITE_SPECS = [
 def adjacency(g) -> tuple[tuple[int, ...], ...]:
     """Per-vertex neighbor tuples of g, each in its fixed order."""
     return tuple(g.neighbors(v) for v in range(g.n))
+
+
+def no_generator(oracle):
+    """The oracle, with a numpy generator that fails the test: only the kernel
+    and the estimate's pool draw from one, so its calls must take the walk."""
+    def refuse(rng):
+        raise AssertionError("a walked call drew from the numpy generator")
+
+    oracle._generator = refuse
+    return oracle
 
 
 def _connected(n: int, edges: list[tuple[int, int]]) -> bool:

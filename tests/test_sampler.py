@@ -19,6 +19,8 @@ from edgesample import (
 from edgesample.generators import clique, erdos_renyi, path, star
 from edgesample.sampler import attempt_budget, threshold_for
 
+from conftest import no_generator
+
 
 def test_threshold_formula():
     assert threshold_for(10.0, 0.45) == 7  # ceil(sqrt(44.4...))
@@ -88,14 +90,13 @@ def _mixture_edges(g, theta, seed, trials=20000):
     within 5 SE of the closed form and every returned edge has positive
     closed-form probability. Returns the successes and the distribution."""
     dist = attempt_distribution(g, theta)
-    o = QueryOracle(g, seed=seed)
+    o = no_generator(QueryOracle(g, seed=seed))  # single attempts take the walk, not the numpy kernel
     one_attempt = SamplerConfig(theta, 1)
     edges = [e for e in (sample_edge_almost_uniformly(o, one_attempt).outcome for _ in range(trials)) if e is not None]
     p = float(dist.success_prob)
     assert abs(len(edges) / trials - p) <= 5 * math.sqrt(p * (1 - p) / trials)
     assert all(dist.per_edge[e] > 0 for e in edges)
     assert o.counts.pair == 0
-    assert o._gen is None  # single attempts take the walk, not the numpy kernel
     return edges, dist
 
 

@@ -16,13 +16,16 @@ an edge slot. Each path's outcomes, attempts and query counts must equal
 the scalar rule applied, attempt by attempt, to the numbers it drew
 (replayed from a copy of its generator), and their distribution must
 match the exact one. The degree-sum estimate on such an oracle reads
-the oracle's vertex pool; it is replayed from a twin oracle's fills.
+the degree sums of the oracle's vertex pool; it is replayed from a twin
+oracle's fills.
 """
 
 import copy
 import math
+import pickle
 import random
 import sys
+import threading
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, count
@@ -46,6 +49,8 @@ from edgesample.graph import RelabeledView, build_graph
 from edgesample import oracle as oracle_module, sampler
 from edgesample.oracle import VERTEX_BLOCK
 from edgesample.sampler import _kernel, _plan, _runs, _walk
+
+from conftest import no_generator
 
 # ---------------------------------------------------------------------------
 # The reference: one plain call per random draw, one oracle call per query
@@ -308,13 +313,12 @@ def test_theta_past_the_kernels_draw_takes_the_walk(theta):
     # walk's gaps do not depend on it: a plain oracle walks, a budgeted one
     # takes the method loop, and both give up after q empty slots.
     cfg = SamplerConfig(theta=theta, q=40)
-    walked, looped = no_methods(QueryOracle(star(50), seed=1)), QueryOracle(star(50), seed=1, budget=10**6)
+    walked, looped = no_generator(no_methods(QueryOracle(star(50), seed=1))), QueryOracle(star(50), seed=1, budget=10**6)
     sides = [(report_tuple(r), counts_of(o), asdict(r.queries))
              for o in (walked, looped) for r in [sample_edge_almost_uniformly(o, cfg)]]
     assert sides[0] == sides[1]
     assert sides[0][0] == (None, 40)
     assert sides[0][1] == {"vertex": 40, "degree": 40, "neighbor": 40, "pair": 0}
-    assert walked._gen is None
 
 
 @pytest.mark.parametrize("g, theta", [
@@ -326,12 +330,11 @@ def test_graphs_the_walk_cannot_skip_take_the_method_loop(g, theta):
     assert not 0 < g.m_dir <= g.n * theta < g.m_dir << 64
     for seed in range(3):
         for cfg in (SamplerConfig(theta, 1), SamplerConfig(theta, 7)):
-            plain, loop = QueryOracle(g, seed=seed), MethodLoopOracle(g, seed=seed)
+            plain, loop = no_generator(QueryOracle(g, seed=seed)), MethodLoopOracle(g, seed=seed)
             calls = [[report_tuple(sample_edge_almost_uniformly(o, cfg)) for _ in range(5)] for o in (plain, loop)]
             assert calls[0] == calls[1]
             assert counts_of(plain) == counts_of(loop)
             assert plain.rng.getstate() == loop.rng.getstate()
-            assert plain._gen is None
 
 
 def test_other_oracles_never_reach_the_walk_or_the_kernel(monkeypatch):
@@ -420,13 +423,12 @@ def first_heavy_success_seed():
 
 def test_small_calls_on_a_plain_oracle_take_the_walk():
     # Single attempts and single runs walk: no oracle method is called, the
-    # numpy generator is never built, and the outcomes keep the exact law.
+    # numpy generator is never drawn from, and the outcomes keep the exact law.
     dist = attempt_distribution(STAR, STAR_CONFIG.theta)
     s, support = float(dist.success_prob), {e for e, p in dist.per_edge.items() if p > 0}
-    o = no_methods(QueryOracle(STAR, seed=3))
+    o = no_generator(no_methods(QueryOracle(STAR, seed=3)))
     singles = [sample_edge_almost_uniformly(o, SamplerConfig(STAR_CONFIG.theta, 1)) for _ in range(4000)]
     runs = [sample_edge_almost_uniformly(o, STAR_CONFIG) for _ in range(4000)]
-    assert o._gen is None
     assert all(r.outcome in support for r in singles + runs if r.outcome is not None)
     assert sum(r.attempts_used for r in singles + runs) == o.counts.vertex
     for reports, p in ((singles, s), (runs, 1 - (1 - s) ** STAR_CONFIG.q)):
@@ -468,11 +470,11 @@ def test_a_walked_single_run_builds_no_numpy_array(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a walked single run built a numpy array")
 
-    o = QueryOracle(HUBS, seed=1)
+    o = no_generator(QueryOracle(HUBS, seed=1))
     monkeypatch.setattr(sampler.np, "array", refuse)
     reports = [sample_edge_almost_uniformly(o, cfg) for cfg in (HUBS_CONFIG, FALLBACK_CONFIG) for _ in range(200)]
     monkeypatch.undo()
-    assert o._gen is None and sum(r.attempts_used for r in reports) == o.counts.vertex
+    assert sum(r.attempts_used for r in reports) == o.counts.vertex
     assert 0 < sum(r.outcome is not None for r in reports) < len(reports)
 
 
@@ -701,19 +703,110 @@ def test_estimates_share_their_vertex_fills(monkeypatch):
     # An oracle's first estimate fills 2 pilot_s ids, what it needs. After it a
     # fill serves several estimates: 25 default estimates on 66,020 vertices
     # read about 10,000 ids, so they reseed about three times, not 25.
-    calls = []
+    fills = []
+
+    class Recording:  # the generator a fill gets, recording the fill's size
+        def __init__(self, gen):
+            self.gen = gen
+
+        def integers(self, n, size):
+            fills.append(size)
+            return self.gen.integers(n, size=size)
+
     real = QueryOracle._generator
-    monkeypatch.setattr(QueryOracle, "_generator", lambda self, rng: calls.append(1) or real(self, rng))
+    monkeypatch.setattr(QueryOracle, "_generator", lambda self, rng: Recording(real(self, rng)))
     g = hub_graph(20, 3300)
     o = no_methods(QueryOracle(g, seed=1))
     estimate_edges_amplified(o, "degree-sum-mc")
-    assert len(calls) == 1 and len(o._pool) == 2 * math.ceil(g.n / math.sqrt(g.n))
-    calls.clear()
+    assert fills == [2 * math.ceil(g.n / math.sqrt(g.n))]
+    fills.clear()
     read = o.counts.vertex
     for _ in range(25):
         estimate_edges_amplified(o, "degree-sum-mc")
     read = o.counts.vertex - read
-    assert 1 <= len(calls) <= math.ceil(read / VERTEX_BLOCK) + 1, (len(calls), read)
+    assert 1 <= len(fills) <= math.ceil(read / VERTEX_BLOCK) + 1, (len(fills), read)
+    assert set(fills) == {VERTEX_BLOCK}
+
+
+def test_pool_reads_up_to_a_fills_end_and_refills_after_it(monkeypatch):
+    # At a 12-id block: the first fill holds 2 x 6 ids, so a second 6-id pass
+    # ends exactly at its end and draws nothing, and the pass after it refills.
+    # The 20-id pass gets a fill of its own; the 6-id pass after 3 + 4 drops
+    # the remainder of 5. Every pass is the scalar rule on the ids a twin
+    # oracle's fills replay.
+    monkeypatch.setattr(oracle_module, "VERTEX_BLOCK", 12)
+    passes = (6, 6, 1, 11, 5, 7, 20, 3, 4, 6, 6)
+    for seed in range(5):
+        o, twin = QueryOracle(HUBS, seed=seed), QueryOracle(HUBS, seed=seed)
+        pool, at, fills, refilled = [], 0, [], []
+        for k in passes:
+            if at + k > len(pool):
+                size = max(k, 12) if pool else 2 * k
+                pool, at = twin._generator(twin.rng).integers(HUBS.n, size=size).tolist(), 0
+                fills.append(size)
+            before = o.rng.getstate()
+            assert _degree_sum_mc(o, k) == degree_sum_pass(HUBS, pool[at:at + k])
+            refilled.append(o.rng.getstate() != before)
+            assert o.rng.getstate() == twin.rng.getstate()
+            at += k
+        assert refilled == [True, False, True, False, True, False, True, True, False, True, False]
+        assert fills == [12, 12, 12, 20, 12, 12]
+        assert o.counts.vertex == o.counts.degree == sum(passes)
+
+
+def estimates_and_pooled_runs(o, rounds):
+    """``rounds`` of one default estimate and 200 pooled (kernel) runs on o: m_hat and the runs' columns."""
+    return [(estimate_edges_amplified(o, "degree-sum-mc").m_hat,
+             [column.tolist() for column in _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, 200, o.rng)])
+            for _ in range(rounds)]
+
+
+def test_interleaved_oracles_draw_what_each_draws_alone(monkeypatch):
+    # One thread's numpy generator serves every oracle in it; each fill and each
+    # kernel call resets it from its own rng and draws all it needs first. Two
+    # oracles taking turns, across many fills at a 97-id block, each draw what
+    # they draw alone.
+    monkeypatch.setattr(oracle_module, "VERTEX_BLOCK", 97)
+    a, b = QueryOracle(HUBS, seed=1), QueryOracle(HUBS, seed=2)
+    turns = [(*estimates_and_pooled_runs(a, 1), *estimates_and_pooled_runs(b, 1)) for _ in range(30)]
+    assert [x for x, _ in turns] == estimates_and_pooled_runs(QueryOracle(HUBS, seed=1), 30)
+    assert [y for _, y in turns] == estimates_and_pooled_runs(QueryOracle(HUBS, seed=2), 30)
+
+
+def test_two_threads_draw_what_they_draw_in_turn(monkeypatch):
+    # Each thread has a numpy generator of its own: two threads, each with its
+    # own oracle and switching as often as the interpreter allows, give the
+    # results of running the two oracles one after the other.
+    monkeypatch.setattr(oracle_module, "VERTEX_BLOCK", 97)
+    want = [estimates_and_pooled_runs(QueryOracle(HUBS, seed=seed), 30) for seed in (1, 2)]
+    got = [None, None]
+
+    def work(i):
+        got[i] = estimates_and_pooled_runs(QueryOracle(HUBS, seed=i + 1), 30)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+def test_an_oracle_pickles_with_its_pool():
+    # An oracle that has estimated carries its pool of degree sums: a pickled
+    # copy reads on from the same place, and both draw the same from then on.
+    o = QueryOracle(HUBS, seed=3)
+    for _ in range(5):
+        estimate_edges_amplified(o, "degree-sum-mc")
+    twin = pickle.loads(pickle.dumps(o))
+    assert estimates_and_pooled_runs(twin, 100) == estimates_and_pooled_runs(o, 100)
+    assert twin.counts == o.counts and twin.rng.getstate() == o.rng.getstate()
 
 
 # ---------------------------------------------------------------------------
