@@ -91,10 +91,9 @@ def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     """Closed-form distribution of one fair light/heavy mixture attempt."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    deg = np.diff(g.offsets)
-    is_heavy = deg > theta
+    is_heavy = g.deg > theta
     ids = np.flatnonzero(is_heavy)
-    starts, deg = g.offsets[ids], deg[ids]
+    starts, deg = g.offsets[ids], g.deg[ids]
     # Gather the heavy rows' targets back to back; row k starts at firsts[k].
     # reduceat needs every row nonempty, which holds as d > theta >= 1.
     firsts = np.cumsum(deg) - deg
@@ -188,7 +187,7 @@ def vertex_return_distribution(dist: ClosedFormDistribution) -> dict[int, Fracti
     weight = np.full(g.n, scale, dtype=dtype)
     for v, (dl, d) in dist.heavy.items():
         weight[v] = dl * scale // d
-    deg = np.diff(g.offsets).astype(dtype)
+    deg = g.deg.astype(dtype, copy=False)
     rows = np.flatnonzero(deg)
     totals = deg[rows] * weight[rows] + np.add.reduceat(weight[g.targets], g.offsets[rows])
     values, index = np.unique(totals, return_inverse=True)
@@ -255,8 +254,7 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
 
     # A track alone succeeds with twice its units of 1/(2 n theta): over n theta. The light
     # units are counted from the degrees, so a record that leaves out a heavy vertex fails.
-    deg = np.diff(g.offsets)
-    light = int(deg.sum(where=deg <= theta))
+    light = int(g.deg.sum(where=g.deg <= theta))
     heavy_units = sum(dl for dl, _ in heavy.values())
     check(BoundCheck("light_success_equals_e_light_over_n_theta", True, light == dist.e_light,
                      Fraction(light - dist.e_light, nt), f"success={light / nt:.6g}"))

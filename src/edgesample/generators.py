@@ -1,6 +1,7 @@
 """Deterministic test-graph generators and the ``kind:args`` spec grammar.
 
-Every generator is a pure function of its parameters and seed. The
+Every generator is a pure function of its parameters and seed, and refuses
+more than ``MAX_VERTICES`` vertices before it allocates anything. The
 spec-string grammar is shell-friendly: ``path:8``, ``star:5``, ``er:1000,0.05``,
 ``clique_union:er:1000,0.05,30`` (the value after the last comma is the
 clique size; everything before it is the base spec).
@@ -13,20 +14,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import MAX_VERTICES, Graph, build_graph
 
 
 def path(n: int) -> Graph:
     """Path on n vertices, edges (i, i+1)."""
-    if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"path needs 1 <= n <= {MAX_VERTICES}, got {n}")
     return build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices."""
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+    if not 3 <= n <= MAX_VERTICES:
+        raise ValueError(f"cycle needs 3 <= n <= {MAX_VERTICES}, got {n}")
     return build_graph(np.column_stack([np.arange(n), np.arange(1, n + 1) % n]), n)
 
 
@@ -46,8 +47,8 @@ def clique(k: int) -> Graph:
 
 def core_leaves(core: int, leaves: int) -> Graph:
     """K_core whose vertex u owns the pendant leaves core + u * leaves + 0..leaves-1."""
-    if core < 1 or leaves < 0:
-        raise ValueError(f"core_leaves needs core >= 1 and leaves >= 0, got {core}, {leaves}")
+    if core < 1 or leaves < 0 or core * (leaves + 1) > MAX_VERTICES:
+        raise ValueError(f"core_leaves needs core >= 1, leaves >= 0, core * (leaves + 1) <= {MAX_VERTICES}: {core}, {leaves}")
     hubs = np.column_stack([np.repeat(np.arange(core), leaves), np.arange(core, core * (leaves + 1))])
     return build_graph(np.concatenate([np.column_stack(np.triu_indices(core, 1)), hubs]), core * (leaves + 1))
 
@@ -59,8 +60,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     pair indices, which is distributed identically to independent Bernoulli
     trials per pair but runs in O(M) rather than O(n^2).
     """
-    if n < 1:
-        raise ValueError(f"erdos_renyi needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"erdos_renyi needs 1 <= n <= {MAX_VERTICES}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

@@ -12,10 +12,11 @@ Layout (compressed sparse row): ``offsets`` has n + 1 entries and
 and every bulk operation (construction, validation, edge listing) works
 on them with numpy.
 
-The scalar queries ``degree`` and ``neighbor`` are the samplers' hot path.
-They index ``memoryview``s of the same two buffers, not copies: a
-memoryview read returns a Python ``int`` (a numpy index would return a
-numpy scalar), and the graph holds no memory beyond the two arrays.
+Each graph also keeps its degree array ``deg``, ``np.diff(offsets)``, made
+once, so no layer works degrees out of ``offsets`` again. The scalar
+queries ``degree`` and ``neighbor`` are the samplers' hot path. They index
+``memoryview``s of these read-only buffers, not copies: a memoryview read
+returns a Python ``int`` (a numpy index would return a numpy scalar).
 """
 
 from __future__ import annotations
@@ -67,17 +68,19 @@ class Graph:
         int64, length n + 1; v's neighbors occupy ``offsets[v]:offsets[v+1]``.
     targets : numpy.ndarray
         int64, length m_dir; neighbor ids, each vertex's in its fixed order.
+    deg : numpy.ndarray
+        int64, length n; ``np.diff(offsets)``, made once here (pickling rebuilds it).
     """
 
-    __slots__ = ("n", "offsets", "targets", "_o", "_t")
+    __slots__ = ("n", "offsets", "targets", "deg", "_o", "_t", "_d")
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray):
-        offsets.flags.writeable = targets.flags.writeable = False
+        self.deg = np.diff(offsets)
+        offsets.flags.writeable = targets.flags.writeable = self.deg.flags.writeable = False
         self.n = len(offsets) - 1
         self.offsets = offsets
         self.targets = targets
-        self._o = memoryview(offsets)
-        self._t = memoryview(targets)
+        self._o, self._t, self._d = memoryview(offsets), memoryview(targets), memoryview(self.deg)
 
     def __reduce__(self):
         return Graph, (self.offsets, self.targets)
@@ -90,11 +93,10 @@ class Graph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:  # a memoryview would wrap a negative id
             raise IndexError(f"vertex {v} out of range for n={self.n}")
-        o = self._o
-        return o[v + 1] - o[v]
+        return self._d[v]
 
     def degrees(self) -> list[int]:
-        return np.diff(self.offsets).tolist()
+        return self._d.tolist()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:
@@ -106,13 +108,11 @@ class Graph:
         """The i-th neighbor of v (1-based); None when i exceeds d(v)."""
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range for n={self.n}")
-        o = self._o
-        start = o[v]
-        if i > o[v + 1] - start:
+        if i > self._d[v]:
             return None
         if i < 1:
             raise ValueError(f"neighbor index must be >= 1, got {i}")
-        return self._t[start + i - 1]
+        return self._t[self._o[v] + i - 1]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge; False for ids outside 0..n-1.
@@ -131,7 +131,7 @@ class Graph:
 
     def _origins(self) -> np.ndarray:
         """The origin of every directed edge, aligned with ``targets``."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.deg)
 
     def directed_edges(self) -> Iterable[DirectedEdge]:
         return map(DirectedEdge, self._origins().tolist(), self._t)
@@ -149,7 +149,7 @@ class Graph:
     def validate(self) -> None:
         """Check the CSR and simple-undirected invariants; raises on violation."""
         o, t, n = self.offsets, self.targets, self.n
-        if n < 0 or o[0] != 0 or o[-1] != len(t) or np.any(np.diff(o) < 0):
+        if n < 0 or o[0] != 0 or o[-1] != len(t) or np.any(self.deg < 0):
             raise GraphConstructionError("offsets are not a CSR offset array")
         origins = self._origins()
         bad = np.flatnonzero((t < 0) | (t >= n))
@@ -176,8 +176,9 @@ def build_graph(edge_list: Sequence[tuple[int, int]] | np.ndarray, n: int) -> Gr
     duplicate edges (either orientation), and out-of-range ids are rejected;
     the error names the first offending edge in input order, its index in
     ``edge``. ``n`` may not exceed ``MAX_VERTICES``. A list or tuple of 2-tuples
-    crosses into int64 in one ``np.fromiter`` pass, anything else by ``np.asarray``
-    (280k tuples built in 150-210 ms, and in 260-310 ms by ``np.asarray``).
+    crosses into int64 in one ``np.fromiter`` pass, anything else by ``np.asarray``.
+    A canonical list, every row u < v in range and the pairs strictly increasing
+    (as ``erdos_renyi`` makes them), needs no other check and builds by one merge.
     """
     if n < 0:
         raise GraphConstructionError(f"vertex count must be nonnegative, got {n}")
@@ -198,31 +199,37 @@ def build_graph(edge_list: Sequence[tuple[int, int]] | np.ndarray, n: int) -> Gr
     elif e.ndim != 2 or e.shape[1] != 2:
         raise GraphConstructionError(f"edges must be (u, v) pairs, got an array of shape {e.shape}")
     u, v = e[:, 0], e[:, 1]
-    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    loop = u == v
     keys = np.minimum(u, v) * n + np.maximum(u, v)  # the edge's sorted pair, as one int
-    ranked = np.sort(keys)
-    if out_of_range.any() or loop.any() or np.any(ranked[1:] == ranked[:-1]):
-        # Name the first bad edge in input order. A key made from an
-        # out-of-range id is garbage, but can only mislabel later edges.
-        order = np.argsort(keys, kind="stable")
-        repeat = np.zeros(len(e), dtype=bool)
-        repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True  # all but the first occurrence
-        i = int(np.flatnonzero(out_of_range | loop | repeat)[0])
-        a, b = shown[i].tolist()
-        if out_of_range[i]:
-            raise GraphConstructionError(f"edge ({a}, {b}) out of range for n={n}", i)
-        raise GraphConstructionError(f"self-loop ({a}, {b})" if loop[i] else f"duplicate edge ({a}, {b})", i)
-    # Directed edge 2i is u -> v of input edge i and 2i + 1 is v -> u. Sorting
-    # origin * 2k + position groups them by origin and keeps input order
-    # within a group (a stable sort, but several times faster than a stable
-    # argsort); n * 2k < MAX_VERTICES**2 for any edge list that fits in memory.
-    origins = e.ravel()
-    width = len(origins)
-    order = np.sort(origins * width + np.arange(width)) % width
+    if len(e) and u.min() >= 0 and v.max() < n and (u < v).all() and (keys[1:] > keys[:-1]).all():
+        # Canonical: u < v rules out loops, increasing keys rule out repeats. Each vertex meets its
+        # neighbors in ascending order, so its row is sorted, and the CSR is the sorted directed
+        # keys: the forward run (keys) merged with the sorted reverse run.
+        targets = np.sort(np.concatenate([keys, np.sort(v * n + u)]), kind="stable") % n
+    else:
+        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        loop = u == v
+        ranked = np.sort(keys)
+        if out_of_range.any() or loop.any() or np.any(ranked[1:] == ranked[:-1]):
+            # Name the first bad edge in input order. A key made from an
+            # out-of-range id is garbage, but can only mislabel later edges.
+            order = np.argsort(keys, kind="stable")
+            repeat = np.zeros(len(e), dtype=bool)
+            repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True  # all but the first occurrence
+            i = int(np.flatnonzero(out_of_range | loop | repeat)[0])
+            a, b = shown[i].tolist()
+            if out_of_range[i]:
+                raise GraphConstructionError(f"edge ({a}, {b}) out of range for n={n}", i)
+            raise GraphConstructionError(f"self-loop ({a}, {b})" if loop[i] else f"duplicate edge ({a}, {b})", i)
+        del keys, ranked, out_of_range, loop  # freed before the build's arrays of 2k, which lowers its peak
+        # Directed edge 2i is u -> v of input edge i and 2i + 1 is v -> u. Sorting
+        # origin * 2k + position groups them by origin and keeps input order
+        # within a group (a stable sort, but several times faster than a stable
+        # argsort); n * 2k < MAX_VERTICES**2 for any edge list that fits in memory.
+        width = 2 * len(e)
+        targets = e[:, ::-1].ravel()[np.sort(e.ravel() * width + np.arange(width)) % width]
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(origins, minlength=n), out=offsets[1:])
-    return Graph(offsets, e[:, ::-1].ravel()[order])
+    np.cumsum(np.bincount(e.ravel(), minlength=n), out=offsets[1:])
+    return Graph(offsets, targets)
 
 
 class RelabeledView:
@@ -243,7 +250,7 @@ class RelabeledView:
 
     def __init__(self, base: Graph, perm: Sequence[int] | np.ndarray | random.Random):
         self._base, self.n, self.m_dir = base, base.n, base.m_dir
-        self._o, self._t, self._bits = base._o, base._t, base.n.bit_length()
+        self._o, self._t, self._d, self._bits = base._o, base._t, base._d, base.n.bit_length()
         self._rng, self._old, self._new = perm, {}, {}
         self.marked, self.witnessed = (), False  # marked: a Container[int]
         if not isinstance(perm, random.Random):
@@ -276,8 +283,7 @@ class RelabeledView:
             x = self._reveal(v, self._old, self._new)
         if x in self.marked:
             self.witnessed = True
-        o = self._o
-        return o[x + 1] - o[x]
+        return self._d[x]
 
     def neighbor(self, v: int, i: int) -> int | None:
         x = self._old.get(v)
@@ -285,13 +291,11 @@ class RelabeledView:
             x = self._reveal(v, self._old, self._new)
         if x in self.marked:
             self.witnessed = True
-        o = self._o
-        start = o[x]
-        if i > o[x + 1] - start:
+        if i > self._d[x]:
             return None
         if i < 1:
             raise ValueError(f"neighbor index must be >= 1, got {i}")
-        w = self._t[start + i - 1]
+        w = self._t[self._o[x] + i - 1]
         y = self._new.get(w)
         return self._reveal(w, self._new, self._old) if y is None else y
 

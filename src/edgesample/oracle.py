@@ -112,19 +112,23 @@ class QueryOracle:
     def _degree_sum(self, k: int) -> int:
         """The summed degrees of the pool's next k uniform vertex ids, charged as k vertex and k degree queries.
 
-        A fill draws ids once and keeps their degrees' prefix sums c as an int64
-        ``array`` (read as Python ints, and picklable), so a read is c[at + k] - c[at].
+        A fill draws ids once, gathers their degrees from the graph's ``deg`` and
+        writes their prefix sums c by one ``np.cumsum`` into an int64 ``array`` (read
+        as Python ints, and picklable), reused while the fill size stays the same and
+        never the class default; a read is c[at + k] - c[at].
         A read past the fill's end drops the remainder, whatever its values, and
         reads a new fill of ``max(k, VERTEX_BLOCK)`` ids: reads stay i.i.d. uniform.
         The first fill holds 2k, a pilot and a main pass no longer than it, so an
         oracle that makes one estimate draws what it needs. It reads the CSR
-        offsets, so only the oracles ``bulk_graph`` accepts may call it.
+        degrees, so only the oracles ``bulk_graph`` accepts may call it.
         """
         at, c = self._at, self._sums
         if at + k >= len(c):
             u = self._generator(self.rng).integers(self._n, size=max(k, VERTEX_BLOCK) if c else 2 * k)
-            o, at = self.graph.offsets, 0
-            self._sums = c = array("q", np.concatenate(([0], np.cumsum(o[1:][u] - o[u]))).tobytes())
+            if len(c) != len(u) + 1:  # the class default is empty, so never written
+                self._sums = c = array("q", [0]) * (len(u) + 1)
+            np.cumsum(self.graph.deg[u], out=np.frombuffer(c, np.int64)[1:])
+            at = 0
         self._at = at + k
         self.counts.vertex += k
         self.counts.degree += k

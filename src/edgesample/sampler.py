@@ -152,7 +152,7 @@ def _walk(
     1/(n theta) per attempt, so outcomes, attempts and charges have the law
     of ``_attempts`` (README, "Performance"), up to ``random()``'s 2^-53 grid.
     """
-    o, t, m, p = graph._o, graph._t, graph.m_dir, graph.m_dir / (graph.n * theta)
+    o, t, d, m, p = graph._o, graph._t, graph._d, graph.m_dir, graph.m_dir / (graph.n * theta)
     log_miss = math.log1p(-p) if p < 1 else -math.inf  # log(1 - p); every gap is 1 at p = 1
     random, getrandbits, log, m_bits = rng.random, rng.getrandbits, math.log, m.bit_length()
     rows, heavy_starts, heavy_hits, picks = [], 0, 0, 0
@@ -163,7 +163,7 @@ def _walk(
             while r >= m:
                 r = getrandbits(m_bits)
             x = bisect_right(o, r) - 1
-            if r - o[x] >= theta or o[x + 1] - o[x] > theta:  # thinned into an empty slot, or a heavy start
+            if r - o[x] >= theta or d[x] > theta:  # thinned into an empty slot, or a heavy start
                 heavy_starts += r - o[x] < theta
                 continue
             v = t[r]
@@ -171,7 +171,7 @@ def _walk(
                 rows.append((x, v, at))
                 break
             heavy_hits += 1
-            if (dv := o[v + 1] - o[v]) > theta:
+            if (dv := d[v]) > theta:
                 picks += 1
                 i = getrandbits(k := dv.bit_length())
                 while i >= dv:
@@ -205,21 +205,20 @@ def _kernel(
     each run's edge (-1, -1 on a failure) and attempts, and the queries the
     method loop would charge.
     """
-    offsets, targets, n, ends = graph.offsets, graph.targets, graph.n, graph.offsets[1:]
+    offsets, targets, deg, n = graph.offsets, graph.targets, graph.deg, graph.n
     out, per_run = [], _per_run(graph, theta, q, fallback)
     done = carry = attempts = heavy_starts = heavy_hits = picks = 0
     while done < runs:
         left = runs - done
         size = min(1 << 16, max(left * per_run, _BLOCK), left * q - carry)  # 1 << 16 bounds the memory
         u, j = np.divmod(gen.integers(n * theta, size=size), theta)
-        start = offsets[u]
-        du = ends[u] - start
+        start, du = offsets[u], deg[u]
         cand = (j < du).nonzero()[0]  # the occupied slots and every heavy start
         heavy = du[cand] > theta
         hit = cand[~heavy]
         v = targets[start[hit] + j[hit]]
         light = np.ones(len(hit), bool) if fallback else gen.random(len(hit)) < 0.5
-        won = light | (ends[v] - offsets[v] > theta)
+        won = light | (deg[v] > theta)
         at = hit[won]
         used = at + 1  # the attempts since the previous win, ending with this one
         used[1:] -= at[:-1] + 1
@@ -242,8 +241,7 @@ def _kernel(
         origin, target = np.where(wl, u[at[:kept]], wv), wv.copy()
         h = (~wl).nonzero()[0]  # heavy-track wins return a uniform neighbour of v
         if len(h):
-            base = offsets[wv[h]]
-            target[h] = targets[base + gen.integers(ends[wv[h]] - base)]
+            target[h] = targets[offsets[wv[h]] + gen.integers(deg[wv[h]])]
             picks += len(h)
         if win_at is not None:  # place the wins among the failed runs
             runs_o, runs_t = np.full((2, len(used)), -1)

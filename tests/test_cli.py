@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -357,3 +358,30 @@ def test_import_leaves_scipy_unloaded():
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_generators_refuse_too_many_vertices_before_allocating():
+    # Each spec names more than MAX_VERTICES vertices, whose O(n) arrays would take
+    # about 26 GiB. The child runs under a 2 GiB address-space cap, so an allocation
+    # made before the check fails there with MemoryError and touches no real memory.
+    src = str(Path(edgesample.__file__).resolve().parent.parent)
+    code = f"""if True:
+        import resource, sys
+        sys.path.insert(0, {src!r})
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from edgesample.cli import main
+        from edgesample.generators import generate
+        for spec in ["er:3500000000,1e-19", "path:3500000000", "cycle:3500000000",
+                     "core_leaves:1,3500000000", "star:3500000000", "clique:3500000000"]:
+            try:
+                generate(spec)
+            except ValueError as exc:
+                assert "bad generator spec" in str(exc), exc
+            else:
+                raise AssertionError(spec)
+        sys.exit(main(["sample", "--generate", "er:3500000000,1e-19"]))
+    """
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")  # no thread arenas
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "bad generator spec" in proc.stderr and "out of memory" not in proc.stderr

@@ -1,7 +1,9 @@
+import copy
 import pickle
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from edgesample import (
@@ -90,6 +92,12 @@ def test_graph_pickles_and_reads_python_ints():
     v = next(v for v in range(g.n) if g.degree(v))
     assert type(g.degree(v)) is int and type(h.degree(v)) is int
     assert type(g.neighbor(v, 1)) is int and type(h.neighbor(v, 1)) is int
+    # The degree array is np.diff(offsets), read-only, and made anew by every copy.
+    for twin in (g, h, copy.deepcopy(g)):
+        assert twin.deg.tolist() == np.diff(twin.offsets).tolist() == g.degrees()
+        assert twin.deg.dtype == np.int64 and (twin is g or twin.deg is not g.deg)
+        with pytest.raises(ValueError):
+            twin.deg[v] = 0
 
 
 def test_generator_counts():

@@ -227,6 +227,59 @@ def test_hostile_edge_lists_raise_as_reference(case):
     assert outcome(build_graph, edges, n) == outcome(reference_build, edges, n)
 
 
+@st.composite
+def canonical_edge_lists(draw):
+    """Distinct pairs u < v in ascending order: the lists ``build_graph`` builds by one merge."""
+    n = draw(st.integers(0, 40))
+    pairs = list(combinations(range(n), 2))
+    return sorted(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []), n
+
+
+def csr_outcome(build, edges, n):
+    """The CSR arrays as lists (from the adjacency for the reference), or the error, message and ``edge`` raised."""
+    try:
+        g = build(edges, n)
+    except GraphConstructionError as exc:
+        return str(exc), exc.edge
+    rows = g if isinstance(g, tuple) else adjacency(g)
+    return np.cumsum([0, *map(len, rows)]).tolist(), [w for row in rows for w in row]
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_edge_lists(), st.randoms(use_true_random=False))
+@example(case=([], 0), rnd=random.Random(0))
+@example(case=([], 5), rnd=random.Random(0))
+def test_canonical_edge_lists_build_as_reference(case, rnd):
+    # Sorted (the merge) or shuffled in random orientation (the general path):
+    # the CSR arrays of first appearance either way.
+    edges, n = case
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in rnd.sample(edges, len(edges))]
+    for source in (edges, shuffled):
+        g = build_graph(source, n)
+        assert [g.offsets.tolist(), g.targets.tolist()] == list(csr_outcome(reference_build, source, n))
+        g.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_edge_lists().filter(lambda case: case[0]), st.sampled_from(["repeat", "loop", "n", "negative"]),
+       st.integers(0, 10**6))
+@example(case=([(0, 1), (1, 2)], 3), defect="repeat", at=0)
+@example(case=([(0, 1), (1, 2)], 3), defect="n", at=0)
+@example(case=([(0, 1), (1, 2)], 3), defect="loop", at=0)
+@example(case=([(0, 1), (1, 2)], 3), defect="negative", at=0)
+def test_a_defect_in_a_canonical_list_raises_as_before(case, defect, at):
+    # One defect right after edge i, or first for a negative id, whose key is
+    # below every other: the list is often canonical but for the defect, and the
+    # error names it as the general path does, index included.
+    edges, n = case
+    i = at % len(edges)
+    u, v = edges[i]
+    bad, where = {"repeat": ((u, v), i + 1), "loop": ((v, v), i + 1), "n": ((u, n), i + 1), "negative": ((-1, u), 0)}[defect]
+    spliced = [*edges[:where], bad, *edges[where:]]
+    message = outcome(reference_build, spliced, n)[1]
+    assert csr_outcome(build_graph, spliced, n) == (message, where)
+
+
 def test_negative_vertex_count_and_malformed_rows_are_rejected():
     assert outcome(build_graph, [], -1) == outcome(reference_build, [], -1)
     with pytest.raises(GraphConstructionError, match="pairs"):

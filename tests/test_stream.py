@@ -807,6 +807,26 @@ def test_an_oracle_pickles_with_its_pool():
     twin = pickle.loads(pickle.dumps(o))
     assert estimates_and_pooled_runs(twin, 100) == estimates_and_pooled_runs(o, 100)
     assert twin.counts == o.counts and twin.rng.getstate() == o.rng.getstate()
+    # Refills of one size write into the pool's array in place; it pickles all the same.
+    pool, read = o._sums, o.counts.vertex
+    while o.counts.vertex - read < 2 * VERTEX_BLOCK:
+        estimate_edges_amplified(o, "degree-sum-mc")
+    assert o._sums is pool and len(pool) == VERTEX_BLOCK + 1 and twin._sums is not pool
+    twin = pickle.loads(pickle.dumps(o))
+    assert estimates_and_pooled_runs(twin, 100) == estimates_and_pooled_runs(o, 100)
+    assert twin.counts == o.counts and twin.rng.getstate() == o.rng.getstate()
+
+
+def test_fills_leave_the_class_default_pool_empty():
+    # Every oracle starts on the class's one empty pool. A fill gives the oracle an
+    # array of its own, so neither oracle's fills reach the other's reads.
+    a, b = QueryOracle(HUBS, seed=1), QueryOracle(HUBS, seed=2)
+    got = [estimate_edges_amplified(o, "degree-sum-mc").m_hat for o in (a, b, a, b)]
+    assert len(QueryOracle._sums) == 0
+    assert len({id(a._sums), id(b._sums), id(QueryOracle._sums)}) == 3
+    for seed, want in ((1, got[::2]), (2, got[1::2])):
+        alone = QueryOracle(HUBS, seed=seed)
+        assert [estimate_edges_amplified(alone, "degree-sum-mc").m_hat for _ in range(2)] == want
 
 
 # ---------------------------------------------------------------------------
