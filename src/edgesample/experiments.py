@@ -73,8 +73,8 @@ def empirical_distribution(
     deviation are computed against ``reference`` (default: the conditional
     of ``attempt_distribution`` at the run's theta, theta = n on a fallback
     run, whose light-track attempts have no coin). The trials are pooled
-    runs (``sampler._runs``). Raises ValueError before drawing when no
-    attempt of the mode in use can succeed.
+    runs (``sampler._runs``, the kernel's from ``_POOL`` trials on). Raises
+    ValueError before drawing when no attempt of the mode in use can succeed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

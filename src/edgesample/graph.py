@@ -72,7 +72,7 @@ class Graph:
         int64, length n; ``np.diff(offsets)``, made once here (pickling rebuilds it).
     """
 
-    __slots__ = ("n", "offsets", "targets", "deg", "_o", "_t", "_d")
+    __slots__ = ("n", "offsets", "targets", "deg", "_o", "_t", "_d", "_from")
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray):
         self.deg = np.diff(offsets)
@@ -80,7 +80,7 @@ class Graph:
         self.n = len(offsets) - 1
         self.offsets = offsets
         self.targets = targets
-        self._o, self._t, self._d = memoryview(offsets), memoryview(targets), memoryview(self.deg)
+        self._o, self._t, self._d, self._from = memoryview(offsets), memoryview(targets), memoryview(self.deg), None
 
     def __reduce__(self):
         return Graph, (self.offsets, self.targets)
@@ -130,8 +130,11 @@ class Graph:
         return v in self._t[a:b] if b - a <= SHORT_ROW else bool((self.targets[a:b] == v).any())
 
     def _origins(self) -> np.ndarray:
-        """The origin of every directed edge, aligned with ``targets``."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.deg)
+        """The origin of every directed edge, aligned with ``targets``: read-only, made once (not pickled)."""
+        if self._from is None:
+            self._from = np.repeat(np.arange(self.n, dtype=np.int64), self.deg)
+            self._from.flags.writeable = False
+        return self._from
 
     def directed_edges(self) -> Iterable[DirectedEdge]:
         return map(DirectedEdge, self._origins().tolist(), self._t)

@@ -184,11 +184,11 @@ def bulk_graph(oracle: QueryOracle) -> Graph | None:
     """The CSR graph the bulk paths may read directly, charging in bulk.
 
     The bulk paths (``sampler._kernel``, ``sampler._walk`` and the
-    degree-sum estimate) read the CSR arrays and add to ``oracle.counts``
-    once per call exactly what the method loop would charge. The kernel draws
-    from ``oracle._generator(rng)``, the estimate reads ``oracle._degree_sum``
-    (its fills drawn the same way), the walk draws from ``rng`` itself: other
-    streams from one seed, with the same law of outcomes and query counts.
+    degree-sum estimate) read the graph's arrays and add to ``oracle.counts``
+    once per call exactly what the method loop would charge. The walk draws
+    its proposals from ``rng`` itself, the kernel the same proposals from
+    ``oracle._generator(rng)``, and the estimate reads ``oracle._degree_sum``
+    (its fills drawn the same way): other streams from one seed, one law.
     Only a plain ``QueryOracle`` (no subclass, whose methods may observe each
     query) without a budget (so ``BudgetExceeded`` fires at the same query)
     over a nonempty ``Graph`` (not a view) qualifies; otherwise None, and

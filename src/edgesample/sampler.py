@@ -18,11 +18,11 @@ n it reverts to n fallback attempts: a uniform vertex and a uniform slot
 in [n], no coin, no degree query. Each returns any directed edge with
 probability 1/n^2, so the fallback is exactly uniform, if slower per success.
 
-Runs (fallback runs too) take one of three paths with one law of outcomes
-and query counts: over an ``oracle.bulk_graph``, ``_kernel``'s numpy blocks
-for pooled calls (``_runs``) and ``_walk`` for the rest, else ``_attempts``
-through the oracle's methods; ``_rows`` hands single runs the last two's
-Python rows and charge. All draw from the seeded ``random.Random`` only, so
+Runs (fallback runs too) take one of three paths with one law of outcomes and
+query counts. Where ``_skips`` allows, ``_walk`` skips to the attempts that propose
+an edge slot and pooled calls (``_runs``) draw the same proposals in ``_kernel``'s
+numpy blocks; else ``_attempts`` queries the oracle's methods. ``_rows`` hands single
+runs their Python rows and charge. All draw from the seeded ``random.Random``, so
 runs replay bit-for-bit; one attempt is a run of ``SamplerConfig(theta, 1)``.
 """
 
@@ -98,8 +98,12 @@ class SampleReport:
     used_fallback: bool = False
 
 
-_WALK = 150  # kernel attempts (20-30 ns each) that cost what one walked run costs (3-5 us)
-_BLOCK = 2500  # kernel attempts that cost what a block's fixed numpy work costs (60-90 us)
+_POOL = 32  # runs a call from which the kernel beats the walk: they cross at 20-30 (near 100 without the coin)
+
+
+def _skips(graph: Graph | None, theta: int, floor: int = 64) -> bool:
+    """Whether the walk (the kernel at ``floor`` 40) may skip empty slots: 2^-floor < m_dir / (n theta) <= 1."""
+    return graph is not None and 0 < graph.m_dir <= graph.n * theta < graph.m_dir << floor
 
 
 def _attempts(
@@ -146,7 +150,7 @@ def _walk(
     reach an edge slot: (rows of origin, target, attempts used; the queries).
 
     A slot is proposed with chance p = m_dir / (n theta) per attempt
-    (``_rows`` keeps 2^-64 < p <= 1): a geometric gap, then slot r - o[x] of a
+    (``_skips`` keeps 2^-64 < p <= 1): a geometric gap, then slot r - o[x] of a
     uniform directed edge r out of x. Thinning the proposals past slot theta
     into empty slots leaves each heavy start and occupied slot at its chance
     1/(n theta) per attempt, so outcomes, attempts and charges have the law
@@ -184,61 +188,56 @@ def _walk(
     return rows, QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
 
 
-def _per_run(graph: Graph, theta: int, q: int, fallback: bool) -> int:
-    """Fewest attempts a run can expect, at most q: 2 n theta / m_dir, or n theta / m_dir without the coin."""
-    return min(q, -(-(1 if fallback else 2) * graph.n * theta // graph.m_dir)) if graph.m_dir else q
-
-
 def _kernel(
     graph: Graph, theta: int, q: int, runs: int, gen: np.random.Generator, fallback: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, QueryCounts]:
-    """``runs`` runs of up to ``q`` attempts: one stream of i.i.d. attempts
-    split at each win and after q failures in a row.
+    """``runs`` runs of up to ``q`` attempts from ``_walk``'s proposals, drawn in numpy blocks.
 
-    A block holds ``runs`` times ``_per_run`` attempts, at least ``_BLOCK``
-    (its fixed cost, so few runs left rarely need another) and at most
-    1 << 16. One draw ``w = gen.integers(n * theta, size)`` splits by
-    ``divmod(w, theta)`` into vertices u and slots j, a bijection of [n
-    theta] onto [n] x [theta] (``_runs`` keeps n theta <= 2^63); one coin
-    array and one pick array serve the whole block. With ``fallback`` an
-    attempt is the fallback's: theta = n, no coin, no degree query. Returns
-    each run's edge (-1, -1 on a failure) and attempts, and the queries the
-    method loop would charge.
+    A block draws gaps 1 + floor(log(1 - U) / log(1 - p)) and edges r = ``gen.integers(m_dir, size)``
+    out of x = ``graph._origins()[r]``. The gaps' running sum places the proposals at attempts and
+    carries on across blocks and run ends, as gaps are memoryless. Thinning, heavy starts, coin,
+    heavy track and pick follow ``_walk``; the wins split into runs at each win and after q attempts
+    without one. A block holds two proposals a run left (one without the coin) plus 64, at most
+    1 << 16. Positions are exact int64: at p > 2^-40 (``_runs``) a gap is below 2^46, as 1 - U >=
+    2^-53, so a block spans under 2^62 attempts; those carried into it are fewer than q, and than
+    2^62 unless a run has made 2^62. Returns each run's edge (-1, -1 on a failure) and attempts,
+    and the queries the method loop would charge.
     """
-    offsets, targets, deg, n = graph.offsets, graph.targets, graph.deg, graph.n
-    out, per_run = [], _per_run(graph, theta, q, fallback)
+    offsets, targets, deg, origins, m = graph.offsets, graph.targets, graph.deg, graph._origins(), graph.m_dir
+    out, p = [], m / (graph.n * theta)
+    log_miss = math.log1p(-p) if p < 1 else -math.inf  # every gap is 1 at p = 1
     done = carry = attempts = heavy_starts = heavy_hits = picks = 0
     while done < runs:
         left = runs - done
-        size = min(1 << 16, max(left * per_run, _BLOCK), left * q - carry)  # 1 << 16 bounds the memory
-        u, j = np.divmod(gen.integers(n * theta, size=size), theta)
-        start, du = offsets[u], deg[u]
-        cand = (j < du).nonzero()[0]  # the occupied slots and every heavy start
-        heavy = du[cand] > theta
-        hit = cand[~heavy]
-        v = targets[start[hit] + j[hit]]
+        size = min((1 if fallback else 2) * left + 64, 1 << 16)
+        pos = (1 + (np.log(1.0 - gen.random(size)) / log_miss).astype(np.int64)).cumsum() + carry  # from the run's start
+        r = gen.integers(m, size=size)
+        x = origins[r]
+        hit = (deg[x] <= theta).nonzero()[0]  # the light starts; every slot of theirs is occupied
+        v = targets[r[hit]]
         light = np.ones(len(hit), bool) if fallback else gen.random(len(hit)) < 0.5
         won = light | (deg[v] > theta)
         at = hit[won]
-        used = at + 1  # the attempts since the previous win, ending with this one
-        used[1:] -= at[:-1] + 1
-        used[:1] += carry
-        tail = size - int(at[-1]) - 1 if len(at) else size + carry
+        used = pos[at]  # the attempts since the previous win, ending with this one
+        used[1:] -= pos[at[:-1]]
+        tail = int(pos[-1] - (pos[at[-1]] if len(at) else 0))
         win_at = None
-        if tail >= q or (used > q).any():  # every q failures in a row are a failed run
+        if tail >= q or used.max(initial=0) > q:  # every q failures in a row are a failed run
             fails = (used - 1) // q
             win_at = np.arange(len(at)) + fails.cumsum()
-            split = np.full(len(at) + int(fails.sum()) + tail // q, q)
-            split[win_at] = used - fails * q
+            split = np.full(min(len(at) + int(fails.sum()) + tail // q, left), q)  # none past the call's last run
+            placed = int(win_at.searchsorted(len(split)))
+            split[win_at[:placed]] = used[:placed] - fails[:placed] * q
             used, tail = split, tail % q
         if len(used) >= left:  # the last run ends in this block
             used = used[:left]
             consumed = int(used.sum()) - carry
+            k = int(pos.searchsorted(consumed + carry, "right"))  # the proposals of the attempts used
         else:
-            consumed, carry = size, tail
+            consumed, carry, k = int(pos[-1]) - carry, tail, size
         kept = len(used) if win_at is None else int(win_at.searchsorted(len(used)))
         wv, wl = v[won][:kept], light[won][:kept]
-        origin, target = np.where(wl, u[at[:kept]], wv), wv.copy()
+        origin, target = np.where(wl, x[at[:kept]], wv), wv.copy()
         h = (~wl).nonzero()[0]  # heavy-track wins return a uniform neighbour of v
         if len(h):
             target[h] = targets[offsets[wv[h]] + gen.integers(deg[wv[h]])]
@@ -250,8 +249,8 @@ def _kernel(
         out.append((origin, target, used))
         done += len(used)
         attempts += consumed
-        heavy_starts += int(np.count_nonzero(heavy[: cand.searchsorted(consumed)]))
-        heavy_hits += int(np.count_nonzero(~light[: hit.searchsorted(consumed)]))
+        heavy_starts += int(np.count_nonzero(r[:k] - offsets[x[:k]] < theta) - hit.searchsorted(k))  # less the light
+        heavy_hits += int(np.count_nonzero(~light[: hit.searchsorted(k)]))
     counts = QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
     return (*(out[0] if len(out) == 1 else map(np.concatenate, zip(*out))), counts)
 
@@ -260,9 +259,9 @@ def _rows(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> tuple[list[tuple[int, int, int]], QueryCounts]:
     """``runs`` runs as Python rows (origin, target, used; origin -1 on a failure) and the call's charge:
-    ``_walk``'s over a ``bulk_graph`` with 2^-64 < p = m_dir / (n theta) <= 1, else ``_attempts``' by the methods."""
+    ``_walk``'s where ``_skips`` allows it, else ``_attempts``' by the oracle's methods."""
     graph = bulk_graph(oracle)
-    if graph is not None and 0 < graph.m_dir <= graph.n * theta < graph.m_dir << 64:
+    if _skips(graph, theta):
         rows, counts = _walk(graph, theta, q, runs, rng, fallback)
         oracle.counts = oracle.counts + counts
         return rows, counts
@@ -274,12 +273,10 @@ def _rows(
 def _runs(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> list[np.ndarray]:
-    """``runs`` runs of up to q mixture attempts (fallback ones, theta = n, with ``fallback``) as numpy
-    columns [origins, targets, used] for the pooled callers, origin -1 on a failure. Over a ``bulk_graph``,
-    ``_kernel`` pools them if a block (``_BLOCK``) and its attempts cost less than walking them (``_WALK``
-    a run, in kernel attempts); ``_rows`` makes the rest."""
+    """``runs`` runs of up to q mixture attempts (fallback ones, theta = n, with ``fallback``) as numpy columns
+    [origins, targets, used], origin -1 on a failure: ``_kernel``'s from ``_POOL`` runs on, else ``_rows``'."""
     graph = bulk_graph(oracle)
-    if graph is not None and graph.n * theta <= 1 << 63 and runs * (_WALK - _per_run(graph, theta, q, fallback)) > _BLOCK:
+    if runs >= _POOL and _skips(graph, theta, 40):
         *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
         oracle.counts = oracle.counts + counts
         return columns
@@ -338,7 +335,7 @@ def weighted_expectation(
     The sampling distribution is pointwise eps-close to uniform, so the
     limit of the mean is within eps * |uniform mean| of the uniform mean.
     Raises RuntimeError if one draw fails ``MAX_FAILURES`` times in a row.
-    The draws are pooled runs (``_runs``).
+    The draws are pooled runs (``_runs``), the kernel's from ``_POOL`` on.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

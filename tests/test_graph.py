@@ -92,12 +92,18 @@ def test_graph_pickles_and_reads_python_ints():
     v = next(v for v in range(g.n) if g.degree(v))
     assert type(g.degree(v)) is int and type(h.degree(v)) is int
     assert type(g.neighbor(v, 1)) is int and type(h.neighbor(v, 1)) is int
-    # The degree array is np.diff(offsets), read-only, and made anew by every copy.
+    # The degree array is np.diff(offsets), the origin array np.repeat(arange(n), deg):
+    # read-only, one per graph, and made anew by every copy.
+    origins = g._origins()
     for twin in (g, h, copy.deepcopy(g)):
         assert twin.deg.tolist() == np.diff(twin.offsets).tolist() == g.degrees()
         assert twin.deg.dtype == np.int64 and (twin is g or twin.deg is not g.deg)
+        assert twin._origins().tolist() == np.repeat(np.arange(g.n), g.deg).tolist()
+        assert twin._origins() is twin._origins() and (twin is g or twin._origins() is not origins)
         with pytest.raises(ValueError):
             twin.deg[v] = 0
+        with pytest.raises(ValueError):
+            twin._origins()[0] = 1
 
 
 def test_generator_counts():

@@ -10,10 +10,10 @@ counter, the query at which a budget runs out, and the generator states
 afterwards.
 
 A plain unbudgeted oracle takes one of two other paths, each drawing
-other numbers. Pooled calls take the numpy kernel, which draws blocks of
-attempts; the rest take the walk, which skips to the attempts that reach
-an edge slot. Each path's outcomes, attempts and query counts must equal
-the scalar rule applied, attempt by attempt, to the numbers it drew
+other numbers. Both skip to the attempts that propose an edge slot: the
+walk one proposal at a time, and, for pooled calls, the numpy kernel in
+blocks. Each path's outcomes, attempts and query counts must equal the
+scalar rule applied, proposal by proposal, to the numbers it drew
 (replayed from a copy of its generator), and their distribution must
 match the exact one. The degree-sum estimate on such an oracle reads
 the degree sums of the oracle's vertex pool; it is replayed from a twin
@@ -296,29 +296,32 @@ def test_plain_unbudgeted_oracle_never_calls_its_methods():
 
 
 def test_pooled_calls_take_the_kernel_and_the_rest_the_walk(monkeypatch):
-    # HUBS at theta 128 expects 128 attempts a run: 20 runs cost less walked, 200 pooled in numpy
+    # From _POOL runs on, a call pools in the kernel, unless p = m_dir / (n theta)
+    # is at most 2^-40, where the kernel's int64 positions could overflow: star(50)
+    # pools at theta 2^40 (p = 100/51 2^-40) and walks at 2^41.
     taken = []
     for name in ("_kernel", "_walk"):
         real = getattr(sampler, name)
         monkeypatch.setattr(sampler, name, lambda *args, real=real, name=name: taken.append(name) or real(*args))
     o = QueryOracle(HUBS, seed=1)
-    for runs in (1, 20, 200):
+    for runs in (1, sampler._POOL - 1, sampler._POOL, 200):
         _runs(o, HUBS_CONFIG.theta, HUBS_CONFIG.q, runs, o.rng)
-    assert taken == ["_walk", "_walk", "_kernel"]
+    for theta in (2**40, 2**41):
+        _runs(QueryOracle(star(50), seed=1), theta, 7, 200, o.rng)
+    assert taken == ["_walk", "_walk", "_kernel", "_kernel", "_kernel", "_walk"]
 
 
 @pytest.mark.parametrize("theta", [2**62, 2**64])
 def test_theta_past_the_kernels_draw_takes_the_walk(theta):
-    # n theta > 2^63 does not fit the kernel's one draw per block, but the
-    # walk's gaps do not depend on it: a plain oracle walks, a budgeted one
-    # takes the method loop, and both give up after q empty slots.
-    cfg = SamplerConfig(theta=theta, q=40)
+    # p = m_dir / (n theta) is below 2^-40, the kernel's floor, but the walk's
+    # gaps do not depend on it: a pooled call on a plain oracle walks, a
+    # budgeted one takes the method loop, and both give up after q empty slots.
+    q, runs = 40, 2 * sampler._POOL
     walked, looped = no_generator(no_methods(QueryOracle(star(50), seed=1))), QueryOracle(star(50), seed=1, budget=10**6)
-    sides = [(report_tuple(r), counts_of(o), asdict(r.queries))
-             for o in (walked, looped) for r in [sample_edge_almost_uniformly(o, cfg)]]
+    sides = [([column.tolist() for column in _runs(o, theta, q, runs, o.rng)], counts_of(o)) for o in (walked, looped)]
     assert sides[0] == sides[1]
-    assert sides[0][0] == (None, 40)
-    assert sides[0][1] == {"vertex": 40, "degree": 40, "neighbor": 40, "pair": 0}
+    assert sides[0][0] == [[-1] * runs, [-1] * runs, [q] * runs]
+    assert sides[0][1] == {"vertex": q * runs, "degree": q * runs, "neighbor": q * runs, "pair": 0}
 
 
 @pytest.mark.parametrize("g, theta", [
@@ -327,12 +330,13 @@ def test_theta_past_the_kernels_draw_takes_the_walk(theta):
     (star(50), 10**400),  # p = m_dir / (n theta) is 0.0 as a float: no finite gap
 ], ids=["edgeless", "m_dir above n theta", "p below 2^-64"])
 def test_graphs_the_walk_cannot_skip_take_the_method_loop(g, theta):
-    assert not 0 < g.m_dir <= g.n * theta < g.m_dir << 64
+    assert not sampler._skips(g, theta)
     for seed in range(3):
         for cfg in (SamplerConfig(theta, 1), SamplerConfig(theta, 7)):
             plain, loop = no_generator(QueryOracle(g, seed=seed)), MethodLoopOracle(g, seed=seed)
             calls = [[report_tuple(sample_edge_almost_uniformly(o, cfg)) for _ in range(5)] for o in (plain, loop)]
-            assert calls[0] == calls[1]
+            calls += [[column.tolist() for column in _runs(o, theta, cfg.q, sampler._POOL, o.rng)] for o in (plain, loop)]
+            assert calls[0] == calls[1] and calls[2] == calls[3]
             assert counts_of(plain) == counts_of(loop)
             assert plain.rng.getstate() == loop.rng.getstate()
 
@@ -530,63 +534,108 @@ class Recorder:
         return self.gen.random(*args, **kwargs)
 
 
-def scalar_runs(g, theta, q, runs, draws, fallback, events):
-    """The method loop's rule, attempt by attempt, on the kernel's draws.
+def gaps_of(g, theta, us):
+    """The gap before each proposal, 1 + floor(log(1 - U) / log(1 - p)) with p = m_dir / (n theta), one a U
+    (numpy's log, as the kernel takes it: it may differ from ``math.log`` in the last bit)."""
+    p = g.m_dir / (g.n * theta)
+    return np.ones(len(us), np.int64) if p == 1 else 1 + (np.log(1.0 - us) / math.log1p(-p)).astype(np.int64)
 
-    ``draws`` yields the kernel's calls in order. A block starts with one
-    ``integers(n * theta)`` draw, split into vertices and slots by
-    ``divmod(w, theta)``, then draws one coin array over all its occupied
-    slots of light starts (mixture only), then one pick array over the
-    heavy-track wins it keeps. Returns the runs as (edge or None, attempts
-    used) and the query counts; ``events`` gets each branch taken.
+
+def charger(counts, fallback):
+    """A charge of (vertex, degree, neighbor) queries to ``counts``: no degree query in the fallback."""
+    def charge(vertex, degree, neighbor):
+        counts["vertex"] += vertex
+        counts["degree"] += 0 if fallback else degree
+        counts["neighbor"] += neighbor
+
+    return charge
+
+
+def proposal(g, theta, r, coin, fallback, charge):
+    """The method loop's rule at an attempt that proposes directed edge r: (branch, edge or None).
+
+    r is slot r - o[x] of its origin x: past slot theta it is thinned into an
+    empty slot, else the attempt starts at x, with ``coin()`` on an occupied
+    slot (mixture only). A heavy-track win returns (v, None) and is charged
+    its pick, which the caller draws.
     """
-    out, counts, used = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}, 0
+    x = int(np.searchsorted(g.offsets, r, "right")) - 1
+    j = r - int(g.offsets[x])
+    if j >= theta:
+        charge(1, 1, 1)
+        return "thinned", None
+    if g.degree(x) > theta:
+        charge(1, 1, 0)
+        return "heavy start", None
+    charge(1, 1, 1)
+    v = g.neighbor(x, j + 1)
+    if fallback or coin() < 0.5:
+        return "light win", (x, v)
+    if g.degree(v) <= theta:
+        charge(0, 1, 0)
+        return "heavy-track miss", None
+    charge(0, 1, 1)
+    return "heavy-track win", (v, None)
+
+
+def scalar_kernel(g, theta, q, runs, draws, fallback, events):
+    """The method loop's rule, proposal by proposal, on the kernel's draws.
+
+    ``draws`` yields the kernel's calls in order. A block draws ``random(size)``
+    for the gaps and ``integers(m_dir, size=size)`` for the proposed edges, then
+    one coin array over the block's light starts (mixture only), then one pick
+    array over the heavy-track wins it keeps. Unlike the walk, which draws a
+    fresh gap for each run, the attempt positions run on across run ends and
+    blocks: a gap past a run's q-th attempt ends the run and carries on into
+    the next. Returns the runs as (edge or None, attempts used) and the query
+    counts; ``events`` gets each (mode, branch).
+    """
+    mode = "fallback" if fallback else "mixture"
+    out, counts, used, blocks = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}, 0, 0
+    charge = charger(counts, fallback)
     while len(out) < runs:
-        (name, (bound,), _), w = next(draws)
-        assert (name, bound) == ("integers", g.n * theta)
-        u, j = np.divmod(w, theta)
-        hits = [i for i in range(len(u)) if j[i] < g.degree(u[i]) <= theta]
-        if fallback:
-            coin = dict.fromkeys(hits, True)
-        else:
+        ((name, (size,), _), us), ((edges, (m,), kwargs), rs) = next(draws), next(draws)
+        assert (name, edges, m, kwargs) == ("random", "integers", g.m_dir, {"size": size})
+        if blocks and used:
+            events.add((mode, "gap crosses a block"))
+        blocks += 1
+        coins = iter(())
+        if not fallback:
             (name, (k,), _), coins = next(draws)
-            assert (name, k) == ("random", len(hits))
-            coin = dict(zip(hits, (coins < 0.5).tolist()))
+            light = [g.degree(int(np.searchsorted(g.offsets, r, "right")) - 1) <= theta for r in rs.tolist()]
+            assert (name, k) == ("random", sum(light))
+            coins = iter(coins.tolist())
         heavy_wins = []
-        for i in range(len(u)):
+        for gap, r in zip(gaps_of(g, theta, us).tolist(), rs.tolist()):
+            crossed = False
+            while used + gap > q and len(out) < runs:  # the run fails, and the gap carries on into the next
+                charge(q - used, q - used, q - used)
+                gap, used, crossed = gap - (q - used), 0, True
+                out.append((None, q))
+                events.add((mode, "q cut-off"))
             if len(out) == runs:
                 break
-            used += 1
-            counts["vertex"] += 1
-            counts["degree"] += not fallback
-            edge, branch = None, None
-            if g.degree(u[i]) > theta:
-                branch = "heavy start"
-            else:
-                counts["neighbor"] += 1
-                v = g.neighbor(int(u[i]), int(j[i]) + 1)
-                if v is None:
-                    branch = "empty slot"
-                elif coin[i]:
-                    branch, edge = "light hit", (int(u[i]), v)
-                else:
-                    counts["degree"] += 1
-                    if g.degree(v) <= theta:
-                        branch = "heavy hit onto a light vertex"
-                    else:
-                        counts["neighbor"] += 1
-                        branch, edge = "heavy pick", (v, None)
-                        heavy_wins.append(len(out))
-            events.add(branch)
+            if crossed:
+                events.add((mode, "gap crosses a run's end"))
+            charge(gap - 1, gap - 1, gap - 1)
+            used += gap
+            branch, edge = proposal(g, theta, r, coins.__next__, fallback, charge)
+            events.add((mode, branch))
+            if branch == "heavy-track win":
+                heavy_wins.append(len(out))
             if edge is not None or used == q:
                 out.append((edge, used))
                 used = 0
+                if edge is None:
+                    events.add((mode, "q cut-off"))
+            if len(out) == runs:
+                break
         if heavy_wins:
             (name, (highs,), _), picks = next(draws)
-            origins = [out[r][0][0] for r in heavy_wins]
-            assert highs.tolist() == [g.degree(v) for v in origins]
-            for r, v, i in zip(heavy_wins, origins, picks.tolist()):
-                out[r] = ((v, g.neighbor(v, i + 1)), out[r][1])
+            origins = [out[i][0][0] for i in heavy_wins]
+            assert name == "integers" and highs.tolist() == [g.degree(v) for v in origins]
+            for i, v, pick in zip(heavy_wins, origins, picks.tolist()):
+                out[i] = ((v, g.neighbor(v, pick + 1)), out[i][1])
     assert next(draws, None) is None, "the kernel drew numbers it did not use"
     return out, counts
 
@@ -598,15 +647,18 @@ def kernel_and_replay(g, theta, q, runs, seed, fallback=False, events=None):
     origins, targets, used, counts = _kernel(g, theta, q, runs, recorder, fallback)
     draws = ((call, getattr(twin, call[0])(*call[1], **call[2])) for call in recorder.calls)
     got = [(None if o < 0 else (o, t), k) for o, t, k in zip(origins.tolist(), targets.tolist(), used.tolist())]
-    return (got, asdict(counts)), scalar_runs(g, theta, q, runs, draws, fallback, set() if events is None else events)
+    return (got, asdict(counts)), scalar_kernel(g, theta, q, runs, draws, fallback, set() if events is None else events)
+
+
+cores = st.builds(hub_graph, st.integers(6, 20), st.integers(1, 2))  # heavy hubs hold most slots: several blocks
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(), st.data(), st.integers(0, 2**63), st.integers(1, 40), st.booleans())
+@given(st.one_of(graphs(), cores), st.data(), st.integers(0, 2**63), st.integers(1, 200), st.booleans())
 def test_kernel_matches_scalar_rule_on_its_draws(g, data, seed, runs, fallback):
     if g.m_dir == 0:
-        return
-    theta = g.n if fallback else data.draw(st.integers(1, g.n + 2))
+        return  # no slot to propose; edgeless graphs take the method loop
+    theta = g.n if fallback else data.draw(st.integers(-(-g.m_dir // g.n), g.n + 2))  # p = m_dir / (n theta) <= 1
     q = g.n if fallback else data.draw(st.one_of(st.integers(1, 2 * g.n + 1), st.just(sys.maxsize)))
     if q == sys.maxsize and attempt_distribution(g, theta).success_prob == 0:
         return  # a run that never gives up would never end
@@ -617,15 +669,24 @@ def test_kernel_matches_scalar_rule_on_its_draws(g, data, seed, runs, fallback):
 KITE = build_graph([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (0, 6)], 7)  # at theta 2: centre 0 heavy, the rest light
 
 
+CORE = hub_graph(20, 1)  # at theta 11 the hubs are heavy and hold 95% of the slots: a win takes about 20 proposals
+
+
 def test_kernel_replay_reaches_every_branch():
-    # 25 runs make one block; 400 pooled runs several when q leaves room.
+    # 40 runs fit one block of 144 proposals on the first three graphs but span
+    # several on CORE; q = 3 cuts runs off inside gaps.
     events = set()
-    for g, theta in ((HUBS, 128), (STAR, 3), (KITE, 2)):
+    for g, theta in ((HUBS, 128), (STAR, 3), (KITE, 2), (CORE, 11)):
         for seed in range(3):
-            for runs, q in ((25, 40), (400, 40), (400, 1000)):
-                got, want = kernel_and_replay(g, theta, q, runs, seed, events=events)
+            for q in (3, 1000):
+                got, want = kernel_and_replay(g, theta, q, 40, seed, events=events)
                 assert got == want
-    assert events == {"heavy start", "empty slot", "light hit", "heavy hit onto a light vertex", "heavy pick"}
+            got, want = kernel_and_replay(g, g.n, g.n, 40, seed, fallback=True, events=events)
+            assert got == want
+    mixture = {"thinned", "heavy start", "light win", "heavy-track win", "heavy-track miss", "q cut-off",
+               "gap crosses a run's end", "gap crosses a block"}
+    fallback = {"light win", "q cut-off", "gap crosses a run's end"}
+    assert events == {("mixture", b) for b in mixture} | {("fallback", b) for b in fallback}
 
 
 @settings(max_examples=150, deadline=None)
@@ -858,12 +919,11 @@ def scalar_walk(g, theta, q, runs, calls, fallback, events):
     Each proposal starts with a ``random()`` that sets the gap to it,
     ``1 + floor(log(1 - U) / log(1 - p))`` attempts with p = m_dir / (n
     theta); the attempts it skips are empty slots. A proposal past q ends
-    the run. Otherwise ``getrandbits`` rejection picks a directed edge r,
-    read as slot r - o[x] of its origin x: past slot theta it is thinned
-    into an empty slot, else the attempt starts at x, with a ``random()``
-    coin on an occupied slot (mixture only) and a ``getrandbits`` pick after
-    a heavy-track hit on a heavy vertex. Returns the runs as (edge or None,
-    attempts used) and the query counts; ``events`` gets each (mode, branch).
+    the run. Otherwise ``getrandbits`` rejection picks a directed edge r for
+    ``proposal``, with a ``random()`` coin (mixture only) and a
+    ``getrandbits`` pick after a heavy-track hit on a heavy vertex. Returns
+    the runs as (edge or None, attempts used) and the query counts;
+    ``events`` gets each (mode, branch).
     """
     draws = iter(calls)
 
@@ -880,14 +940,8 @@ def scalar_walk(g, theta, q, runs, calls, fallback, events):
         return value
 
     mode = "fallback" if fallback else "mixture"
-    origins = np.repeat(np.arange(g.n), np.diff(g.offsets)).tolist()
     out, counts = [], {"vertex": 0, "degree": 0, "neighbor": 0, "pair": 0}
-
-    def charge(vertex, degree, neighbor):
-        counts["vertex"] += vertex
-        counts["degree"] += 0 if fallback else degree
-        counts["neighbor"] += neighbor
-
+    charge = charger(counts, fallback)
     for _ in range(runs):
         used, edge = 0, None
         while edge is None:
@@ -900,26 +954,9 @@ def scalar_walk(g, theta, q, runs, calls, fallback, events):
                 break
             charge(gap - 1, gap - 1, gap - 1)
             used += gap
-            r = below(g.m_dir)
-            x = origins[r]
-            j = r - int(g.offsets[x])
-            if j >= theta:
-                branch = "thinned"
-                charge(1, 1, 1)
-            elif g.degree(x) > theta:
-                branch = "heavy start"
-                charge(1, 1, 0)
-            else:
-                charge(1, 1, 1)
-                v = g.neighbor(x, j + 1)
-                if fallback or draw("random") < 0.5:
-                    branch, edge = "light win", (x, v)
-                elif g.degree(v) <= theta:
-                    branch = "heavy-track miss"
-                    charge(0, 1, 0)
-                else:
-                    branch, edge = "heavy-track win", (v, g.neighbor(v, below(g.degree(v)) + 1))
-                    charge(0, 1, 1)
+            branch, edge = proposal(g, theta, below(g.m_dir), lambda: draw("random"), fallback, charge)
+            if branch == "heavy-track win":
+                edge = (edge[0], g.neighbor(edge[0], below(g.degree(edge[0])) + 1))
             events.add((mode, branch))
         out.append((edge, used))
     assert next(draws, None) is None, "the walk drew numbers it did not use"
@@ -978,15 +1015,22 @@ def cell(g, theta, e):
     (path(30), 30, 30, True, [0, 2, 5, 10, 15, 22, 29, 30]),
 ], ids=["hubs", "kite", "fallback"])
 def test_walk_law_matches_exact_values(g, theta, q, fallback, bins):
-    runs, rng = 20000, random.Random(11)
+    # Single runs take the walk, calls of 100 runs the kernel: each is held to the same law.
+    for per_call in (1, 100):
+        law_matches_exact_values(g, theta, q, fallback, bins, per_call)
+
+
+def law_matches_exact_values(g, theta, q, fallback, bins, per_call):
+    runs, o = 20000, QueryOracle(g, seed=11)
     dist = attempt_distribution(g, theta)
     s = dist.success_prob * (2 if fallback else 1)  # the fallback's attempt has no coin
-    rows, charges = [], []
-    for _ in range(runs):
-        (row,), counts = _walk(g, theta, q, 1, rng, fallback)
-        rows.append(row)
-        charges.append((counts.vertex, counts.degree, counts.neighbor))
-    origins, targets, used = map(np.array, zip(*rows))
+    columns, charges = [], []
+    for _ in range(runs // per_call):
+        before = o.counts.copy()
+        columns.append(_runs(o, theta, q, per_call, o.rng, fallback))
+        counts = o.counts - before
+        charges.append((counts.vertex / per_call, counts.degree / per_call, counts.neighbor / per_call))
+    origins, targets, used = map(np.concatenate, zip(*columns))
     # attempts used: geometric in s, truncated at q (a failed run uses all q)
     cdf = [1 - (1 - float(s)) ** b if b < q else 1.0 for b in bins]
     expected = runs * np.diff(cdf)
@@ -1018,7 +1062,7 @@ def test_walk_law_matches_exact_values(g, theta, q, fallback, bins):
     for k, per in enumerate(per_attempt):
         column = np.array([c[k] for c in charges], float)
         exact = float(mean_attempts * per)
-        assert abs(column.mean() - exact) <= 4 * column.std() / math.sqrt(runs), (k, column.mean(), exact)
+        assert abs(column.mean() - exact) <= 4 * column.std() / math.sqrt(len(column)), (k, column.mean(), exact)
 
 
 class CountingRandom(random.Random):
