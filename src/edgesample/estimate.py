@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .oracle import QueryCounts, QueryOracle, bulk_graph
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeEstimate:
     """An estimate of the directed edge count and what it cost."""
 
@@ -44,8 +44,9 @@ def _exact(oracle: QueryOracle, samples: int | None) -> float:
 
 
 def _degree_sum_mc(oracle: QueryOracle, samples: int | None) -> float:
-    n, by_methods = oracle.n, lambda k: sum(oracle.degree(oracle.random_vertex()) for _ in range(k))
-    total = oracle._degree_sum if bulk_graph(oracle) is not None else by_methods
+    n = oracle.n
+    total = oracle._degree_sum if bulk_graph(oracle) is not None else (
+        lambda k: sum(oracle.degree(oracle.random_vertex()) for _ in range(k)))
     s = samples or _sample_count(n, _scaled(n, total(pilot := _sample_count(n, n)), pilot))
     return _scaled(n, total(s), s)
 
@@ -92,7 +93,7 @@ def estimate_edges_amplified(
             f"unknown estimator {estimator!r}; choose from {sorted(ESTIMATORS)}"
         ) from None
     vertex, degree = oracle.counts.vertex, oracle.counts.degree
-    estimates = (fn(oracle, samples) for _ in range(repetitions))
-    m_hat = next(estimates) if repetitions == 1 else sorted(estimates)[repetitions // 2]
+    m_hat = fn(oracle, samples) if repetitions == 1 else (
+        sorted(fn(oracle, samples) for _ in range(repetitions))[repetitions // 2])
     c = oracle.counts
     return EdgeEstimate(m_hat, QueryCounts(c.vertex - vertex, c.degree - degree), f"{estimator}-median-{repetitions}")

@@ -70,9 +70,12 @@ class Graph:
         int64, length m_dir; neighbor ids, each vertex's in its fixed order.
     deg : numpy.ndarray
         int64, length n; ``np.diff(offsets)``, made once here (pickling rebuilds it).
+
+    ``_origins()``, every directed edge's origin, serves the walk (through its memoryview
+    ``_f``) and the pooled kernel; both are made on first use and kept, and not pickled.
     """
 
-    __slots__ = ("n", "offsets", "targets", "deg", "_o", "_t", "_d", "_from")
+    __slots__ = ("n", "offsets", "targets", "deg", "_o", "_t", "_d", "_from", "_f")
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray):
         self.deg = np.diff(offsets)
@@ -80,7 +83,8 @@ class Graph:
         self.n = len(offsets) - 1
         self.offsets = offsets
         self.targets = targets
-        self._o, self._t, self._d, self._from = memoryview(offsets), memoryview(targets), memoryview(self.deg), None
+        self._o, self._t, self._d = memoryview(offsets), memoryview(targets), memoryview(self.deg)
+        self._from = self._f = None
 
     def __reduce__(self):
         return Graph, (self.offsets, self.targets)
@@ -130,10 +134,11 @@ class Graph:
         return v in self._t[a:b] if b - a <= SHORT_ROW else bool((self.targets[a:b] == v).any())
 
     def _origins(self) -> np.ndarray:
-        """The origin of every directed edge, aligned with ``targets``: read-only, made once (not pickled)."""
+        """The origin of every directed edge, aligned with ``targets``: read-only, made once with ``_f``."""
         if self._from is None:
             self._from = np.repeat(np.arange(self.n, dtype=np.int64), self.deg)
             self._from.flags.writeable = False
+            self._f = memoryview(self._from)
         return self._from
 
     def directed_edges(self) -> Iterable[DirectedEdge]:

@@ -127,7 +127,7 @@ class QueryOracle:
             u = self._generator(self.rng).integers(self._n, size=max(k, VERTEX_BLOCK) if c else 2 * k)
             if len(c) != len(u) + 1:  # the class default is empty, so never written
                 self._sums = c = array("q", [0]) * (len(u) + 1)
-            np.cumsum(self.graph.deg[u], out=np.frombuffer(c, np.int64)[1:])
+            np.cumsum(self.graph.deg.take(u), out=np.frombuffer(c, np.int64)[1:])
             at = 0
         self._at = at + k
         self.counts.vertex += k
@@ -142,10 +142,10 @@ class QueryOracle:
         c = self.counts
         if self.budget is not None and c.vertex + c.degree + c.neighbor + c.pair >= self.budget:
             raise BudgetExceeded(f"query budget {self.budget} exhausted")
-        c.vertex += 1
         n = self._n
-        if not n:
+        if not n:  # refused before the charge: only answered queries count
             raise ValueError("empty range for randrange()")
+        c.vertex += 1
         r = self.rng.getrandbits(self._n_bits)
         while r >= n:
             r = self.rng.getrandbits(self._n_bits)

@@ -21,7 +21,8 @@ probability 1/n^2, so the fallback is exactly uniform, if slower per success.
 Runs (fallback runs too) take one of three paths with one law of outcomes and
 query counts. Where ``_skips`` allows, ``_walk`` skips to the attempts that propose
 an edge slot and pooled calls (``_runs``) draw the same proposals in ``_kernel``'s
-numpy blocks; else ``_attempts`` queries the oracle's methods. ``_rows`` hands single
+numpy blocks, each reading a proposed edge's origin off the graph's origin array
+(``Graph._origins()``); else ``_attempts`` queries the oracle's methods. ``_rows`` hands single
 runs their Python rows and charge. All draw from the seeded ``random.Random``, so
 runs replay bit-for-bit; one attempt is a run of ``SamplerConfig(theta, 1)``.
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -63,7 +63,7 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie strictly inside (0, 0.5), got {epsilon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplerConfig:
     """Resolved parameters of one sampling run: threshold theta and attempt budget q."""
 
@@ -71,13 +71,13 @@ class SamplerConfig:
     q: int
 
     def __post_init__(self):
-        # operator.index rejects floats and stores numpy integers as Python
-        # ints, whose bit_length the method loop calls
-        theta, q = operator.index(self.theta), operator.index(self.q)
-        if theta < 1 or q < 1:
+        # operator.index rejects floats and stores numpy integers and bools as
+        # Python ints, whose bit_length the method loop calls
+        if type(self.theta) is not int or type(self.q) is not int:
+            object.__setattr__(self, "theta", operator.index(self.theta))
+            object.__setattr__(self, "q", operator.index(self.q))
+        if self.theta < 1 or self.q < 1:
             raise ValueError("theta and q must be >= 1")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "q", q)
 
     @classmethod
     def for_graph(cls, n: int, m_hat: float, epsilon: float) -> "SamplerConfig":
@@ -87,7 +87,7 @@ class SamplerConfig:
         return cls(threshold_for(m_hat, epsilon), attempt_budget(n, m_hat, epsilon))
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleReport:
     """Outcome of one sampling run; outcome None means Failure."""
 
@@ -151,22 +151,24 @@ def _walk(
 
     A slot is proposed with chance p = m_dir / (n theta) per attempt
     (``_skips`` keeps 2^-64 < p <= 1): a geometric gap, then slot r - o[x] of a
-    uniform directed edge r out of x. Thinning the proposals past slot theta
+    uniform directed edge r out of x = ``graph._f[r]``, the memoryview of the origin array
+    ``_kernel`` gathers from. Thinning the proposals past slot theta
     into empty slots leaves each heavy start and occupied slot at its chance
     1/(n theta) per attempt, so outcomes, attempts and charges have the law
     of ``_attempts`` (README, "Performance"), up to ``random()``'s 2^-53 grid.
     """
-    o, t, d, m, p = graph._o, graph._t, graph._d, graph.m_dir, graph.m_dir / (graph.n * theta)
+    graph._origins()  # made once a graph and kept, with its memoryview _f
+    o, t, d, f, m, p = graph._o, graph._t, graph._d, graph._f, graph.m_dir, graph.m_dir / (graph.n * theta)
     log_miss = math.log1p(-p) if p < 1 else -math.inf  # log(1 - p); every gap is 1 at p = 1
     random, getrandbits, log, m_bits = rng.random, rng.getrandbits, math.log, m.bit_length()
-    rows, heavy_starts, heavy_hits, picks = [], 0, 0, 0
+    rows, attempts, heavy_starts, heavy_hits, picks = [], 0, 0, 0, 0
     for _ in range(runs):
         at = 0
         while (at := at + 1 + int(log(1.0 - random()) / log_miss)) <= q:  # the next attempt that proposes
             r = getrandbits(m_bits)
             while r >= m:
                 r = getrandbits(m_bits)
-            x = bisect_right(o, r) - 1
+            x = f[r]
             if r - o[x] >= theta or d[x] > theta:  # thinned into an empty slot, or a heavy start
                 heavy_starts += r - o[x] < theta
                 continue
@@ -183,8 +185,8 @@ def _walk(
                 rows.append((v, t[o[v] + i], at))
                 break
         else:
-            rows.append((-1, -1, q))
-    attempts = sum(row[2] for row in rows)
+            rows.append((-1, -1, at := q))
+        attempts += at
     return rows, QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
 
 

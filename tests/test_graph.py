@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -94,16 +95,40 @@ def test_graph_pickles_and_reads_python_ints():
     assert type(g.neighbor(v, 1)) is int and type(h.neighbor(v, 1)) is int
     # The degree array is np.diff(offsets), the origin array np.repeat(arange(n), deg):
     # read-only, one per graph, and made anew by every copy.
+    # The origin array's memoryview _f comes with it, and is rebuilt, not carried, by a copy.
     origins = g._origins()
     for twin in (g, h, copy.deepcopy(g)):
         assert twin.deg.tolist() == np.diff(twin.offsets).tolist() == g.degrees()
         assert twin.deg.dtype == np.int64 and (twin is g or twin.deg is not g.deg)
-        assert twin._origins().tolist() == np.repeat(np.arange(g.n), g.deg).tolist()
+        assert twin is g or twin._f is None
+        assert twin._origins().tolist() == np.repeat(np.arange(g.n), g.deg).tolist() == twin._f.tolist()
         assert twin._origins() is twin._origins() and (twin is g or twin._origins() is not origins)
+        assert twin._f.obj is twin._origins() and type(twin._f[0]) is int
         with pytest.raises(ValueError):
             twin.deg[v] = 0
         with pytest.raises(ValueError):
             twin._origins()[0] = 1
+        with pytest.raises(TypeError):
+            twin._f[0] = 1
+
+
+@pytest.mark.parametrize("degrees", [
+    [0, 2, 0, 0, 3, 1, 0],  # isolated: vertex 0, a run in the middle, the last of the hubs
+    [0, 0, 1, 1, 0, 0],
+    [4, 0, 0, 0, 0, 4],
+    [1, 1],
+])
+def test_origin_array_matches_bisect_over_offsets(degrees):
+    # The walk's origin read _f[r] is the bisect over offsets it replaced, for every directed edge r.
+    # The hubs' leaves follow them, then two isolated vertices, so the last vertex has degree 0 too.
+    k = sum(degrees)
+    leaves = iter(range(len(degrees), len(degrees) + k))
+    g = build_graph([(v, next(leaves)) for v, d in enumerate(degrees) for _ in range(d)], len(degrees) + k + 2)
+    assert g.degrees() == degrees + [1] * k + [0, 0]
+    g._origins()
+    for r in range(g.m_dir):
+        assert g._f[r] == bisect_right(g._o, r) - 1 == g._origins()[r]
+        assert g._o[g._f[r]] <= r < g._o[g._f[r] + 1]
 
 
 def test_generator_counts():

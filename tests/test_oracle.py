@@ -76,6 +76,10 @@ def test_out_of_range_is_programmer_error():
         with pytest.raises(BudgetExceeded):  # the budget is checked before the id
             QueryOracle(graph, seed=0, budget=0).degree(3)
     assert not view.witnessed and not view._old
+    empty = QueryOracle(build_graph([], 0), seed=0)  # no vertex to answer with: refused, not charged
+    with pytest.raises(ValueError):
+        empty.random_vertex()
+    assert empty.counts.total == 0
 
 
 def test_random_vertex_uniformity():

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from edgesample import (
     SamplerConfig,
     attempt_distribution,
     build_graph,
+    estimate_edges_amplified,
     sample_degree_proportional_vertex,
     sample_edge_almost_uniformly,
     weighted_expectation,
@@ -81,8 +85,17 @@ def test_config_takes_integers_only(field):
             config(zero)
     cfg = config(np.int64(5))
     assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 5
+    assert type(getattr(config(True), field)) is int and getattr(config(True), field) == 1
+    with pytest.raises(FrozenInstanceError):
+        cfg.theta = 7
     report = sample_edge_almost_uniformly(QueryOracle(star(5), seed=1), cfg)
     assert report.config is cfg and report.attempts_used >= 1
+    # the slotted results (no instance dict) copy and pickle field for field
+    estimate = estimate_edges_amplified(QueryOracle(star(5), seed=1))
+    for value in (cfg, report, estimate):
+        assert not hasattr(value, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value and twin is not value
 
 
 def _mixture_edges(g, theta, seed, trials=20000):
