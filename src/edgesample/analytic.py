@@ -12,20 +12,23 @@ Two independent routes to the same distribution keep each other honest:
   and tallies outcome weights into a per-edge dict, which must equal the
   closed form's ``per_edge``.
 
-A vertex is light at theta when d(v) <= theta and heavy otherwise;
-``attempt_distribution`` finds the heavy ones with one boolean mask over
-the degree array. The closed form depends only on an edge's origin, so
-it is held per heavy vertex: d_L comes from one reduction over the heavy
-rows of the CSR arrays alone. The directed edges fall into a few classes
-keyed by the ratio d_L(v)/d(v) of their origin in lowest terms (1/1 for
-a light origin). Success probability, closeness to uniform and the
-bound margins are integer sums over those classes, each over one common
-denominator, and exact at every graph size.
+A vertex is light at theta when d(v) <= theta and heavy otherwise. The
+closed form depends only on an edge's origin, so it is held per heavy
+vertex and read in pure Python off the graph's degree order (built once,
+``Graph._degree_order``): the heavy vertices are its suffix past one
+bisection at theta, and d_L(v) is one bisection of v's sorted row of
+neighbor degrees. The directed edges fall into a few classes keyed by the
+ratio d_L(v)/d(v) of their origin in lowest terms (1/1 for a light
+origin). Success probability, closeness to uniform and the bound margins
+are integer sums over those classes, each over one common denominator,
+and exact at every graph size.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -55,14 +58,14 @@ class ClosedFormDistribution:
 
     def __init__(self, g: Graph, theta: int, heavy: dict[int, tuple[int, int]]):
         self.graph, self.theta, self.heavy = g, theta, heavy
-        self.e_heavy = sum(d for _, d in heavy.values())
-        self.e_light = g.m_dir - self.e_heavy
-        pairs = {(1, 1): self.e_light}
-        for dl, d in heavy.values():
+        pairs, e_heavy, units = {(1, 1): 0}, 0, 0
+        for (dl, d), count in Counter(heavy.values()).items():  # one class per distinct (d_L, d)
             key = _reduced(dl, d)
-            pairs[key] = pairs.get(key, 0) + d
-        self.pairs = pairs
-        self.weight = self.e_light + sum(dl for dl, _ in heavy.values())
+            pairs[key] = pairs.get(key, 0) + count * d
+            e_heavy, units = e_heavy + count * d, units + count * dl
+        self.e_heavy, self.e_light = e_heavy, g.m_dir - e_heavy
+        pairs[1, 1] += self.e_light
+        self.pairs, self.weight = pairs, self.e_light + units
         self.success_prob = Fraction(self.weight, 2 * g.n * theta)
 
     def _expand(self, value: dict[tuple[int, int], Fraction]) -> dict[DirectedEdge, Fraction]:
@@ -91,15 +94,10 @@ def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     """Closed-form distribution of one fair light/heavy mixture attempt."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    is_heavy = g.deg > theta
-    ids = np.flatnonzero(is_heavy)
-    starts, deg = g.offsets[ids], g.deg[ids]
-    # Gather the heavy rows' targets back to back; row k starts at firsts[k].
-    # reduceat needs every row nonempty, which holds as d > theta >= 1.
-    firsts = np.cumsum(deg) - deg
-    rows = g.targets[np.arange(deg.sum()) + np.repeat(starts - firsts, deg)]
-    d_light = np.add.reduceat(~is_heavy[rows], firsts, dtype=np.int64)
-    heavy = dict(zip(ids.tolist(), zip(d_light.tolist(), deg.tolist())))
+    ids, degs, _, rows = g._degree_order()
+    o, k = g._o, bisect_right(degs, theta)
+    # v's row of neighbor degrees is sorted, so its light neighbors are the prefix up to theta
+    heavy = {v: (bisect_right(rows, theta, s := o[v], s + d) - s, d) for v, d in zip(ids[k:], degs[k:])}
     return ClosedFormDistribution(g, theta, heavy)
 
 
@@ -254,7 +252,8 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
 
     # A track alone succeeds with twice its units of 1/(2 n theta): over n theta. The light
     # units are counted from the degrees, so a record that leaves out a heavy vertex fails.
-    light = int(g.deg.sum(where=g.deg <= theta))
+    _, degs, sums, _ = g._degree_order()
+    light = sums[bisect_right(degs, theta)]
     heavy_units = sum(dl for dl, _ in heavy.values())
     check(BoundCheck("light_success_equals_e_light_over_n_theta", True, light == dist.e_light,
                      Fraction(light - dist.e_light, nt), f"success={light / nt:.6g}"))

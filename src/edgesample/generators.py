@@ -1,8 +1,10 @@
 """Deterministic test-graph generators and the ``kind:args`` spec grammar.
 
 Every generator is a pure function of its parameters and seed, and refuses
-more than ``MAX_VERTICES`` vertices before it allocates anything. The
-spec-string grammar is shell-friendly: ``path:8``, ``star:5``, ``er:1000,0.05``,
+more than ``MAX_VERTICES`` vertices or ``MAX_DIRECTED_EDGES`` = 2**27 directed
+edges before it allocates anything: ``build_graph`` peaks near 42 bytes a
+directed edge (tracemalloc on ER and clique lists), so a build stays near 5.3 GiB.
+The spec-string grammar is shell-friendly: ``path:8``, ``star:5``, ``er:1000,0.05``,
 ``clique_union:er:1000,0.05,30`` (the value after the last comma is the
 clique size; everything before it is the base spec).
 
@@ -16,18 +18,20 @@ import numpy as np
 
 from .graph import MAX_VERTICES, Graph, build_graph
 
+MAX_DIRECTED_EDGES = 2**27
+
 
 def path(n: int) -> Graph:
     """Path on n vertices, edges (i, i+1)."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"path needs 1 <= n <= {MAX_VERTICES}, got {n}")
+    if not 1 <= n <= MAX_DIRECTED_EDGES // 2:
+        raise ValueError(f"path needs 1 <= n <= {MAX_DIRECTED_EDGES // 2}, got {n}")
     return build_graph(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices."""
-    if not 3 <= n <= MAX_VERTICES:
-        raise ValueError(f"cycle needs 3 <= n <= {MAX_VERTICES}, got {n}")
+    if not 3 <= n <= MAX_DIRECTED_EDGES // 2:
+        raise ValueError(f"cycle needs 3 <= n <= {MAX_DIRECTED_EDGES // 2}, got {n}")
     return build_graph(np.column_stack([np.arange(n), np.arange(1, n + 1) % n]), n)
 
 
@@ -47,8 +51,8 @@ def clique(k: int) -> Graph:
 
 def core_leaves(core: int, leaves: int) -> Graph:
     """K_core whose vertex u owns the pendant leaves core + u * leaves + 0..leaves-1."""
-    if core < 1 or leaves < 0 or core * (leaves + 1) > MAX_VERTICES:
-        raise ValueError(f"core_leaves needs core >= 1, leaves >= 0, core * (leaves + 1) <= {MAX_VERTICES}: {core}, {leaves}")
+    if core < 1 or leaves < 0 or core * (core - 1 + 2 * leaves) > MAX_DIRECTED_EDGES:  # its directed edges
+        raise ValueError(f"core_leaves needs core >= 1, leaves >= 0, at most {MAX_DIRECTED_EDGES} directed edges: {core}, {leaves}")
     hubs = np.column_stack([np.repeat(np.arange(core), leaves), np.arange(core, core * (leaves + 1))])
     return build_graph(np.concatenate([np.column_stack(np.triu_indices(core, 1)), hubs]), core * (leaves + 1))
 
@@ -67,6 +71,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     n_pairs = n * (n - 1) // 2
     m = int(rng.binomial(n_pairs, p)) if n_pairs > 0 else 0
+    if 2 * m > MAX_DIRECTED_EDGES:
+        raise ValueError(f"erdos_renyi drew {2 * m} directed edges, over {MAX_DIRECTED_EDGES}")
     chosen = _sample_distinct(rng, n_pairs, m)
     # pairs (i, j), i < j, in lexicographic order; starts[i] = index of (i, i+1)
     starts = np.zeros(n, dtype=np.int64)
@@ -109,8 +115,8 @@ def planted_union(base: Graph, k: int) -> tuple[Graph, frozenset[int]]:
 def clique_union(base: Graph, k: int, seed: int) -> Graph:
     """Disjoint union of ``base`` and a k-clique, with all ids relabeled
     by a uniformly random permutation drawn from ``seed``."""
-    if k < 1:
-        raise ValueError(f"clique size must be >= 1, got {k}")
+    if k < 1 or base.m_dir + k * (k - 1) > MAX_DIRECTED_EDGES:
+        raise ValueError(f"clique size must be >= 1 with at most {MAX_DIRECTED_EDGES} directed edges in all, got {k}")
     n = base.n + k
     perm = np.random.default_rng(seed).permutation(n)
     return build_graph(perm[planted_union(base, k)[0].edge_array()], n)

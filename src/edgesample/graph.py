@@ -71,11 +71,11 @@ class Graph:
     deg : numpy.ndarray
         int64, length n; ``np.diff(offsets)``, made once here (pickling rebuilds it).
 
-    ``_origins()``, every directed edge's origin, serves the walk (through its memoryview
-    ``_f``) and the pooled kernel; both are made on first use and kept, and not pickled.
+    ``_origins()``, every directed edge's origin, serves the walk (through its memoryview ``_f``)
+    and the pooled kernel, ``_degree_order()`` the analytic layer: made on first use, kept, not pickled.
     """
 
-    __slots__ = ("n", "offsets", "targets", "deg", "_o", "_t", "_d", "_from", "_f")
+    __slots__ = ("n", "offsets", "targets", "deg", "_o", "_t", "_d", "_from", "_f", "_order")
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray):
         self.deg = np.diff(offsets)
@@ -84,7 +84,7 @@ class Graph:
         self.offsets = offsets
         self.targets = targets
         self._o, self._t, self._d = memoryview(offsets), memoryview(targets), memoryview(self.deg)
-        self._from = self._f = None
+        self._from = self._f = self._order = None
 
     def __reduce__(self):
         return Graph, (self.offsets, self.targets)
@@ -140,6 +140,16 @@ class Graph:
             self._from.flags.writeable = False
             self._f = memoryview(self._from)
         return self._from
+
+    def _degree_order(self) -> tuple[memoryview, ...]:
+        """Read-only memoryviews, made once: the ids by ascending degree (a stable argsort), those
+        degrees, their n + 1 prefix sums, and each row's neighbor degrees in ascending order."""
+        if self._order is None:
+            ids, width = np.argsort(self.deg, kind="stable"), int(self.deg.max(initial=0)) + 1
+            rows = np.sort(np.repeat(np.arange(self.n) * width, self.deg) + self.deg[self.targets]) % width
+            degs = self.deg[ids]
+            self._order = tuple(memoryview(a).toreadonly() for a in (ids, degs, np.append(0, np.cumsum(degs)), rows))
+        return self._order
 
     def directed_edges(self) -> Iterable[DirectedEdge]:
         return map(DirectedEdge, self._origins().tolist(), self._t)

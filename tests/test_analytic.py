@@ -14,8 +14,9 @@ from edgesample import (
     verify_attempt_bounds,
     vertex_return_distribution,
 )
+from edgesample import analytic
 from edgesample.analytic import enumerate_track_distributions, run_failure_probability
-from edgesample.generators import clique, erdos_renyi, path, star
+from edgesample.generators import clique, erdos_renyi, generate, path, star
 
 DOUBLE_STAR = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
 
@@ -263,3 +264,22 @@ def test_empirical_config_mode_rejects_theta_where_no_attempt_succeeds(monkeypat
     fallback = SamplerConfig.for_graph(5, 1.0, 0.25)  # q > n = 5 on an edgeless graph
     with pytest.raises(ValueError, match="no attempt can succeed at theta=5"):
         empirical_distribution(build_graph([], 5), trials=20000, seed=0, config=fallback)
+
+
+def test_analytic_makes_no_numpy_call_once_the_degree_order_exists(monkeypatch):
+    # The cost of a verify at one more theta is pure Python over the graph's degree order:
+    # attempt law, bounds and closeness run with the analytic module's numpy gone.
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"analytic called numpy.{name}")
+
+    g = generate("clique_union:star:30,4", seed=13)
+
+    def verify():  # theta 2: the star's centre and the clique are heavy, the clique with d_L = 0
+        dist = attempt_distribution(g, 2)
+        return dist.heavy, verify_attempt_bounds(g, 2, 0.25).as_dict(), conditional_closeness(dist)
+
+    want = verify()
+    assert want[2].max_ratio_dev > 0 and g._order is not None
+    monkeypatch.setattr(analytic, "np", NoNumpy())
+    assert verify() == want

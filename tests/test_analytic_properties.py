@@ -57,6 +57,20 @@ def graph_and_theta(draw):
     return g, draw(st.integers(1, g.n))
 
 
+@settings(max_examples=100, deadline=None)
+@given(g=st.one_of(random_graphs(), hub_graphs()), data=st.data())
+def test_one_degree_order_serves_every_theta(g, data):
+    # One Graph object at every theta in 1..max degree + 1, in a drawn order: the degree
+    # order is built at the first theta and read at the rest, so a stale or mis-built
+    # order shows at some theta even where the first one comes out right.
+    for theta in data.draw(st.permutations(range(1, int(g.deg.max(initial=0)) + 2))):
+        dist = attempt_distribution(g, theta)
+        assert dist.heavy == {v: (sum(g.degree(w) <= theta for w in g.neighbors(v)), g.degree(v))
+                              for v in range(g.n) if g.degree(v) > theta}
+        light = check_attempt_bounds(dist, 0.25).checks[0]  # margin (light - e_light) / (n theta)
+        assert light.passed and light.margin * g.n * theta + dist.e_light == int(g.deg.sum(where=g.deg <= theta))
+
+
 def brute_force_per_edge(g, theta):
     """The closed form evaluated edge by edge, straight from its definition."""
     per_edge = {}

@@ -360,10 +360,10 @@ def test_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_generators_refuse_too_many_vertices_before_allocating():
-    # Each spec names more than MAX_VERTICES vertices, whose O(n) arrays would take
-    # about 26 GiB. The child runs under a 2 GiB address-space cap, so an allocation
-    # made before the check fails there with MemoryError and touches no real memory.
+def _refused_before_allocating(specs, cli_spec):
+    """Run each spec through ``generate`` and ``cli_spec`` through ``sample`` in a child under a
+    2 GiB address-space cap, where an allocation made before the check fails with MemoryError
+    and touches no real memory. Returns the child's exit status and stderr."""
     src = str(Path(edgesample.__file__).resolve().parent.parent)
     code = f"""if True:
         import resource, sys
@@ -371,17 +371,35 @@ def test_generators_refuse_too_many_vertices_before_allocating():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         from edgesample.cli import main
         from edgesample.generators import generate
-        for spec in ["er:3500000000,1e-19", "path:3500000000", "cycle:3500000000",
-                     "core_leaves:1,3500000000", "star:3500000000", "clique:3500000000"]:
+        for spec in {specs!r}:
             try:
                 generate(spec)
             except ValueError as exc:
                 assert "bad generator spec" in str(exc), exc
             else:
                 raise AssertionError(spec)
-        sys.exit(main(["sample", "--generate", "er:3500000000,1e-19"]))
+        sys.exit(main(["sample", "--generate", {cli_spec!r}]))
     """
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")  # no thread arenas
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 2, proc.stderr
-    assert "bad generator spec" in proc.stderr and "out of memory" not in proc.stderr
+    return proc.returncode, proc.stderr
+
+
+def test_generators_refuse_too_many_vertices_before_allocating():
+    # Each spec names more than MAX_VERTICES vertices, whose O(n) arrays would take about 26 GiB.
+    code, err = _refused_before_allocating(["er:3500000000,1e-19", "path:3500000000", "cycle:3500000000",
+                                            "core_leaves:1,3500000000", "star:3500000000", "clique:3500000000"],
+                                           "er:3500000000,1e-19")
+    assert code == 2, err
+    assert "bad generator spec" in err and "out of memory" not in err
+
+
+def test_generators_refuse_too_many_directed_edges_before_allocating():
+    # clique:1000000 would ask for 931 GiB of index arrays; each spec here has more than
+    # MAX_DIRECTED_EDGES directed edges (the ER one only once m is drawn) and fewer than
+    # MAX_VERTICES vertices, so the vertex cap alone lets them through.
+    specs = ["clique:1000000", "star:100000000", "core_leaves:1000,100000", "path:100000000", "cycle:100000000",
+             "er:100000,0.1", "clique_union:path:5,20000"]
+    code, err = _refused_before_allocating(specs, "clique:1000000")
+    assert code == 2, err
+    assert "directed edges" in err and "out of memory" not in err

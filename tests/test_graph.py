@@ -12,7 +12,9 @@ from edgesample import (
     GraphConstructionError,
     attempt_distribution,
     build_graph,
+    conditional_closeness,
     read_edge_list,
+    verify_attempt_bounds,
     write_edge_list,
 )
 from edgesample.generators import clique, erdos_renyi, generate, star
@@ -110,6 +112,42 @@ def test_graph_pickles_and_reads_python_ints():
             twin._origins()[0] = 1
         with pytest.raises(TypeError):
             twin._f[0] = 1
+
+
+def test_degree_order_is_built_once_and_not_pickled():
+    # The order is lazy, kept, read-only and left out of a pickle; the restored graph
+    # builds its own and gives the same attempt law at every theta.
+    g = generate("clique_union:star:30,4", seed=13)
+    assert g._order is None
+    order = g._degree_order()
+    assert g._degree_order() is order and all(view.readonly for view in order)
+    ids, degs, sums, rows = (view.tolist() for view in order)
+    assert degs == sorted(g.degrees()) and ids == sorted(range(g.n), key=g.degree)
+    assert sums == np.concatenate([[0], np.cumsum(degs)]).tolist()
+    assert rows == [d for v in range(g.n) for d in sorted(map(g.degree, g.neighbors(v)))]
+    h = pickle.loads(pickle.dumps(g))
+    assert h._order is None
+    for theta in range(1, max(degs) + 2):
+        want, got = attempt_distribution(g, theta), attempt_distribution(h, theta)
+        assert (got.heavy, got.pairs, got.success_prob) == (want.heavy, want.pairs, want.success_prob)
+    assert h._order is not None and h._order is not order
+
+
+def test_degree_order_of_edgeless_and_empty_graphs():
+    # As before the order came in: no heavy vertex and success 0 on an edgeless graph, whose
+    # bounds all hold and whose conditional is undefined; n = 0 has no unit 1/(2 n theta) at all.
+    g = build_graph([], 3)
+    for theta in (1, 5):
+        dist = attempt_distribution(g, theta)
+        assert (dist.heavy, dist.e_light, dist.e_heavy, dist.pairs, dist.weight) == ({}, 0, 0, {(1, 1): 0}, 0)
+        assert dist.success_prob == 0 and verify_attempt_bounds(g, theta, 0.25).all_passed
+        with pytest.raises(ValueError, match="success probability is zero"):
+            conditional_closeness(dist)
+    empty = build_graph([], 0)
+    assert [view.tolist() for view in empty._degree_order()] == [[], [], [0], []]
+    for call in (lambda: attempt_distribution(empty, 1), lambda: verify_attempt_bounds(empty, 1, 0.25)):
+        with pytest.raises(ZeroDivisionError):
+            call()
 
 
 @pytest.mark.parametrize("degrees", [
