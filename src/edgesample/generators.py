@@ -1,9 +1,13 @@
 """Deterministic test-graph generators and the ``kind:args`` spec grammar.
 
 Every generator is a pure function of its parameters and seed, and refuses
-more than ``MAX_VERTICES`` vertices or ``MAX_DIRECTED_EDGES`` = 2**27 directed
-edges before it allocates anything: ``build_graph`` peaks near 42 bytes a
-directed edge (tracemalloc on ER and clique lists), so a build stays near 5.3 GiB.
+more than ``MAX_DIRECTED_EDGES`` = 2**27 directed edges before it allocates
+anything: ``build_graph`` peaks near 42 bytes a directed edge (tracemalloc on ER
+and clique lists), so a build stays near 5.3 GiB. ``path``, ``cycle`` and
+``erdos_renyi`` refuse more than ``MAX_DIRECTED_EDGES // 2`` = 2**26 vertices
+first too: ``erdos_renyi`` peaks near 40 bytes a vertex even when it draws no
+edge (tracemalloc at p = 0), so at most about 2.5 GiB. The check comes before
+any draw, so an accepted spec's stream does not depend on it.
 The spec-string grammar is shell-friendly: ``path:8``, ``star:5``, ``er:1000,0.05``,
 ``clique_union:er:1000,0.05,30`` (the value after the last comma is the
 clique size; everything before it is the base spec).
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, build_graph
+from .graph import Graph, build_graph
 
 MAX_DIRECTED_EDGES = 2**27
 
@@ -64,8 +68,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     pair indices, which is distributed identically to independent Bernoulli
     trials per pair but runs in O(M) rather than O(n^2).
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"erdos_renyi needs 1 <= n <= {MAX_VERTICES}, got {n}")
+    if not 1 <= n <= MAX_DIRECTED_EDGES // 2:  # refused before any array or draw
+        raise ValueError(f"erdos_renyi needs 1 <= n <= {MAX_DIRECTED_EDGES // 2}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

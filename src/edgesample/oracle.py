@@ -185,7 +185,8 @@ def bulk_graph(oracle: QueryOracle) -> Graph | None:
 
     The bulk paths (``sampler._kernel``, ``sampler._walk`` and the
     degree-sum estimate) read the graph's arrays and add to ``oracle.counts``
-    once per call exactly what the method loop would charge. The walk draws
+    once per call exactly what the method loop would charge (the walk's and the
+    kernel's tally of events as ``sampler._charge`` prices it). The walk draws
     its proposals from ``rng`` itself, the kernel the same proposals from
     ``oracle._generator(rng)``, and the estimate reads ``oracle._degree_sum``
     (its fills drawn the same way): other streams from one seed, one law.

@@ -18,12 +18,13 @@ n it reverts to n fallback attempts: a uniform vertex and a uniform slot
 in [n], no coin, no degree query. Each returns any directed edge with
 probability 1/n^2, so the fallback is exactly uniform, if slower per success.
 
-Runs (fallback runs too) take one of three paths with one law of outcomes and
-query counts. Where ``_skips`` allows, ``_walk`` skips to the attempts that propose
-an edge slot and pooled calls (``_runs``) draw the same proposals in ``_kernel``'s
-numpy blocks, each reading a proposed edge's origin off the graph's origin array
-(``Graph._origins()``); else ``_attempts`` queries the oracle's methods. ``_rows`` hands single
-runs their Python rows and charge. All draw from the seeded ``random.Random``, so
+Runs (fallback runs too) take one of three paths with one law of outcomes, rows
+(origin, target, attempts used; -1, -1 on a failure) and query counts. Where ``_skips``
+allows, ``_walk`` skips to the attempts that propose an edge slot and pooled calls
+(``_runs``) draw the same proposals in ``_kernel``'s numpy blocks, each reading a proposed
+edge's origin off the graph's origin array (``Graph._origins()``); both tally their events
+for ``_charge`` to price. Else ``_attempts`` queries the oracle's methods. ``_rows`` hands
+single runs their Python rows and charge. All draw from the seeded ``random.Random``, so
 runs replay bit-for-bit; one attempt is a run of ``SamplerConfig(theta, 1)``.
 """
 
@@ -108,8 +109,8 @@ def _skips(graph: Graph | None, theta: int, floor: int = 64) -> bool:
 
 def _attempts(
     oracle: QueryOracle, theta: int, limit: int, rng: random.Random, fallback: bool = False
-) -> tuple[DirectedEdge | None, int]:
-    """Up to ``limit`` mixture attempts through the oracle's methods: (edge, used).
+) -> tuple[int, int, int]:
+    """Up to ``limit`` mixture attempts through the oracle's methods: the row (origin, target, used), -1, -1 on a failure.
 
     A fair coin picks a track; both start from a uniform vertex u, which
     fails if heavy (d(u) > theta), and a uniform slot j in [theta] of u,
@@ -135,19 +136,24 @@ def _attempts(
         if v is None:
             continue
         if light:
-            return DirectedEdge(u, v), attempt
+            return u, v, attempt
         dv = degree(v)
         if dv <= theta:
             continue
-        return DirectedEdge(v, neighbor(v, rng.randrange(dv) + 1)), attempt
-    return None, limit
+        return v, neighbor(v, rng.randrange(dv) + 1), attempt
+    return -1, -1, limit
+
+
+def _charge(fallback: bool, attempts: int, heavy_starts: int, heavy_hits: int, picks: int) -> QueryCounts:
+    """The queries the method loop charges for a tally of its events; no degree query in the fallback."""
+    return QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
 
 
 def _walk(
     graph: Graph, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
-) -> tuple[list, QueryCounts]:
-    """``runs`` runs of up to ``q`` attempts, skipping to the attempts that
-    reach an edge slot: (rows of origin, target, attempts used; the queries).
+) -> tuple[list, tuple[int, int, int, int]]:
+    """``runs`` runs of up to ``q`` attempts, skipping to the attempts that reach an edge slot: rows
+    (origin, target, attempts used) and the tally (attempts, heavy starts, heavy-track hits, picks).
 
     A slot is proposed with chance p = m_dir / (n theta) per attempt
     (``_skips`` keeps 2^-64 < p <= 1): a geometric gap, then slot r - o[x] of a
@@ -187,12 +193,12 @@ def _walk(
         else:
             rows.append((-1, -1, at := q))
         attempts += at
-    return rows, QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
+    return rows, (attempts, heavy_starts, heavy_hits, picks)
 
 
 def _kernel(
     graph: Graph, theta: int, q: int, runs: int, gen: np.random.Generator, fallback: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, QueryCounts]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int, int]]:
     """``runs`` runs of up to ``q`` attempts from ``_walk``'s proposals, drawn in numpy blocks.
 
     A block draws gaps 1 + floor(log(1 - U) / log(1 - p)) and edges r = ``gen.integers(m_dir, size)``
@@ -203,12 +209,12 @@ def _kernel(
     1 << 16. Positions are exact int64: at p > 2^-40 (``_runs``) a gap is below 2^46, as 1 - U >=
     2^-53, so a block spans under 2^62 attempts; those carried into it are fewer than q, and than
     2^62 unless a run has made 2^62. Returns each run's edge (-1, -1 on a failure) and attempts,
-    and the queries the method loop would charge.
+    and ``_walk``'s tally, whose attempts are the sum of that column.
     """
     offsets, targets, deg, origins, m = graph.offsets, graph.targets, graph.deg, graph._origins(), graph.m_dir
     out, p = [], m / (graph.n * theta)
     log_miss = math.log1p(-p) if p < 1 else -math.inf  # every gap is 1 at p = 1
-    done = carry = attempts = heavy_starts = heavy_hits = picks = 0
+    done = carry = heavy_starts = heavy_hits = picks = 0
     while done < runs:
         left = runs - done
         size = min((1 if fallback else 2) * left + 64, 1 << 16)
@@ -219,56 +225,49 @@ def _kernel(
         v = targets[r[hit]]
         light = np.ones(len(hit), bool) if fallback else gen.random(len(hit)) < 0.5
         won = light | (deg[v] > theta)
-        at = hit[won]
-        used = pos[at]  # the attempts since the previous win, ending with this one
-        used[1:] -= pos[at[:-1]]
+        w = won.nonzero()[0]  # the wins, by their index among the light starts
+        at = hit[w]
+        gaps = pos[at]  # the attempts since the previous win, ending with this one
+        gaps[1:] -= pos[at[:-1]]
         tail = int(pos[-1] - (pos[at[-1]] if len(at) else 0))
-        win_at = None
-        if tail >= q or used.max(initial=0) > q:  # every q failures in a row are a failed run
-            fails = (used - 1) // q
-            win_at = np.arange(len(at)) + fails.cumsum()
-            split = np.full(min(len(at) + int(fails.sum()) + tail // q, left), q)  # none past the call's last run
-            placed = int(win_at.searchsorted(len(split)))
-            split[win_at[:placed]] = used[:placed] - fails[:placed] * q
-            used, tail = split, tail % q
-        if len(used) >= left:  # the last run ends in this block
-            used = used[:left]
-            consumed = int(used.sum()) - carry
-            k = int(pos.searchsorted(consumed + carry, "right"))  # the proposals of the attempts used
-        else:
-            consumed, carry, k = int(pos[-1]) - carry, tail, size
-        kept = len(used) if win_at is None else int(win_at.searchsorted(len(used)))
-        wv, wl = v[won][:kept], light[won][:kept]
-        origin, target = np.where(wl, x[at[:kept]], wv), wv.copy()
+        fails = (gaps - 1) // q  # every q failures in a row are a failed run
+        win_at = np.arange(len(at)) + fails.cumsum()
+        used = np.full(min(len(at) + int(fails.sum()) + tail // q, left), q)  # none past the call's last run
+        kept = int(win_at.searchsorted(len(used)))
+        used[win_at[:kept]] = gaps[:kept] - fails[:kept] * q
+        carry = tail % q
+        k = int(pos.searchsorted(used.sum(), "right")) if len(used) == left else size  # the proposals of the attempts used
+        wv, wl = v[w[:kept]], light[w[:kept]]
+        origin = np.full(len(used), -1)
+        target = origin.copy()
+        origin[win_at[:kept]] = np.where(wl, x[at[:kept]], wv)
         h = (~wl).nonzero()[0]  # heavy-track wins return a uniform neighbour of v
         if len(h):
-            target[h] = targets[offsets[wv[h]] + gen.integers(deg[wv[h]])]
+            wv[h] = targets[offsets[wv[h]] + gen.integers(deg[wv[h]])]
             picks += len(h)
-        if win_at is not None:  # place the wins among the failed runs
-            runs_o, runs_t = np.full((2, len(used)), -1)
-            runs_o[win_at[:kept]], runs_t[win_at[:kept]] = origin, target
-            origin, target = runs_o, runs_t
+        target[win_at[:kept]] = wv
         out.append((origin, target, used))
         done += len(used)
-        attempts += consumed
-        heavy_starts += int(np.count_nonzero(r[:k] - offsets[x[:k]] < theta) - hit.searchsorted(k))  # less the light
-        heavy_hits += int(np.count_nonzero(~light[: hit.searchsorted(k)]))
-    counts = QueryCounts(attempts, 0 if fallback else attempts + heavy_hits, attempts - heavy_starts + picks)
-    return (*(out[0] if len(out) == 1 else map(np.concatenate, zip(*out))), counts)
+        kh = int(hit.searchsorted(k))  # the light starts among the proposals used
+        heavy_starts += int(np.count_nonzero(r[:k] - offsets[x[:k]] < theta)) - kh
+        heavy_hits += kh - int(np.count_nonzero(light[:kh]))
+    origin, target, used = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
+    return origin, target, used, (int(used.sum()), heavy_starts, heavy_hits, picks)
 
 
 def _rows(
     oracle: QueryOracle, theta: int, q: int, runs: int, rng: random.Random, fallback: bool = False
 ) -> tuple[list[tuple[int, int, int]], QueryCounts]:
-    """``runs`` runs as Python rows (origin, target, used; origin -1 on a failure) and the call's charge:
-    ``_walk``'s where ``_skips`` allows it, else ``_attempts``' by the oracle's methods."""
+    """``runs`` runs as rows (origin, target, used; origin -1 on a failure) and the call's charge: ``_walk``'s,
+    its tally priced by ``_charge``, where ``_skips`` allows it, else ``_attempts``' by the oracle's methods."""
     graph = bulk_graph(oracle)
     if _skips(graph, theta):
-        rows, counts = _walk(graph, theta, q, runs, rng, fallback)
+        rows, tally = _walk(graph, theta, q, runs, rng, fallback)
+        counts = _charge(fallback, *tally)
         oracle.counts = oracle.counts + counts
         return rows, counts
     before = oracle.counts.copy()
-    rows = [(*(e or (-1, -1)), k) for e, k in (_attempts(oracle, theta, q, rng, fallback) for _ in range(runs))]
+    rows = [_attempts(oracle, theta, q, rng, fallback) for _ in range(runs)]
     return rows, oracle.counts - before
 
 
@@ -279,8 +278,8 @@ def _runs(
     [origins, targets, used], origin -1 on a failure: ``_kernel``'s from ``_POOL`` runs on, else ``_rows``'."""
     graph = bulk_graph(oracle)
     if runs >= _POOL and _skips(graph, theta, 40):
-        *columns, counts = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
-        oracle.counts = oracle.counts + counts
+        *columns, tally = _kernel(graph, theta, q, runs, oracle._generator(rng), fallback)
+        oracle.counts = oracle.counts + _charge(fallback, *tally)
         return columns
     return [np.array(column, np.int64) for column in zip(*_rows(oracle, theta, q, runs, rng, fallback)[0])]
 

@@ -82,6 +82,7 @@ def test_zero_samples_is_usage_error_for_every_estimator(capsys):
     (None, "sample --generate er:100,0.1 --seed -1", "--seed must be >= 0"),
     (None, "sample --generate star:5 --seed 1 --count 0", "--count must be >= 1"),
     (None, "verify --generate star:5 --seed 1 --theta 0", "--theta must be >= 1"),
+    (None, "verify --generate path:1 --seed 1", "graph has no edges"),
     (None, "lb --generate er:40,0.1 --seed 1 --budgets 1,x", "--budgets must be comma-separated integers"),
     (None, "lb --generate er:40,0.1 --seed 1 --budgets 3,3", "budgets must be distinct"),
     (None, "lb --generate er:40,0.1 --seed 1 --strategies blind-guess,blind-guess", "strategies must be distinct"),
@@ -386,10 +387,11 @@ def _refused_before_allocating(specs, cli_spec):
 
 
 def test_generators_refuse_too_many_vertices_before_allocating():
-    # Each spec names more than MAX_VERTICES vertices, whose O(n) arrays would take about 26 GiB.
-    code, err = _refused_before_allocating(["er:3500000000,1e-19", "path:3500000000", "cycle:3500000000",
-                                            "core_leaves:1,3500000000", "star:3500000000", "clique:3500000000"],
-                                           "er:3500000000,1e-19")
+    # Each spec but the second names more than MAX_VERTICES vertices, whose O(n) arrays would take
+    # about 26 GiB; er:1000000000,1e-19 draws no edge, but its n-long arrays would take 7.45 GiB.
+    code, err = _refused_before_allocating(["er:3500000000,1e-19", "er:1000000000,1e-19", "path:3500000000",
+                                            "cycle:3500000000", "core_leaves:1,3500000000", "star:3500000000",
+                                            "clique:3500000000"], "er:1000000000,1e-19")
     assert code == 2, err
     assert "bad generator spec" in err and "out of memory" not in err
 

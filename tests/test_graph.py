@@ -18,7 +18,7 @@ from edgesample import (
     write_edge_list,
 )
 from edgesample.generators import clique, erdos_renyi, generate, star
-from edgesample.graph import HEADER_SLACK, RelabeledView
+from edgesample.graph import HEADER_SLACK, Graph, RelabeledView
 
 from conftest import adjacency
 
@@ -52,6 +52,25 @@ def test_path3_degrees_and_order():
 def test_build_rejects_bad_edges(edges, n, fragment):
     with pytest.raises(GraphConstructionError, match=fragment):
         build_graph(edges, n)
+
+
+@pytest.mark.parametrize(
+    "offsets, targets, message",
+    [
+        ([1, 1], [], "offsets are not a CSR offset array"),  # not from 0
+        ([0, 1, 1], [1, 0], "offsets are not a CSR offset array"),  # not to len(targets)
+        ([0, 2, 1], [1], "offsets are not a CSR offset array"),  # a negative degree
+        ([0, 1, 2], [5, 0], r"neighbor 5 of 0 out of range"),
+        ([0, 1, 2], [-1, 0], r"neighbor -1 of 0 out of range"),
+        ([0, 1, 3], [1, 0, 1], "self-loop at vertex 1"),
+        ([0, 2, 4], [1, 1, 0, 0], "duplicate neighbor in adjacency of 0"),
+        ([0, 1, 3, 3], [1, 0, 2], r"asymmetric edge \(1, 2\)"),  # 1 lists 2, 2 lists nothing
+    ],
+)
+def test_validate_rejects_broken_csr_arrays(offsets, targets, message):
+    g = Graph(np.array(offsets, np.int64), np.array(targets, np.int64))  # the constructor trusts its arrays
+    with pytest.raises(GraphConstructionError, match=message):
+        g.validate()
 
 
 def test_partition_path3_all_light():

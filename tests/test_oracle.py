@@ -146,3 +146,11 @@ def test_budget_cuts_off_hard():
     with pytest.raises(BudgetExceeded):
         o.random_vertex()
     assert o.counts.total == 2  # the refused call was never charged
+
+
+def test_pair_at_its_budget_raises_and_charges_nothing():
+    o = QueryOracle(path(3), seed=0, budget=1)
+    assert o.pair(0, 1)
+    with pytest.raises(BudgetExceeded):
+        o.pair(1, 2)
+    assert o.counts == QueryCounts(pair=1)

@@ -277,6 +277,20 @@ def test_weighted_expectation_abort_on_hopeless_graph():
     assert o.counts.vertex == 100
 
 
+def test_weighted_expectation_rejects_zero_samples():
+    o = QueryOracle(path(3), seed=21)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        weighted_expectation(o, SamplerConfig(2, 4), lambda e: 1.0, samples=0)
+    assert o.counts.total == 0
+
+
+def test_run_on_a_graph_without_vertices_is_rejected():
+    o = QueryOracle(build_graph([], 0), seed=21)
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        sample_edge_almost_uniformly(o, SamplerConfig(1, 1))
+    assert o.counts.total == 0
+
+
 def test_theta_below_one_is_rejected():
     o = QueryOracle(path(3), seed=22)
     for theta in (0, -1):

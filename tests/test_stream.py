@@ -48,7 +48,7 @@ from edgesample.generators import erdos_renyi, path, star
 from edgesample.graph import RelabeledView, build_graph
 from edgesample import oracle as oracle_module, sampler
 from edgesample.oracle import VERTEX_BLOCK
-from edgesample.sampler import _kernel, _plan, _runs, _walk
+from edgesample.sampler import _charge, _kernel, _plan, _runs, _walk
 
 from conftest import no_generator
 
@@ -644,10 +644,11 @@ def kernel_and_replay(g, theta, q, runs, seed, fallback=False, events=None):
     gen = np.random.Generator(np.random.PCG64(seed))
     twin = copy.deepcopy(gen)
     recorder = Recorder(gen)
-    origins, targets, used, counts = _kernel(g, theta, q, runs, recorder, fallback)
+    origins, targets, used, tally = _kernel(g, theta, q, runs, recorder, fallback)
     draws = ((call, getattr(twin, call[0])(*call[1], **call[2])) for call in recorder.calls)
     got = [(None if o < 0 else (o, t), k) for o, t, k in zip(origins.tolist(), targets.tolist(), used.tolist())]
-    return (got, asdict(counts)), scalar_kernel(g, theta, q, runs, draws, fallback, set() if events is None else events)
+    want = scalar_kernel(g, theta, q, runs, draws, fallback, set() if events is None else events)
+    return (got, asdict(_charge(fallback, *tally))), want
 
 
 cores = st.builds(hub_graph, st.integers(6, 20), st.integers(1, 2))  # heavy hubs hold most slots: several blocks
@@ -965,10 +966,10 @@ def scalar_walk(g, theta, q, runs, calls, fallback, events):
 
 def walk_and_replay(g, theta, q, runs, seed, fallback=False, events=None):
     rng = RecordingRandom(seed)
-    rows, counts = _walk(g, theta, q, runs, rng, fallback)
+    rows, tally = _walk(g, theta, q, runs, rng, fallback)
     got = [(None if o < 0 else (o, t), k) for o, t, k in rows]
     want = scalar_walk(g, theta, q, runs, rng.calls, fallback, set() if events is None else events)
-    return (got, asdict(counts)), want
+    return (got, asdict(_charge(fallback, *tally))), want
 
 
 @settings(max_examples=300, deadline=None)
