@@ -19,16 +19,17 @@ vertex and read in pure Python off the graph's degree order (built once,
 bisection at theta, and d_L(v) is one bisection of v's sorted row of
 neighbor degrees. The directed edges fall into a few classes keyed by the
 ratio d_L(v)/d(v) of their origin in lowest terms (1/1 for a light
-origin). Success probability, closeness to uniform and the bound margins
+origin). Success probability, closeness to uniform and the bound verdicts
 are integer sums over those classes, each over one common denominator,
-and exact at every graph size.
+and exact at every graph size. A bound's Fraction margin and note are
+made only when its row is read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -58,8 +59,11 @@ class ClosedFormDistribution:
 
     def __init__(self, g: Graph, theta: int, heavy: dict[int, tuple[int, int]]):
         self.graph, self.theta, self.heavy = g, theta, heavy
+        classes: dict[tuple[int, int], int] = {}
+        for key in heavy.values():  # one class per distinct (d_L, d), reduced once below
+            classes[key] = classes.get(key, 0) + 1
         pairs, e_heavy, units = {(1, 1): 0}, 0, 0
-        for (dl, d), count in Counter(heavy.values()).items():  # one class per distinct (d_L, d)
+        for (dl, d), count in classes.items():
             key = _reduced(dl, d)
             pairs[key] = pairs.get(key, 0) + count * d
             e_heavy, units = e_heavy + count * d, units + count * dl
@@ -85,7 +89,7 @@ class ClosedFormDistribution:
     def conditional(self) -> dict[DirectedEdge, Fraction]:
         """Distribution of the returned edge given that the attempt succeeded,
         one division per ratio class."""
-        if self.success_prob == 0:
+        if self.weight == 0:
             raise ValueError("success probability is zero; conditional undefined")
         return self._expand({(a, b): Fraction(a, b * self.weight) for a, b in self.pairs})
 
@@ -112,30 +116,20 @@ def enumerate_attempt_distribution(g: Graph, theta: int) -> dict[DirectedEdge, F
     """
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    light, heavy = enumerate_track_distributions(g, theta)
-    zero = Fraction(0)
-    return {e: (light.get(e, zero) + heavy.get(e, zero)) / 2 for e in g.directed_edges()}
-
-
-def enumerate_track_distributions(g: Graph, theta: int) -> tuple[dict[DirectedEdge, Fraction], ...]:
-    """Exhaustive per-edge return probabilities of the light and the heavy
-    track alone, as two dicts, from one walk over start vertex u and slot j."""
-    light: dict[DirectedEdge, Fraction] = {}
-    heavy: dict[DirectedEdge, Fraction] = {}
-    w_uj = Fraction(1, g.n * theta)
+    per_edge = dict.fromkeys(g.directed_edges(), Fraction(0))
+    w_uj = Fraction(1, 2 * g.n * theta)  # the coin, u and j: both tracks share this walk
     for u in range(g.n):
         if g.degree(u) > theta:
             continue
         for j in range(1, theta + 1):
-            v = g.neighbor(u, j)
-            if v is None:
+            if (v := g.neighbor(u, j)) is None:
                 continue
-            light[DirectedEdge(u, v)] = light.get(DirectedEdge(u, v), Fraction(0)) + w_uj
+            per_edge[DirectedEdge(u, v)] += w_uj  # the light track returns (u, v)
             if g.degree(v) > theta:  # the heavy track goes on to a uniform neighbor w of v
                 w_pick = w_uj / g.degree(v)
                 for w in g.neighbors(v):
-                    heavy[DirectedEdge(v, w)] = heavy.get(DirectedEdge(v, w), Fraction(0)) + w_pick
-    return light, heavy
+                    per_edge[DirectedEdge(v, w)] += w_pick
+    return per_edge
 
 
 @dataclass
@@ -160,7 +154,7 @@ def conditional_closeness(dist: ClosedFormDistribution) -> ClosenessReport:
     deviation is |a m - b weight| / (b weight); the sums run over the
     common denominator lcm(b) weight.
     """
-    if dist.success_prob == 0:
+    if dist.weight == 0:
         raise ValueError("success probability is zero; conditional undefined")
     m, w = dist.graph.m_dir, dist.weight
     scale = math.lcm(*(b for _, b in dist.pairs))
@@ -175,7 +169,7 @@ def conditional_closeness(dist: ClosedFormDistribution) -> ClosenessReport:
 def vertex_return_distribution(dist: ClosedFormDistribution) -> dict[int, Fraction]:
     """Distribution of the vertex obtained by returning either endpoint of
     the conditionally-sampled edge with probability 1/2 each."""
-    if dist.success_prob == 0:
+    if dist.weight == 0:
         raise ValueError("success probability is zero; conditional undefined")
     g = dist.graph
     # Integer edge weights proportional to probability. A vertex total is at
@@ -207,19 +201,22 @@ class BoundCheck:
         return {**vars(self), "margin": None if self.margin is None else float(self.margin)}
 
 
-@dataclass
+@dataclass(eq=False)
 class AttemptBoundsReport:
+    """One law's bounds at one eps; see ``check_attempt_bounds``."""
+
     theta: int
     epsilon: float
-    checks: list[BoundCheck] = field(default_factory=list)
+    all_passed: bool
+    _rows: Callable[[], list[BoundCheck]] = field(repr=False)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.applicable)
+    @cached_property
+    def checks(self) -> list[BoundCheck]:
+        return self._rows()
 
     def as_dict(self) -> dict:
-        checks = [c.as_dict() for c in self.checks]
-        return {**vars(self), "all_passed": self.all_passed, "checks": checks}
+        return {"theta": self.theta, "epsilon": self.epsilon, "checks": [c.as_dict() for c in self.checks],
+                "all_passed": self.all_passed}
 
 
 def verify_attempt_bounds(g: Graph, theta: int, epsilon: float) -> AttemptBoundsReport:
@@ -238,44 +235,46 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
       applicable only when theta >= sqrt(2 m / eps).
 
     Checks whose hypotheses fail are marked not-applicable, not failed.
-    Each compares integer numerators over one denominator (n theta^3 for
-    the heavy interval, theta^2 for d_L dominance, 2 n theta e for the
-    mixture, where eps = c / e) and builds its margin as one Fraction;
-    notes print a / b, which rounds as float(Fraction(a, b)) does.
+    Each verdict compares integer numerators over one denominator (n theta^3
+    for the heavy interval, theta^2 for d_L dominance, 2 n theta e for the
+    mixture, where eps = c / e) and makes no Fraction. The first read of
+    ``checks`` builds the rows from those integers and verdicts: each margin
+    one Fraction, each note a / b, rounded as float(Fraction(a, b)) is.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     g, theta, heavy = dist.graph, dist.theta, dist.heavy
     m, nt, t2 = g.m_dir, g.n * theta, theta * theta
-    report = AttemptBoundsReport(theta=theta, epsilon=epsilon)
-    check = report.checks.append
-
     # A track alone succeeds with twice its units of 1/(2 n theta): over n theta. The light
     # units are counted from the degrees, so a record that leaves out a heavy vertex fails.
     _, degs, sums, _ = g._degree_order()
     light = sums[bisect_right(degs, theta)]
-    heavy_units = sum(dl for dl, _ in heavy.values())
-    check(BoundCheck("light_success_equals_e_light_over_n_theta", True, light == dist.e_light,
-                     Fraction(light - dist.e_light, nt), f"success={light / nt:.6g}"))
-
-    den = nt * t2
-    hi, up, lo = heavy_units * t2, dist.e_heavy * t2, dist.e_heavy * (t2 - m)
-    check(BoundCheck("heavy_success_within_interval", True, lo <= hi <= up, Fraction(min(hi - lo, up - hi), den),
-                     f"success={hi / den:.6g} in [{lo / den:.6g}, {up / den:.6g}]"))
-
+    light_ok = light == dist.e_light
+    den, hi, up, lo = nt * t2, (dist.weight - dist.e_light) * t2, dist.e_heavy * t2, dist.e_heavy * (t2 - m)
+    heavy_ok = lo <= hi <= up
     margin = min((dl * t2 - (t2 - m) * d for dl, d in heavy.values()), default=None)
-    check(BoundCheck("heavy_light_degree_dominates", bool(heavy), margin is None or margin > 0,
-                     None if margin is None else Fraction(margin, t2),
-                     f"{len(heavy)} heavy vertices" if heavy else "no heavy vertices"))
-
+    dominates = margin is None or margin > 0
     c, e = epsilon.as_integer_ratio()
     applicable = c * t2 >= 2 * m * e
-    den, win, bound = 2 * nt * e, dist.weight * e, (e - c) * m
-    note = f"success={win / den:.6g} >= {bound / den:.6g}" if applicable else \
-        "theta below sqrt(2 m / eps); bound not claimed"
-    check(BoundCheck("mixture_success_lower_bound", applicable, not applicable or win >= bound,
-                     Fraction(win - bound, den) if applicable else None, note))
-    return report
+    mix_den, win, bound = 2 * nt * e, dist.weight * e, (e - c) * m
+    mixture_ok = not applicable or win >= bound
+
+    def rows() -> list[BoundCheck]:
+        return [
+            BoundCheck("light_success_equals_e_light_over_n_theta", True, light_ok,
+                       Fraction(light - dist.e_light, nt), f"success={light / nt:.6g}"),
+            BoundCheck("heavy_success_within_interval", True, heavy_ok, Fraction(min(hi - lo, up - hi), den),
+                       f"success={hi / den:.6g} in [{lo / den:.6g}, {up / den:.6g}]"),
+            BoundCheck("heavy_light_degree_dominates", bool(heavy), dominates,
+                       None if margin is None else Fraction(margin, t2),
+                       f"{len(heavy)} heavy vertices" if heavy else "no heavy vertices"),
+            BoundCheck("mixture_success_lower_bound", applicable, mixture_ok,
+                       Fraction(win - bound, mix_den) if applicable else None,
+                       f"success={win / mix_den:.6g} >= {bound / mix_den:.6g}" if applicable
+                       else "theta below sqrt(2 m / eps); bound not claimed"),
+        ]
+    # A check that does not apply passes, so all_passed is the conjunction of the four verdicts.
+    return AttemptBoundsReport(theta, epsilon, light_ok and heavy_ok and dominates and mixture_ok, rows)
 
 
 def run_failure_probability(g: Graph, config: SamplerConfig) -> float:

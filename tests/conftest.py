@@ -12,15 +12,19 @@ for a seconds-scale suite, so those sizes are covered by a fixed catalog).
 
 ``no_generator`` makes an oracle fail the test if anything draws from its
 numpy generator, which only the kernel and the estimate's pool do.
+
+``enumerate_track_distributions`` enumerates the light and the heavy track
+of one attempt apart, for the tests that check each track alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from edgesample import build_graph
+from edgesample import DirectedEdge, build_graph
 from edgesample.generators import clique, cycle, erdos_renyi, generate, path, star
 
 EPSILONS = (0.05, 0.1, 0.25, 0.45)
@@ -65,6 +69,27 @@ def no_generator(oracle):
 
     oracle._generator = refuse
     return oracle
+
+
+def enumerate_track_distributions(g, theta: int) -> tuple[dict[DirectedEdge, Fraction], ...]:
+    """Exhaustive per-edge return probabilities of the light and the heavy
+    track alone, as two dicts, from one walk over start vertex u and slot j."""
+    light: dict[DirectedEdge, Fraction] = {}
+    heavy: dict[DirectedEdge, Fraction] = {}
+    w_uj = Fraction(1, g.n * theta)
+    for u in range(g.n):
+        if g.degree(u) > theta:
+            continue
+        for j in range(1, theta + 1):
+            v = g.neighbor(u, j)
+            if v is None:
+                continue
+            light[DirectedEdge(u, v)] = light.get(DirectedEdge(u, v), Fraction(0)) + w_uj
+            if g.degree(v) > theta:  # the heavy track goes on to a uniform neighbor w of v
+                w_pick = w_uj / g.degree(v)
+                for w in g.neighbors(v):
+                    heavy[DirectedEdge(v, w)] = heavy.get(DirectedEdge(v, w), Fraction(0)) + w_pick
+    return light, heavy
 
 
 def _connected(n: int, edges: list[tuple[int, int]]) -> bool:

@@ -23,12 +23,12 @@ from edgesample import (
     vertex_return_distribution,
     weighted_expectation,
 )
-from edgesample.analytic import enumerate_track_distributions, run_failure_probability
+from edgesample.analytic import run_failure_probability
 from edgesample.experiments import clique_size_for, planted_union, run_lower_bound, run_scaling
 from edgesample.generators import generate
 from edgesample.sampler import threshold_for
 
-from conftest import EPSILONS
+from conftest import EPSILONS, enumerate_track_distributions
 
 THETAS = range(1, 9)
 

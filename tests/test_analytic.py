@@ -15,8 +15,10 @@ from edgesample import (
     vertex_return_distribution,
 )
 from edgesample import analytic
-from edgesample.analytic import enumerate_track_distributions, run_failure_probability
+from edgesample.analytic import check_attempt_bounds, run_failure_probability
 from edgesample.generators import clique, erdos_renyi, generate, path, star
+
+from conftest import enumerate_track_distributions
 
 DOUBLE_STAR = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
 
@@ -283,3 +285,30 @@ def test_analytic_makes_no_numpy_call_once_the_degree_order_exists(monkeypatch):
     assert want[2].max_ratio_dev > 0 and g._order is not None
     monkeypatch.setattr(analytic, "np", NoNumpy())
     assert verify() == want
+
+
+def test_bound_verdicts_make_no_fraction_until_checks_are_read(monkeypatch):
+    # A verdict is decided in integers: with Fraction gone from the module, all_passed
+    # still reads, and only the rows (margins as Fractions) need it. The graph's law at
+    # theta 24 has a heavy vertex and the mixture bound applies, so all four verdicts run.
+    class NoFraction:
+        def __init__(self, *args):
+            raise AssertionError("analytic made a Fraction")
+
+    dist = attempt_distribution(generate("clique_union:star:30,4", seed=13), 24)
+    monkeypatch.setattr(analytic, "Fraction", NoFraction)
+    report = check_attempt_bounds(dist, 0.25)
+    assert report.all_passed
+    with pytest.raises(AssertionError, match="made a Fraction"):
+        report.checks
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, float("nan")])
+def test_bounds_refuse_epsilon_outside_the_open_unit_interval(epsilon):
+    # The range check comes before any work: the distribution is never read.
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError(f"read dist.{name} before checking epsilon")
+
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+        check_attempt_bounds(Unread(), epsilon)

@@ -203,7 +203,8 @@ EPSILONS = st.one_of(st.sampled_from([0.05, 0.1, 0.25, 0.45, 0.9]),
 def test_integer_bounds_and_closeness_match_fraction_reference(case, epsilon):
     g, theta = case
     dist = attempt_distribution(g, theta)
-    assert_bounds_match_reference(dist, epsilon)
+    report = assert_bounds_match_reference(dist, epsilon)
+    assert report.all_passed == all(c.passed for c in report.checks if c.applicable)
     if dist.success_prob == 0:
         return
     rep = conditional_closeness(dist)
@@ -231,8 +232,10 @@ def test_light_degree_dominance_can_fail(d_light, passed):
     # so the margin is d_L - 2.
     g = star(10)
     dist = ClosedFormDistribution(g, 5, {0: (d_light, 10)})
-    check = assert_bounds_match_reference(dist, 0.25).checks[2]
+    report = assert_bounds_match_reference(dist, 0.25)
+    check = report.checks[2]
     assert (check.passed, check.margin) == (passed, Fraction(d_light - 2))
+    assert report.all_passed is passed  # at d_L 1 the heavy interval fails too
 
 
 def test_light_success_check_can_fail():
@@ -240,9 +243,11 @@ def test_light_success_check_can_fail():
     # covers the 5 leaf edges. A record that leaves the center out of
     # ``heavy`` claims e_light = 10, and the check counts 5 from the degrees.
     dist = ClosedFormDistribution(star(5), 3, {})
-    check = assert_bounds_match_reference(dist, 0.25).checks[0]
+    report = assert_bounds_match_reference(dist, 0.25)
+    check = report.checks[0]
     assert check.name == "light_success_equals_e_light_over_n_theta"
     assert (check.passed, check.margin) == (False, Fraction(5 - 10, 6 * 3))
+    assert report.all_passed is False
 
 
 def test_vertex_return_distribution_exact_beyond_int64():
