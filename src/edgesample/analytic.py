@@ -19,10 +19,9 @@ vertex and read in pure Python off the graph's degree order (built once,
 bisection at theta, and d_L(v) is one bisection of v's sorted row of
 neighbor degrees. The directed edges fall into a few classes keyed by the
 ratio d_L(v)/d(v) of their origin in lowest terms (1/1 for a light
-origin). Success probability, closeness to uniform and the bound verdicts
-are integer sums over those classes, each over one common denominator,
-and exact at every graph size. A bound's Fraction margin and note are
-made only when its row is read.
+origin). Success probability, closeness and the bound verdicts are exact
+integer sums over those classes, each over one common denominator; a
+bound's Fraction margin and note are made only when its row is read.
 """
 
 from __future__ import annotations
@@ -101,7 +100,10 @@ def attempt_distribution(g: Graph, theta: int) -> ClosedFormDistribution:
     ids, degs, _, rows = g._degree_order()
     o, k = g._o, bisect_right(degs, theta)
     # v's row of neighbor degrees is sorted, so its light neighbors are the prefix up to theta
-    heavy = {v: (bisect_right(rows, theta, s := o[v], s + d) - s, d) for v, d in zip(ids[k:], degs[k:])}
+    heavy = {}
+    for i in range(k, g.n):  # indexing the views, not zipping slices of them, is cheaper on a cold cache
+        v, d = ids[i], degs[i]
+        heavy[v] = (bisect_right(rows, theta, s := o[v], s + d) - s, d)
     return ClosedFormDistribution(g, theta, heavy)
 
 
@@ -252,8 +254,7 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
     light_ok = light == dist.e_light
     den, hi, up, lo = nt * t2, (dist.weight - dist.e_light) * t2, dist.e_heavy * t2, dist.e_heavy * (t2 - m)
     heavy_ok = lo <= hi <= up
-    margin = min((dl * t2 - (t2 - m) * d for dl, d in heavy.values()), default=None)
-    dominates = margin is None or margin > 0
+    dominates = all(dl * t2 > (t2 - m) * d for dl, d in heavy.values())
     c, e = epsilon.as_integer_ratio()
     applicable = c * t2 >= 2 * m * e
     mix_den, win, bound = 2 * nt * e, dist.weight * e, (e - c) * m
@@ -266,7 +267,7 @@ def check_attempt_bounds(dist: ClosedFormDistribution, epsilon: float) -> Attemp
             BoundCheck("heavy_success_within_interval", True, heavy_ok, Fraction(min(hi - lo, up - hi), den),
                        f"success={hi / den:.6g} in [{lo / den:.6g}, {up / den:.6g}]"),
             BoundCheck("heavy_light_degree_dominates", bool(heavy), dominates,
-                       None if margin is None else Fraction(margin, t2),
+                       Fraction(min(dl * t2 - (t2 - m) * d for dl, d in heavy.values()), t2) if heavy else None,
                        f"{len(heavy)} heavy vertices" if heavy else "no heavy vertices"),
             BoundCheck("mixture_success_lower_bound", applicable, mixture_ok,
                        Fraction(win - bound, mix_den) if applicable else None,
